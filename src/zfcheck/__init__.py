@@ -11,10 +11,9 @@ command report the residuals.
 
 from .boundary import (
     BoundaryContext,
-    boundary_relation_residuals,
-    check_boundary_relations,
-    check_rho_B_automorphism,
-    check_rho_identity,
+    boundary_relation_evaluators,
+    rho_B_evaluators,
+    rho_evaluator,
 )
 from .errors import (
     CapacityError,
@@ -31,11 +30,13 @@ from .fock import (
     SpectralGrid,
     particle_number,
     states_equal,
+    zf_relation_evaluators,
 )
 from .harness import (
     CheckRecord,
     Report,
     RunConfig,
+    __version__,
     emit_report,
     load_config,
     run_suites,
@@ -43,10 +44,11 @@ from .harness import (
 from .hierarchy import (
     HierarchyOperator,
     apply_H,
-    check_eigenrelations,
-    check_flow_commutes,
-    check_integrals_of_motion,
     check_symmetry_breaking,
+    eigenrelation_evaluator,
+    flow_commute_evaluator,
+    integral_of_motion_evaluator,
+    odd_vanishing_evaluator,
 )
 from .rmatrix import (
     ReflectionMatrixSpec,
@@ -64,17 +66,17 @@ from .rmatrix import (
     rational_r,
     table_b,
     whitelist_reflection,
+    worst_over,
 )
 from .vertex import (
     VertexContext,
-    check_b_exchange,
-    check_rtt,
-    check_T_intertwining,
-    check_T_inverse,
+    b_exchange_evaluators,
+    b_involution_evaluator,
     check_T_vacuum,
+    rtt_evaluator,
+    t_inverse_evaluator,
+    t_relation_evaluators,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BoundaryContext",
@@ -98,33 +100,36 @@ __all__ = [
     "WhitelistReport",
     "ZfcheckError",
     "apply_H",
-    "boundary_relation_residuals",
-    "check_b_exchange",
+    "b_exchange_evaluators",
+    "b_involution_evaluator",
+    "boundary_relation_evaluators",
     "check_b_unitarity",
-    "check_boundary_relations",
-    "check_eigenrelations",
-    "check_flow_commutes",
-    "check_integrals_of_motion",
     "check_reflection_equation",
-    "check_rho_B_automorphism",
-    "check_rho_identity",
-    "check_rtt",
     "check_symmetry_breaking",
-    "check_T_intertwining",
-    "check_T_inverse",
     "check_T_vacuum",
     "check_unitarity",
     "check_yang_baxter",
     "constant_diagonal_b",
+    "eigenrelation_evaluator",
     "emit_report",
+    "flow_commute_evaluator",
     "identity_b",
+    "integral_of_motion_evaluator",
     "load_config",
     "load_table_b",
+    "odd_vanishing_evaluator",
     "particle_number",
     "phase_diagonal_b",
     "rational_r",
+    "rho_B_evaluators",
+    "rho_evaluator",
+    "rtt_evaluator",
     "run_suites",
     "states_equal",
+    "t_inverse_evaluator",
+    "t_relation_evaluators",
     "table_b",
     "whitelist_reflection",
+    "worst_over",
+    "zf_relation_evaluators",
 ]

@@ -15,9 +15,9 @@ at_j(-k) acts as the identity, and the substitution a -> b a', a† -> a'† b'
 (primes flip the momentum sign) is an automorphism of the bulk exchange
 algebra whose average with the identity reproduces the halved generators.
 
-Every relation is exposed both ways: as a map of per-sample residual
-functions (state -> float), which lets a caller pick sample sectors relation
-by relation, and as aggregate checks over a fixed sample list.
+Every relation is exposed as a per-sample residual function (state ->
+float), which lets a caller pick sample sectors relation by relation;
+``worst_over`` aggregates one over a fixed sample list.
 
 Component applications of b(k) reuse the vertex context's cached per-word
 matrices; on top of that, a small memo keyed by the state's amplitude map
@@ -27,7 +27,7 @@ same state once per color.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from .fock import FockState
 from .relations import (
@@ -39,30 +39,12 @@ from .relations import (
     identity_residual,
     states_bridge,
 )
-from .rmatrix import Residual, eval_r, perm_conj
-from .vertex import VertexContext, b_involution_evaluator, _max_residual
+from .rmatrix import eval_r, perm_conj
+from .vertex import VertexContext, b_involution_evaluator
 
 ResidualFn = Callable[[FockState], float]
 
 _MEMO_LIMIT = 8192
-
-# Particle headroom each relation needs beyond the sample's own sector: the
-# worst intermediate word is that many letters longer than the input.
-RELATION_HEADROOM = {
-    "BNl-1": 0,
-    "BNl-2": 2,
-    "BNl-3": 1,
-    "BNl-4": 0,
-    "BNl-5": 1,
-    "eq:bb": 0,
-    "rbrb": 0,
-    "rho": 1,
-    "rhoB-aa": 0,
-    "rhoB-adad": 2,
-    "rhoB-aad": 1,
-    "rhoB-involution": 0,
-    "coset": 1,
-}
 
 
 class BoundaryContext:
@@ -341,70 +323,3 @@ def rho_B_evaluators(
         ),
         "coset": coset,
     }
-
-
-# ---------------------------------------------------------------------------
-# Aggregated checks
-
-
-def boundary_relation_residuals(
-    ctx: BoundaryContext,
-    k1: float,
-    k2: float,
-    samples: Sequence[FockState],
-) -> dict[str, Residual]:
-    """Worst-case residuals of all seven boundary relations over the samples.
-
-    Samples must leave the particle headroom each relation needs: one unit
-    for the single-dagger relations (BNl-3, BNl-5), two units for BNl-2.
-    """
-    fns = boundary_relation_evaluators(ctx, k1, k2)
-    return {
-        tag: _max_residual(
-            [fn(s) for s in samples], {"relation": tag, "momenta": (k1, k2)}
-        )
-        for tag, fn in fns.items()
-    }
-
-
-def check_boundary_relations(
-    ctx: BoundaryContext, k1: float, k2: float, samples: Sequence[FockState]
-) -> list[Residual]:
-    return list(boundary_relation_residuals(ctx, k1, k2, samples).values())
-
-
-def check_rho_identity(
-    ctx: BoundaryContext, k: float, samples: Sequence[FockState]
-) -> Residual:
-    fn = rho_evaluator(ctx, k)
-    return _max_residual(
-        [fn(s) for s in samples], {"relation": "rho", "momenta": (k,)}
-    )
-
-
-def rho_B_residuals(
-    ctx: BoundaryContext,
-    k1: float,
-    k2: float,
-    samples: Sequence[FockState],
-) -> dict[str, Residual]:
-    fns = rho_B_evaluators(ctx, k1, k2)
-    momenta = {
-        "rhoB-aa": (k1, k2),
-        "rhoB-adad": (k1, k2),
-        "rhoB-aad": (k1, k2),
-        "rhoB-involution": (k1,),
-        "coset": (k1,),
-    }
-    return {
-        tag: _max_residual(
-            [fn(s) for s in samples], {"relation": tag, "momenta": momenta[tag]}
-        )
-        for tag, fn in fns.items()
-    }
-
-
-def check_rho_B_automorphism(
-    ctx: BoundaryContext, k1: float, k2: float, samples: Sequence[FockState]
-) -> list[Residual]:
-    return list(rho_B_residuals(ctx, k1, k2, samples).values())

@@ -34,7 +34,7 @@ k1 = -k2.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -425,9 +425,6 @@ class FockSpace:
 # Exchange-algebra checks for the bulk generators.  The relation evaluator
 # lives in .relations, which imports this module, hence the local imports.
 
-# Particle headroom each relation needs beyond the sample's sector.
-ZF_RELATION_HEADROOM = {"AN-1": 0, "AN-2": 2, "AN-3": 1}
-
 
 def zf_relation_evaluators(space: FockSpace, k1: float, k2: float) -> dict:
     """Per-sample residual functions for the three bulk exchange relations.
@@ -466,26 +463,6 @@ def zf_relation_evaluators(space: FockSpace, k1: float, k2: float) -> dict:
         ),
         "AN-3": an3,
     }
-
-
-def zf_relation_residuals(
-    space: FockSpace, k1: float, k2: float, samples: Sequence[FockState]
-) -> dict:
-    """Worst-case residuals of the three bulk relations over a sample list.
-
-    AN-2 needs two units of particle headroom on every sample, AN-3 one.
-    """
-    from .rmatrix import Residual
-
-    fns = zf_relation_evaluators(space, k1, k2)
-    out = {}
-    for tag, fn in fns.items():
-        vals = [fn(s) for s in samples]
-        out[tag] = Residual(
-            max(vals, default=0.0),
-            {"relation": tag, "momenta": (k1, k2), "samples": len(vals)},
-        )
-    return out
 
 
 def confluence_residual(

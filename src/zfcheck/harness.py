@@ -5,10 +5,14 @@ rejected), executed suite by suite in dependency order
 
     rmatrix -> fock -> vertex -> boundary -> hierarchy
 
-and reported as a flat list of check records plus a summary.  Two runs with
-the same config, seed, and suite selection produce byte-identical reports:
-sampling is driven by one seeded generator consumed in a fixed order, and
-the report carries no timestamps or environment state.
+and reported as a flat list of check records plus a summary.  One table,
+``RELATIONS``, lists every relation tag with what it needs (suite, particle
+headroom, the reflection gate, momentum plan, evaluator factory); a single
+loop over it produces the records.
+
+Two runs with the same config, seed, and suite selection produce
+byte-identical reports: sampling is driven by one seeded generator consumed
+in a fixed order, and the report carries no timestamps or environment state.
 
 The reflection whitelist acts as a prepass.  Whenever a suite that uses the
 dressed reflection operator is selected, the matrix-level gate (pointwise
@@ -28,8 +32,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import ModuleType
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +50,7 @@ from .errors import ConfigError
 from .fock import FockSpace, FockState, SpectralGrid, Word
 from .rmatrix import (
     ReflectionMatrixSpec,
-    RMatrixSpec,
+    Residual,
     check_unitarity,
     check_yang_baxter,
     constant_diagonal_b,
@@ -56,48 +64,6 @@ from .vertex import VertexContext
 __version__ = "0.1.0"
 
 SUITE_ORDER = ("rmatrix", "fock", "vertex", "boundary", "hierarchy")
-
-# Every relation tag a full run must touch, per suite.  run_suites asserts
-# the emitted records cover exactly these, so a refactor that drops a check
-# fails loudly instead of shipping a quieter report.
-SUITE_RELATIONS: dict[str, tuple[str, ...]] = {
-    "rmatrix": ("YBE", "unitarity", "B-unitarity", "RBRB"),
-    "fock": ("AN-1", "AN-2", "AN-3", "confluence", "roundtrip"),
-    "vertex": (
-        "TOmega",
-        "defT-a",
-        "defT-adag",
-        "rtt",
-        "T-inverse",
-        "b-vacuum",
-        "rbrb",
-        "eq:ab",
-        "eq:bad",
-        "eq:bb",
-    ),
-    "boundary": (
-        "BNl-1",
-        "BNl-2",
-        "BNl-3",
-        "BNl-4",
-        "BNl-5",
-        "eq:bb",
-        "rbrb",
-        "rho",
-        "rhoB-aa",
-        "rhoB-adad",
-        "rhoB-aad",
-        "rhoB-involution",
-        "coset",
-    ),
-    "hierarchy": ("H-odd", "H-eigen", "H-commute", "H-iom", "ssb"),
-}
-
-# Suites that cannot say anything meaningful without a trusted reflection
-# matrix.  The vertex suite is split: its T-layer runs regardless, only the
-# b-layer relations are gated.
-_B_DEPENDENT_SUITES = ("vertex", "boundary", "hierarchy")
-_VERTEX_B_RELATIONS = ("b-vacuum", "rbrb", "eq:ab", "eq:bad", "eq:bb")
 
 _REFLECTION_FAMILIES = (
     "identity",
@@ -179,11 +145,8 @@ def _parse_entry(x: object, where: str) -> complex:
 def _normalize_reflection(refl: dict) -> dict:
     out: dict = {"family": refl["family"]}
     if "entries" in refl:
-        out["entries"] = [
-            [_parse_entry(e, "reflection.entries").real,
-             _parse_entry(e, "reflection.entries").imag]
-            for e in refl["entries"]
-        ]
+        parsed = (_parse_entry(e, "reflection.entries") for e in refl["entries"])
+        out["entries"] = [[z.real, z.imag] for z in parsed]
     for key in ("c", "signs", "path"):
         if key in refl:
             out[key] = refl[key]
@@ -618,7 +581,9 @@ def build_sample_plan(cfg: RunConfig, space: FockSpace) -> SamplePlan:
         shuffled = tuple(w[int(p)] for p in perm)
         shuffles.append((f"shuffle-{i}", {shuffled: 1.0 + 0j}))
 
-    rt_sector = min(2, cfg.n_max, len(space.grid))
+    # The roundtrip rewrites a word but never applies the particle cap; a
+    # grid always has two momenta, enough for one adjacent pair.
+    rt_sector = min(2, len(space.grid))
     roundtrips = []
     for i in range(4):
         w = _random_word(rng, space, rt_sector)
@@ -654,250 +619,255 @@ def _momentum_pairs(grid: SpectralGrid) -> tuple[tuple[float, float], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Suite driver
+# The relation table
 
 
-class _Recorder:
+@dataclass(frozen=True)
+class Relation:
+    """One relation tag of one suite, and how a run measures it.
+
+    At each point of the momentum plan ``plan`` (see ``_Run.plans``),
+    ``factory(context, *args)`` is called on the suite's context object.
+    It returns the per-sample evaluator, or a tag -> evaluator map that the
+    consecutive rows with the same factory share.  An evaluator returns the
+    residual, or a Residual whose context may carry the record's cause.
+
+    ``samples`` names the sample source (see ``_Run.samples``).
+    ``headroom`` is how many letters the relation's worst intermediate word
+    adds to the sample's; a sample whose sector leaves less room than that
+    under n_max gets a skip record.  When the reflection gate fails, rows
+    that ``needs_b`` get one skip record each.  The ``gate`` rows are that
+    gate: they also run ahead of any selected suite that needs b.
+    """
+
+    suite: str
+    tag: str
+    headroom: int
+    needs_b: bool
+    plan: str
+    factory: Callable
+    samples: str = "sectors"
+    gate: bool = False
+
+
+# The object each suite's factories are called on, as an attribute of _Run.
+_CONTEXT = {
+    "rmatrix": "rspec",
+    "fock": "space",
+    "vertex": "vertex",
+    "boundary": "boundary",
+    "hierarchy": "boundary",
+}
+
+
+def _layer(module: ModuleType, name: str) -> Callable:
+    """The evaluator factory ``module.name``.
+
+    It is looked up on its module at every call, not bound here, so that a
+    wrapper installed on the module attribute sees every call.
+    """
+    return lambda context, *args: getattr(module, name)(context, *args)
+
+
+def _once(check: Callable) -> Callable:
+    """A check measured once per plan point; its one record takes no sample."""
+    return lambda context, *args: lambda _: check(context, *args)
+
+
+def _whitelist(_context: object, check: Residual) -> dict:
+    """A gate residual, measured when the vertex context was built."""
+    return {check.context["relation"]: lambda _: check}
+
+
+def _confluence(space: FockSpace) -> Callable:
+    return lambda raw: fock_mod.confluence_residual(space, raw)
+
+
+def _roundtrip(space: FockSpace) -> Callable:
+    return lambda sample: fock_mod.transposition_roundtrip_residual(space, *sample)
+
+
+def _ssb(ctx: BoundaryContext) -> Residual:
+    """The vacuum test of b(k); the broken generators become the cause."""
+    report = hierarchy_mod.check_symmetry_breaking(ctx)
+    broken = ",".join(f"({i},{j})" for i, j in report.broken) or "none"
+    return Residual(report.residual.value, {"cause": f"broken={broken}"})
+
+
+_ZF = _layer(fock_mod, "zf_relation_evaluators")
+_DEF_T = _layer(vertex_mod, "t_relation_evaluators")
+_RTT = _layer(vertex_mod, "rtt_evaluator")
+_T_INVERSE = _layer(vertex_mod, "t_inverse_evaluator")
+_B_INVOLUTION = _layer(vertex_mod, "b_involution_evaluator")
+_B_EXCHANGE = _layer(vertex_mod, "b_exchange_evaluators")
+_BOUNDARY = _layer(boundary_mod, "boundary_relation_evaluators")
+_RHO = _layer(boundary_mod, "rho_evaluator")
+_RHO_B = _layer(boundary_mod, "rho_B_evaluators")
+_H_ODD = _layer(hierarchy_mod, "odd_vanishing_evaluator")
+_H_EIGEN = _layer(hierarchy_mod, "eigenrelation_evaluator")
+_H_COMMUTE = _layer(hierarchy_mod, "flow_commute_evaluator")
+_H_IOM = _layer(hierarchy_mod, "integral_of_motion_evaluator")
+
+# Every relation a run measures, in report order.  run_suites asserts that
+# the records of each selected suite cover exactly its rows here.
+#   suite, tag, headroom, needs b, momentum plan, evaluator factory[, samples]
+RELATIONS: tuple[Relation, ...] = (
+    Relation("rmatrix", "B-unitarity", 0, False, "whitelist", _whitelist, "matrix", gate=True),
+    Relation("rmatrix", "RBRB", 0, False, "whitelist", _whitelist, "matrix", gate=True),
+    Relation("rmatrix", "YBE", 0, False, "ybe", _once(check_yang_baxter), "triple-{i}"),
+    Relation("rmatrix", "unitarity", 0, False, "unitarity", _once(check_unitarity), "pair-{i}"),
+    Relation("fock", "AN-1", 0, False, "pairs", _ZF),
+    Relation("fock", "AN-2", 2, False, "pairs", _ZF),
+    Relation("fock", "AN-3", 1, False, "pairs", _ZF),
+    Relation("fock", "confluence", 0, False, "none", _confluence, "shuffles"),
+    Relation("fock", "roundtrip", 0, False, "none", _roundtrip, "roundtrips"),
+    Relation("vertex", "TOmega", 0, False, "aux", _once(vertex_mod.check_T_vacuum), "vac"),
+    Relation("vertex", "defT-adag", 1, False, "aux-particle", _DEF_T),
+    Relation("vertex", "defT-a", 0, False, "aux-particle", _DEF_T),
+    Relation("vertex", "rtt", 0, False, "rtt", _RTT),
+    Relation("vertex", "T-inverse", 0, False, "aux", _T_INVERSE),
+    Relation("vertex", "b-vacuum", 0, True, "grid", _once(vertex_mod.check_b_vacuum), "vac"),
+    Relation("vertex", "rbrb", 0, True, "reflected", _B_INVOLUTION),
+    Relation("vertex", "eq:ab", 0, True, "pairs", _B_EXCHANGE),
+    Relation("vertex", "eq:bad", 1, True, "pairs", _B_EXCHANGE),
+    Relation("vertex", "eq:bb", 0, True, "pairs", _B_EXCHANGE),
+    Relation("boundary", "BNl-1", 0, True, "pairs", _BOUNDARY),
+    Relation("boundary", "BNl-2", 2, True, "pairs", _BOUNDARY),
+    Relation("boundary", "BNl-3", 1, True, "pairs", _BOUNDARY),
+    Relation("boundary", "BNl-4", 0, True, "pairs", _BOUNDARY),
+    Relation("boundary", "BNl-5", 1, True, "pairs", _BOUNDARY),
+    Relation("boundary", "eq:bb", 0, True, "pairs", _BOUNDARY),
+    Relation("boundary", "rbrb", 0, True, "pairs", _BOUNDARY),
+    Relation("boundary", "rho", 1, True, "reflected", _RHO),
+    Relation("boundary", "rhoB-aa", 0, True, "pairs", _RHO_B),
+    Relation("boundary", "rhoB-adad", 2, True, "pairs", _RHO_B),
+    Relation("boundary", "rhoB-aad", 1, True, "pairs", _RHO_B),
+    Relation("boundary", "rhoB-involution", 0, True, "pairs", _RHO_B),
+    Relation("boundary", "coset", 1, True, "pairs", _RHO_B),
+    Relation("hierarchy", "H-odd", 0, True, "odd-orders", _H_ODD),
+    Relation("hierarchy", "H-eigen", 1, True, "eigen", _H_EIGEN, "low-sectors"),
+    Relation("hierarchy", "H-commute", 0, True, "order-pairs", _H_COMMUTE),
+    Relation("hierarchy", "H-iom", 0, True, "iom", _H_IOM),
+    Relation("hierarchy", "ssb", 0, True, "none", _once(_ssb), "vac"),
+)
+
+
+# ---------------------------------------------------------------------------
+# Running the table
+
+
+class _Run:
+    """Everything one run measures, built once from its config."""
+
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.records: list[CheckRecord] = []
+        self.grid = SpectralGrid(cfg.grid)
+        self.rspec = rational_r(cfg.N, cfg.g)
+        bspec = build_reflection(cfg)
+        self.space = FockSpace(self.grid, self.rspec, n_max=cfg.n_max, prune=cfg.prune)
+        self.vertex = VertexContext(self.space, bspec, whitelist_tol=cfg.tolerance)
+        self.plan = build_sample_plan(cfg, self.space)
+        self.b_cause = None
+        if not self.vertex.b_allowed():
+            self.b_cause = (
+                f"reflection family {bspec.family!r} failed the whitelist gate "
+                f"(worst residual {self.vertex.whitelist.max_residual:.3e})"
+            )
 
-    def measured(
-        self,
-        suite: str,
-        relation: str,
-        momenta: tuple[float, ...],
-        sample: str,
-        residual: float,
-    ) -> None:
-        status = "pass" if residual < self.cfg.tolerance else "fail"
-        self.records.append(
-            CheckRecord(suite, relation, momenta, sample, float(residual), status)
-        )
+    @cached_property
+    def boundary(self) -> BoundaryContext:
+        """Built on first use, which only a run that passed the gate reaches."""
+        return BoundaryContext(self.vertex)
 
-    def skipped(
-        self,
-        suite: str,
-        relation: str,
-        momenta: tuple[float, ...],
-        sample: str,
-        cause: str,
-    ) -> None:
-        self.records.append(
-            CheckRecord(suite, relation, momenta, sample, None, "skip", cause)
-        )
+    @cached_property
+    def plans(self) -> dict[str, list[tuple[tuple[float, ...], tuple]]]:
+        """Momentum plans by name, as (record momenta, factory arguments) pairs.
 
+        Aux momenta need not live on the grid: two off-grid values plus a
+        grid point exercise that.  Charge orders are recorded as floats and
+        passed on as integers.  The reflected plan records (k, -k) for a
+        factory that takes k.
+        """
+        pos = self.grid.positive()
+        aux = (0.37, -1.6)
+        ends = (pos[0], -pos[-1])
 
-def _run_evaluators(
-    rec: _Recorder,
-    suite: str,
-    momenta: tuple[float, ...],
-    evaluators: Mapping[str, object],
-    headroom: Mapping[str, int],
-    plan: SamplePlan,
-    n_max: int,
-    only: Sequence[str] | None = None,
-) -> None:
-    """Run a tag -> fn map over capacity-appropriate samples.
+        def same(momenta) -> list:
+            return [(tuple(m), tuple(m)) for m in momenta]
 
-    Samples whose sector exceeds the relation's cap produce skip records so
-    the narrowing is visible in the report.
-    """
-    for tag, fn in evaluators.items():
-        if only is not None and tag not in only:
-            continue
-        cap = n_max - headroom[tag]
-        for name, s in plan.up_to(n_max):
-            sector = s.max_particles()
-            if sector > cap:
-                rec.skipped(
-                    suite,
-                    tag,
-                    momenta,
-                    name,
-                    f"sector {sector} needs headroom {headroom[tag]} "
-                    f"over cap n_max={n_max}",
-                )
-            else:
-                rec.measured(suite, tag, momenta, name, fn(s))
+        return {
+            "whitelist": [
+                (tuple(r.context["momenta"]), (r,)) for r in self.vertex.whitelist.checks
+            ],
+            "ybe": same(self.plan.ybe_triples),
+            "unitarity": same(self.plan.unitarity_pairs),
+            "pairs": same(_momentum_pairs(self.grid)),
+            "none": [((), ())],
+            "aux": same((k0,) for k0 in (*aux, pos[0])),
+            "aux-particle": same((k0, k) for k0 in aux for k in ends),
+            "rtt": same((aux, (pos[0], 2.2))),
+            "grid": same((k,) for k in self.grid),
+            "reflected": [((k, -k), (k,)) for k in pos],
+            "odd-orders": [((float(n),), (n,)) for n in (1, 3, 5)],
+            "eigen": [((float(n), k), (n, k)) for n in (2, 4) for k in pos],
+            "order-pairs": [((float(n), float(m)), (n, m)) for n, m in ((2, 4), (0, 2))],
+            "iom": [((2.0, k), (2, k)) for k in ends],
+        }
 
+    def samples(self, source: str, i: int) -> Sequence[tuple[str, object]]:
+        """Named samples of the i-th plan point.
 
-def _run_rmatrix_suite(
-    rec: _Recorder, rspec: RMatrixSpec, plan: SamplePlan
-) -> None:
-    for i, (k1, k2, k3) in enumerate(plan.ybe_triples):
-        res = check_yang_baxter(rspec, k1, k2, k3)
-        rec.measured("rmatrix", "YBE", (k1, k2, k3), f"triple-{i}", res.value)
-    for i, (k1, k2) in enumerate(plan.unitarity_pairs):
-        res = check_unitarity(rspec, k1, k2)
-        rec.measured("rmatrix", "unitarity", (k1, k2), f"pair-{i}", res.value)
-
-
-def _run_whitelist_prepass(rec: _Recorder, vertex_ctx: VertexContext) -> None:
-    for res in vertex_ctx.whitelist.checks:
-        relation = str(res.context.get("relation"))
-        momenta = tuple(res.context.get("momenta", ()))
-        rec.measured("rmatrix", relation, momenta, "matrix", res.value)
+        A source that is not one of the sample plan's lists names the single
+        record of a check that takes no sample; ``{i}`` in it is the index.
+        """
+        n_max = self.cfg.n_max
+        if source == "sectors":
+            return self.plan.up_to(n_max)
+        if source == "low-sectors":
+            # Each eigenrelation check applies the charge four times per
+            # color, the hot loop of the whole run: stay in low sectors.
+            return self.plan.up_to(min(1, n_max - 1))
+        if source == "shuffles":
+            return self.plan.shuffles
+        if source == "roundtrips":
+            return [(name, (word, pos)) for name, word, pos in self.plan.roundtrips]
+        return [(source.format(i=i), None)]
 
 
-def _run_fock_suite(
-    rec: _Recorder, space: FockSpace, plan: SamplePlan, n_max: int
-) -> None:
-    for k1, k2 in _momentum_pairs(space.grid):
-        fns = fock_mod.zf_relation_evaluators(space, k1, k2)
-        _run_evaluators(
-            rec, "fock", (k1, k2), fns, fock_mod.ZF_RELATION_HEADROOM, plan, n_max
-        )
-    for name, raw in plan.shuffles:
-        rec.measured(
-            "fock", "confluence", (), name, fock_mod.confluence_residual(space, raw)
-        )
-    for name, word, pos in plan.roundtrips:
-        rec.measured(
-            "fock",
-            "roundtrip",
-            (),
-            name,
-            fock_mod.transposition_roundtrip_residual(space, word, pos),
-        )
-
-
-def _run_vertex_suite(
-    rec: _Recorder,
-    ctx: VertexContext,
-    plan: SamplePlan,
-    n_max: int,
-    b_ok: bool,
-    b_cause: str,
-) -> None:
-    grid = ctx.grid
-    pos = grid.positive()
-    # Aux momenta need not live on the grid; two off-grid values plus a grid
-    # point exercise that.
-    k0_values = (0.37, -1.6, pos[0])
-
-    for k0 in k0_values:
-        res = vertex_mod.check_T_vacuum(ctx, k0)
-        rec.measured("vertex", "TOmega", (k0,), "vac", res.value)
-
-    headroom = vertex_mod.RELATION_HEADROOM
-    for k0 in k0_values[:2]:
-        for k in (pos[0], -pos[-1]):
-            fns = vertex_mod.t_relation_evaluators(ctx, k0, k)
-            _run_evaluators(rec, "vertex", (k0, k), fns, headroom, plan, n_max)
-
-    rtt_pairs = [(0.37, -1.6), (pos[0], 2.2)]
-    for k1, k2 in rtt_pairs:
-        fn = vertex_mod.rtt_evaluator(ctx, k1, k2)
-        _run_evaluators(
-            rec, "vertex", (k1, k2), {"rtt": fn}, headroom, plan, n_max
-        )
-
-    for k0 in k0_values:
-        fn = vertex_mod.t_inverse_evaluator(ctx, k0)
-        _run_evaluators(
-            rec, "vertex", (k0,), {"T-inverse": fn}, headroom, plan, n_max
-        )
-
-    if not b_ok:
-        for tag in _VERTEX_B_RELATIONS:
-            rec.skipped("vertex", tag, (), "-", b_cause)
+def _measure(run: _Run, group: Sequence[Relation]) -> Iterator[CheckRecord]:
+    """Records of rows that share a factory: by momenta, then tag, then sample."""
+    head = group[0]
+    if head.needs_b and run.b_cause:
+        for row in group:
+            yield CheckRecord(row.suite, row.tag, (), "-", None, "skip", run.b_cause)
         return
-
-    for k in grid:
-        res = vertex_mod.check_b_vacuum(ctx, k)
-        rec.measured("vertex", "b-vacuum", (k,), "vac", res.value)
-    for k in pos:
-        fn = vertex_mod.b_involution_evaluator(ctx, k)
-        _run_evaluators(
-            rec, "vertex", (k, -k), {"rbrb": fn}, headroom, plan, n_max
-        )
-    for k1, k2 in _momentum_pairs(grid):
-        fns = vertex_mod.b_exchange_evaluators(ctx, k1, k2)
-        _run_evaluators(rec, "vertex", (k1, k2), fns, headroom, plan, n_max)
-
-
-def _run_boundary_suite(
-    rec: _Recorder, ctx: BoundaryContext, plan: SamplePlan, n_max: int
-) -> None:
-    headroom = boundary_mod.RELATION_HEADROOM
-    pairs = _momentum_pairs(ctx.grid)
-    for k1, k2 in pairs:
-        fns = boundary_mod.boundary_relation_evaluators(ctx, k1, k2)
-        _run_evaluators(rec, "boundary", (k1, k2), fns, headroom, plan, n_max)
-    for k in ctx.grid.positive():
-        fn = boundary_mod.rho_evaluator(ctx, k)
-        _run_evaluators(
-            rec, "boundary", (k, -k), {"rho": fn}, headroom, plan, n_max
-        )
-    for k1, k2 in pairs:
-        fns = boundary_mod.rho_B_evaluators(ctx, k1, k2)
-        _run_evaluators(rec, "boundary", (k1, k2), fns, headroom, plan, n_max)
-
-
-def _run_hierarchy_suite(
-    rec: _Recorder, ctx: BoundaryContext, plan: SamplePlan, n_max: int
-) -> None:
-    headroom = hierarchy_mod.RELATION_HEADROOM
-    pos = ctx.grid.positive()
-
-    for n in (1, 3, 5):
-        fn = lambda s, n=n: hierarchy_mod.apply_H(ctx, n, s).maxamp()
-        _run_evaluators(
-            rec, "hierarchy", (float(n),), {"H-odd": fn}, headroom, plan, n_max
-        )
-
-    # Eigenrelation samples stay low-sector: each check applies the charge
-    # four times per color, so this is the hot loop of the whole run.
-    eigen_samples = [(name, s) for name, s in plan.up_to(min(1, n_max - 1))]
-    for order in (2, 4):
-        for k in pos:
-            for name, s in eigen_samples:
-                res = hierarchy_mod.check_eigenrelations(ctx, order, k, [s])
-                rec.measured(
-                    "hierarchy", "H-eigen", (float(order), k), name, res.value
+    context = getattr(run, _CONTEXT[head.suite])
+    tol, n_max = run.cfg.tolerance, run.cfg.n_max
+    for i, (momenta, args) in enumerate(run.plans[head.plan]):
+        made = head.factory(context, *args)
+        for row in group:
+            fn = made.get(row.tag) if isinstance(made, dict) else made
+            if fn is None:
+                continue  # a whitelist point measures one relation only
+            for name, s in run.samples(row.samples, i):
+                sector = s.max_particles() if isinstance(s, FockState) else 0
+                if sector > n_max - row.headroom:
+                    cause = (
+                        f"sector {sector} needs headroom {row.headroom} "
+                        f"over cap n_max={n_max}"
+                    )
+                    yield CheckRecord(row.suite, row.tag, momenta, name, None, "skip", cause)
+                    continue
+                got = fn(s)
+                value, cause = (
+                    (got.value, got.context.get("cause"))
+                    if isinstance(got, Residual)
+                    else (got, None)
                 )
-
-    for n, m in ((2, 4), (0, 2)):
-        fn = lambda s, n=n, m=m: (
-            hierarchy_mod.apply_H(ctx, n, hierarchy_mod.apply_H(ctx, m, s))
-            - hierarchy_mod.apply_H(ctx, m, hierarchy_mod.apply_H(ctx, n, s))
-        ).maxamp()
-        _run_evaluators(
-            rec,
-            "hierarchy",
-            (float(n), float(m)),
-            {"H-commute": fn},
-            headroom,
-            plan,
-            n_max,
-        )
-
-    for k in (pos[0], -pos[-1]):
-        fn = lambda s, k=k: hierarchy_mod.check_integrals_of_motion(
-            ctx, 2, k, [s]
-        ).value
-        _run_evaluators(
-            rec, "hierarchy", (2.0, k), {"H-iom": fn}, headroom, plan, n_max
-        )
-
-    ssb = hierarchy_mod.check_symmetry_breaking(ctx)
-    broken = (
-        "broken=" + ",".join(f"({i},{j})" for i, j in ssb.broken)
-        if ssb.broken
-        else "broken=none"
-    )
-    rec.records.append(
-        CheckRecord(
-            "hierarchy",
-            "ssb",
-            (),
-            "vac",
-            ssb.residual.value,
-            "pass" if ssb.residual.value < rec.cfg.tolerance else "fail",
-            broken,
-        )
-    )
+                status = "pass" if value < tol else "fail"
+                yield CheckRecord(
+                    row.suite, row.tag, momenta, name, float(value), status, cause
+                )
 
 
 def run_suites(cfg: RunConfig, suites: Sequence[str] | None = None) -> Report:
@@ -908,69 +878,24 @@ def run_suites(cfg: RunConfig, suites: Sequence[str] | None = None) -> Report:
     fails, checks that rely on the dressed reflection operator are recorded
     as skips with the gate's verdict as cause.
     """
-    selected = resolve_suites(suites) if suites is not None else resolve_suites(
-        cfg.suites
-    )
-    grid = SpectralGrid(cfg.grid)
-    rspec = rational_r(cfg.N, cfg.g)
-    bspec = build_reflection(cfg)
-    space = FockSpace(grid, rspec, n_max=cfg.n_max, prune=cfg.prune)
-    vertex_ctx = VertexContext(space, bspec, whitelist_tol=cfg.tolerance)
-    plan = build_sample_plan(cfg, space)
-    rec = _Recorder(cfg)
-
-    b_ok = vertex_ctx.b_allowed()
-    b_cause = (
-        ""
-        if b_ok
-        else (
-            f"reflection family {bspec.family!r} failed the whitelist gate "
-            f"(worst residual {vertex_ctx.whitelist.max_residual:.3e})"
-        )
-    )
-    needs_b = any(s in _B_DEPENDENT_SUITES for s in selected)
-
-    if "rmatrix" in selected or needs_b:
-        _run_whitelist_prepass(rec, vertex_ctx)
-    if "rmatrix" in selected:
-        _run_rmatrix_suite(rec, rspec, plan)
-    if "fock" in selected:
-        _run_fock_suite(rec, space, plan, cfg.n_max)
-    if "vertex" in selected:
-        _run_vertex_suite(rec, vertex_ctx, plan, cfg.n_max, b_ok, b_cause)
-    bctx: BoundaryContext | None = None
-    for suite in ("boundary", "hierarchy"):
-        if suite not in selected:
-            continue
-        if not b_ok:
-            for tag in SUITE_RELATIONS[suite]:
-                rec.skipped(suite, tag, (), "-", b_cause)
-            continue
-        if bctx is None:
-            bctx = BoundaryContext(vertex_ctx)
-        if suite == "boundary":
-            _run_boundary_suite(rec, bctx, plan, cfg.n_max)
-        else:
-            _run_hierarchy_suite(rec, bctx, plan, cfg.n_max)
-
-    _assert_coverage(rec.records, selected)
-    return Report(config=replace(cfg, suites=selected), records=tuple(rec.records))
+    selected = resolve_suites(cfg.suites if suites is None else suites)
+    run = _Run(cfg)
+    needs_b = any(r.needs_b for r in RELATIONS if r.suite in selected)
+    rows = [r for r in RELATIONS if r.suite in selected or (r.gate and needs_b)]
+    records: list[CheckRecord] = []
+    for _, group in groupby(rows, key=attrgetter("factory", "plan")):
+        records.extend(_measure(run, list(group)))
+    _assert_coverage(records, selected)
+    return Report(config=replace(cfg, suites=selected), records=tuple(records))
 
 
 def _assert_coverage(records: Sequence[CheckRecord], selected: Sequence[str]) -> None:
-    """Every selected suite must have touched every one of its relation tags."""
-    seen: dict[str, set[str]] = {}
-    for r in records:
-        seen.setdefault(r.suite, set()).add(r.relation)
+    """The records of every selected suite must cover exactly its table rows."""
     for suite in selected:
-        expected = set(SUITE_RELATIONS[suite])
-        if suite == "rmatrix":
-            # The whitelist part of the rmatrix records also appears when
-            # only dependent suites run; coverage is judged on selection.
-            pass
-        missing = expected - seen.get(suite, set())
-        if missing:
+        expected = {r.tag for r in RELATIONS if r.suite == suite}
+        seen = {r.relation for r in records if r.suite == suite}
+        if seen != expected:
             raise RuntimeError(
-                f"suite {suite!r} emitted no records for relations "
-                f"{sorted(missing)}; the driver lost coverage"
+                f"suite {suite!r} emitted records for {sorted(seen)} but the "
+                f"relation table lists {sorted(expected)}; coverage was lost"
             )

@@ -12,25 +12,11 @@ numerically here; none is assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .boundary import BoundaryContext
+from .boundary import BoundaryContext, ResidualFn
 from .fock import FockState, states_equal
 from .rmatrix import Residual, eval_b
-from .vertex import _max_residual
-
-# Particle headroom per relation beyond the sample's sector.  Applying a
-# charge never raises the count (the lowering leg acts first), so only the
-# eigenrelation check, which creates before applying the charge, needs room.
-RELATION_HEADROOM = {
-    "H-odd": 0,
-    "H-eigen": 1,
-    "H-commute": 0,
-    "H-iom": 0,
-    "ssb": 0,
-}
 
 
 @dataclass(frozen=True)
@@ -61,38 +47,77 @@ def apply_H(ctx: BoundaryContext, n: int, state: FockState) -> FockState:
     return FockState.combine(terms).pruned(ctx.space.prune)
 
 
-def check_flow_commutes(
-    ctx: BoundaryContext, n: int, m: int, samples: Sequence[FockState]
-) -> Residual:
-    """Residual of H(n) H(m) s - H(m) H(n) s over samples."""
-    vals = []
-    for s in samples:
+# ---------------------------------------------------------------------------
+# Per-sample residual evaluators (state -> float)
+
+
+def odd_vanishing_evaluator(ctx: BoundaryContext, n: int) -> ResidualFn:
+    """Residual of H(n) s = 0 for odd n."""
+    if n % 2 == 0:
+        raise ValueError(f"odd-order check called with even order {n}")
+    return lambda s: apply_H(ctx, n, s).maxamp()
+
+
+def eigenrelation_evaluator(ctx: BoundaryContext, n: int, k: float) -> ResidualFn:
+    """Commutator spectrum test for one order and one grid momentum.
+
+    Even orders must satisfy [H(n), at†(k)] = k^n at†(k) and
+    [H(n), at(k)] = -k^n at(k) on samples.  Odd orders vanish identically,
+    so their commutators must vanish too (eigenvalue 0).
+    """
+    ctx.grid.index_of(k)
+    lam = complex(k**n) if n % 2 == 0 else 0j
+
+    def fn(s: FockState) -> float:
+        worst = 0.0
+        for i in range(ctx.N):
+            raised = ctx.apply_a_tilde_dagger(i, k, s)
+            lhs = apply_H(ctx, n, raised) - ctx.apply_a_tilde_dagger(
+                i, k, apply_H(ctx, n, s)
+            )
+            worst = max(worst, (lhs - raised.scaled(lam)).maxamp())
+            lowered = ctx.apply_a_tilde(i, k, s)
+            lhs = apply_H(ctx, n, lowered) - ctx.apply_a_tilde(
+                i, k, apply_H(ctx, n, s)
+            )
+            worst = max(worst, (lhs - lowered.scaled(-lam)).maxamp())
+        return worst
+
+    return fn
+
+
+def flow_commute_evaluator(ctx: BoundaryContext, n: int, m: int) -> ResidualFn:
+    """Residual of H(n) H(m) s = H(m) H(n) s."""
+
+    def fn(s: FockState) -> float:
         lhs = apply_H(ctx, n, apply_H(ctx, m, s))
         rhs = apply_H(ctx, m, apply_H(ctx, n, s))
-        vals.append((lhs - rhs).maxamp())
-    return _max_residual(vals, {"relation": "H-commute", "orders": (n, m)})
+        return (lhs - rhs).maxamp()
+
+    return fn
 
 
-def check_integrals_of_motion(
-    ctx: BoundaryContext, n: int, k: float, samples: Sequence[FockState]
-) -> Residual:
-    """Residual of the entrywise commutator [H(n), b(k)] on samples."""
-    vals = []
-    for s in samples:
+def integral_of_motion_evaluator(
+    ctx: BoundaryContext, n: int, k: float
+) -> ResidualFn:
+    """Residual of the entrywise commutator [H(n), b(k)]."""
+
+    def fn(s: FockState) -> float:
         hs = apply_H(ctx, n, s)
         b_then_h = ctx.vertex.apply_b(k, s)
-        dev = 0.0
         h_of_b = np.empty((ctx.N, ctx.N), dtype=object)
         for i in range(ctx.N):
             for j in range(ctx.N):
                 h_of_b[i, j] = apply_H(ctx, n, b_then_h[i, j])
         b_of_h = ctx.vertex.apply_b(k, hs)
+        dev = 0.0
         for i in range(ctx.N):
             for j in range(ctx.N):
                 _, d = states_equal(h_of_b[i, j], b_of_h[i, j], tol=0.0)
                 dev = max(dev, d)
-        vals.append(dev)
-    return _max_residual(vals, {"relation": "H-iom", "order": n, "momenta": (k,)})
+        return dev
+
+    return fn
 
 
 @dataclass(frozen=True)
@@ -135,50 +160,6 @@ def check_symmetry_breaking(
     return SymmetryBreakingReport(
         residual=residual, broken=tuple(sorted(broken)), expectations=expectations
     )
-
-
-def check_eigenrelations(
-    ctx: BoundaryContext,
-    n: int,
-    k: float,
-    samples: Sequence[FockState] | None = None,
-) -> Residual:
-    """Commutator spectrum test for one order and one grid momentum.
-
-    Even orders must satisfy [H(n), at†(k)] = k^n at†(k) and
-    [H(n), at(k)] = -k^n at(k) on samples.  Odd orders vanish identically,
-    so their commutators must vanish too (eigenvalue 0).
-    """
-    ctx.grid.index_of(k)
-    if samples is None:
-        samples = [ctx.space.vacuum()]
-    lam = complex(k**n) if n % 2 == 0 else 0j
-    vals = []
-    for s in samples:
-        for i in range(ctx.N):
-            raised = ctx.apply_a_tilde_dagger(i, k, s)
-            lhs = apply_H(ctx, n, raised) - ctx.apply_a_tilde_dagger(
-                i, k, apply_H(ctx, n, s)
-            )
-            vals.append((lhs - raised.scaled(lam)).maxamp())
-            lowered = ctx.apply_a_tilde(i, k, s)
-            lhs = apply_H(ctx, n, lowered) - ctx.apply_a_tilde(
-                i, k, apply_H(ctx, n, s)
-            )
-            vals.append((lhs - lowered.scaled(-lam)).maxamp())
-    return _max_residual(
-        vals, {"relation": "H-eigen", "order": n, "momenta": (k,)}
-    )
-
-
-def check_odd_vanishing(
-    ctx: BoundaryContext, n: int, samples: Sequence[FockState]
-) -> Residual:
-    """Residual of H(n) s = 0 for odd n over samples."""
-    if n % 2 == 0:
-        raise ValueError(f"odd-order check called with even order {n}")
-    vals = [apply_H(ctx, n, s).maxamp() for s in samples]
-    return _max_residual(vals, {"relation": "H-odd", "order": n})
 
 
 def one_particle_matrix(ctx: BoundaryContext, n: int) -> tuple[np.ndarray, list]:

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,14 @@ class Residual:
 
     def ok(self, tol: float) -> bool:
         return self.value < tol
+
+
+def worst_over(fn: Callable[[object], float], samples: Iterable, **context) -> Residual:
+    """The worst residual of a per-sample evaluator over ``samples``.
+
+    ``context`` labels the result.  An empty sample list gives 0.0.
+    """
+    return Residual(max((fn(s) for s in samples), default=0.0), context)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,9 @@ from zfcheck.fock import (
 from zfcheck.harness import RunConfig, random_state, render_json, run_suites
 from zfcheck.hierarchy import (
     apply_H,
-    check_flow_commutes,
-    check_integrals_of_motion,
     check_symmetry_breaking,
+    flow_commute_evaluator,
+    integral_of_motion_evaluator,
 )
 from zfcheck.rmatrix import (
     RMatrixSpec,
@@ -45,6 +45,7 @@ from zfcheck.rmatrix import (
     max_abs,
     phase_diagonal_b,
     rational_r,
+    worst_over,
 )
 from zfcheck.vertex import (
     VertexContext,
@@ -295,13 +296,12 @@ def test_conserved_charges(spaces):
             odd = max(odd, apply_H(ctx, order, s).maxamp())
 
     flow_samples = [s for _, s in _samples(space, rng, (1, 2))]
-    commute = check_flow_commutes(ctx, 2, 4, flow_samples).value
+    commute = worst_over(flow_commute_evaluator(ctx, 2, 4), flow_samples).value
     iom = 0.0
     for order in (2, 4):
         for k in (1.0, -2.0):
-            iom = max(
-                iom, check_integrals_of_motion(ctx, order, k, flow_samples).value
-            )
+            fn = integral_of_motion_evaluator(ctx, order, k)
+            iom = max(iom, worst_over(fn, flow_samples).value)
 
     vacuum = 0.0
     broken_ok = True

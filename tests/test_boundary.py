@@ -5,19 +5,14 @@ import pytest
 
 from conftest import random_state
 from zfcheck.boundary import (
-    RELATION_HEADROOM,
     BoundaryContext,
     boundary_relation_evaluators,
-    boundary_relation_residuals,
-    check_boundary_relations,
-    check_rho_B_automorphism,
-    check_rho_identity,
     rho_B_evaluators,
-    rho_B_residuals,
     rho_evaluator,
 )
 from zfcheck.errors import GridDomainError, NotWhitelistedError
-from zfcheck.rmatrix import constant_diagonal_b, eval_b
+from zfcheck.harness import RELATIONS
+from zfcheck.rmatrix import constant_diagonal_b, eval_b, worst_over
 from zfcheck.vertex import VertexContext
 
 PAIRS = ((1.0, 2.0), (1.0, 1.0), (2.0, -2.0), (-3.0, 1.0))
@@ -136,23 +131,20 @@ class TestSevenRelations:
         assert full < 1e-11
         assert naked > 0.4
 
-    def test_headroom_table_matches_tags(self):
-        assert set(RELATION_HEADROOM) >= {
-            "BNl-1", "BNl-2", "BNl-3", "BNl-4", "BNl-5", "eq:bb", "rbrb",
-            "rho", "rhoB-aa", "rhoB-adad", "rhoB-aad", "rhoB-involution",
-            "coset",
-        }
+    def test_headroom_table_matches_tags(self, bctx):
+        tags = {r.tag for r in RELATIONS if r.suite == "boundary"}
+        assert tags == (
+            set(boundary_relation_evaluators(bctx, 1.0, 2.0))
+            | {"rho"}
+            | set(rho_B_evaluators(bctx, 1.0, 2.0))
+        )
 
     def test_aggregate_wrapper(self, bctx, rng):
         samples = [random_state(rng, bctx.space, 1)]
-        out = boundary_relation_residuals(bctx, 1.0, 2.0, samples)
-        assert set(out) == set(boundary_relation_evaluators(bctx, 1.0, 2.0))
-        for tag, res in out.items():
+        for tag, fn in boundary_relation_evaluators(bctx, 1.0, 2.0).items():
+            res = worst_over(fn, samples, relation=tag)
             assert res.value < 1e-10, tag
             assert res.context["relation"] == tag
-            assert res.context["samples"] == 1
-        listed = check_boundary_relations(bctx, 1.0, 2.0, samples)
-        assert len(listed) == 7
 
 
 class TestRhoIdentity:
@@ -167,7 +159,8 @@ class TestRhoIdentity:
         assert fn(random_state(rng, bctx_id.space, 2)) < 1e-11
 
     def test_wrapper(self, bctx, rng):
-        res = check_rho_identity(bctx, 1.0, [random_state(rng, bctx.space, 1)])
+        fn = rho_evaluator(bctx, 1.0)
+        res = worst_over(fn, [random_state(rng, bctx.space, 1)], momenta=(1.0,))
         assert res.value < 1e-11
         assert res.context["momenta"] == (1.0,)
 
@@ -202,13 +195,8 @@ class TestRhoBAutomorphism:
 
     def test_aggregate_wrapper(self, bctx, rng):
         samples = [random_state(rng, bctx.space, 1)]
-        out = rho_B_residuals(bctx, 1.0, 2.0, samples)
-        assert out["rhoB-involution"].context["momenta"] == (1.0,)
-        assert out["rhoB-aa"].context["momenta"] == (1.0, 2.0)
-        listed = check_rho_B_automorphism(bctx, 1.0, 2.0, samples)
-        assert len(listed) == 5
-        for res in listed:
-            assert res.value < 1e-10
+        for tag, fn in rho_B_evaluators(bctx, 1.0, 2.0).items():
+            assert worst_over(fn, samples).value < 1e-10, tag
 
 
 class TestGates:

@@ -14,19 +14,20 @@ from zfcheck.fock import (
     FockSpace,
     FockState,
     SpectralGrid,
-    ZF_RELATION_HEADROOM,
     confluence_residual,
     particle_number,
     states_equal,
     transposition_roundtrip_residual,
     zf_relation_evaluators,
-    zf_relation_residuals,
 )
-from zfcheck.rmatrix import rational_r
+from zfcheck.harness import RELATIONS
+from zfcheck.rmatrix import rational_r, worst_over
 
 letters = st.tuples(st.integers(0, 5), st.integers(0, 1))
 words3 = st.lists(letters, min_size=3, max_size=3).map(tuple)
 words2 = st.lists(letters, min_size=2, max_size=2).map(tuple)
+
+HEADROOM = {r.tag: r.headroom for r in RELATIONS if r.suite == "fock"}
 
 
 class TestGrid:
@@ -207,16 +208,17 @@ class TestExchangeRelations:
     def test_all_three_on_random_states(self, space4, rng, k1, k2):
         fns = zf_relation_evaluators(space4, k1, k2)
         for tag, fn in fns.items():
-            cap = space4.n_max - ZF_RELATION_HEADROOM[tag]
+            cap = space4.n_max - HEADROOM[tag]
             for n in range(0, cap + 1):
                 s = space4.vacuum() if n == 0 else random_state(rng, space4, n)
                 assert fn(s) < 1e-10, (tag, n)
 
     def test_residual_objects_carry_context(self, space, rng):
-        res = zf_relation_residuals(space, 1.0, 2.0, [space.vacuum()])
-        assert set(res) == {"AN-1", "AN-2", "AN-3"}
-        assert res["AN-1"].context["momenta"] == (1.0, 2.0)
-        assert res["AN-1"].ok(1e-10)
+        fns = zf_relation_evaluators(space, 1.0, 2.0)
+        assert set(fns) == {"AN-1", "AN-2", "AN-3"}
+        res = worst_over(fns["AN-1"], [space.vacuum()], momenta=(1.0, 2.0))
+        assert res.context["momenta"] == (1.0, 2.0)
+        assert res.ok(1e-10)
 
     def test_mixed_relation_sees_the_delta(self, space, rng):
         # At equal momenta the contact term is what closes the relation;

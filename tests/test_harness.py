@@ -1,14 +1,17 @@
 """Configuration validation, the suite driver, report rendering, and the CLI."""
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from zfcheck.cli import main
 from zfcheck.errors import ConfigError, GridValidationError
 from zfcheck.harness import (
+    RELATIONS,
     SUITE_ORDER,
-    SUITE_RELATIONS,
     RunConfig,
     build_reflection,
     build_sample_plan,
@@ -31,6 +34,10 @@ SMALL = {
 
 def small_cfg(**overrides):
     return config_from_dict({**SMALL, **overrides})
+
+
+def suite_tags(suite):
+    return {r.tag for r in RELATIONS if r.suite == suite}
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +216,7 @@ class TestRunSuites:
         for r in small_report.records:
             seen.setdefault(r.suite, set()).add(r.relation)
         for suite in SUITE_ORDER:
-            missing = set(SUITE_RELATIONS[suite]) - seen.get(suite, set())
+            missing = suite_tags(suite) - seen.get(suite, set())
             assert not missing, f"{suite} lost coverage for {missing}"
 
     def test_capacity_skips_carry_a_cause(self, small_report):
@@ -279,7 +286,7 @@ class TestFailurePath:
         for r in bad_report.records:
             seen.setdefault(r.suite, set()).add(r.relation)
         for suite in SUITE_ORDER:
-            assert set(SUITE_RELATIONS[suite]) <= seen[suite]
+            assert suite_tags(suite) <= seen[suite]
 
 
 class TestReportRendering:
@@ -411,3 +418,154 @@ class TestCLI:
         cfgfile = self.write_cfg(tmp_path, {"grid": [1.0, 2.0]})
         assert main(["verify", "--config", cfgfile]) == 2
         assert "negation" in capsys.readouterr().err
+
+
+# One-particle cap: every relation with headroom skips the sector-1 samples.
+ONE_PARTICLE = {"n_max": 1, "samples_per_sector": {"1": 3}}
+
+
+@pytest.fixture(scope="module")
+def one_particle_report():
+    return run_suites(config_from_dict(ONE_PARTICLE))
+
+
+class TestOneParticleCap:
+    def test_runs_and_passes(self, one_particle_report):
+        # The roundtrip words used to be drawn one letter long under this
+        # cap, and the adjacent transposition rejected them.
+        assert not one_particle_report.failed
+        assert one_particle_report.counts["checks"] == 558
+        roundtrips = [
+            r for r in one_particle_report.records if r.relation == "roundtrip"
+        ]
+        assert len(roundtrips) == 4
+
+    def test_cli_exits_0(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(ONE_PARTICLE))
+        assert main(["verify", "--config", str(cfgfile)]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+
+
+class TestRelationTable:
+    def test_one_row_per_suite_and_tag(self):
+        keys = [(r.suite, r.tag) for r in RELATIONS]
+        assert len(keys) == len(set(keys))
+        assert list(SUITE_ORDER) == list(dict.fromkeys(r.suite for r in RELATIONS))
+
+    def test_readme_tag_table_matches(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("Relation tags used in records:")[1].split("\n\n")[1]
+        documented: dict[str, int] = {}
+        for line in table.splitlines()[2:]:
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            for tag in re.findall(r"`([^`]+)`", cells[0]):
+                documented[tag] = int(cells[1])
+        assert documented == {r.tag: r.headroom for r in RELATIONS}
+
+    def test_skip_causes_name_the_table_headroom(self, one_particle_report):
+        headroom = {(r.suite, r.tag): r.headroom for r in RELATIONS}
+        skipped = set()
+        for rec in one_particle_report.records:
+            if rec.status != "skip":
+                continue
+            m = re.fullmatch(
+                r"sector (\d+) needs headroom (\d+) over cap n_max=1", rec.cause
+            )
+            assert m, rec.cause
+            assert int(m[2]) == headroom[(rec.suite, rec.relation)]
+            assert int(m[1]) + int(m[2]) > 1
+            skipped.add((rec.suite, rec.relation))
+        # Every relation with headroom skips, except the eigenrelations,
+        # which only ever sample sectors that leave them room.
+        assert skipped == {
+            key for key, h in headroom.items() if h > 0
+        } - {("hierarchy", "H-eigen")}
+
+
+# The record skeleton of a run: suite, relation, momenta, sample, status and
+# cause of every record, in report order.  Residuals are left out so that
+# roundoff-level changes in an evaluator do not move the pin; any change in
+# which records exist, their order, or their verdicts does.
+SKELETON_CONFIGS = {
+    "default": ({}, "df50760ed5cda4f766c33e98d56bbb6d1ace8adbedb27d78dfebfe005dc0ac67"),
+    "colors3": (
+        {
+            "N": 3,
+            "reflection": {
+                "family": "k-dependent-diagonal", "c": 1.0, "signs": [1, -1, 1],
+            },
+        },
+        "83d379e60d01a041e6b497cc9bb3bd0f7f15951b9858b004b6b14bffba09ae74",
+    ),
+}
+
+# Records per (suite, relation, status); both skeleton configs share them.
+SKELETON_COUNTS = {
+    ("rmatrix", "B-unitarity", "pass"): 6,
+    ("rmatrix", "RBRB", "pass"): 36,
+    ("rmatrix", "YBE", "pass"): 50,
+    ("rmatrix", "unitarity", "pass"): 50,
+    ("fock", "AN-1", "pass"): 36,
+    ("fock", "AN-2", "pass"): 16,
+    ("fock", "AN-2", "skip"): 20,
+    ("fock", "AN-3", "pass"): 28,
+    ("fock", "AN-3", "skip"): 8,
+    ("fock", "confluence", "pass"): 4,
+    ("fock", "roundtrip", "pass"): 4,
+    ("vertex", "TOmega", "pass"): 3,
+    ("vertex", "defT-adag", "pass"): 28,
+    ("vertex", "defT-adag", "skip"): 8,
+    ("vertex", "defT-a", "pass"): 36,
+    ("vertex", "rtt", "pass"): 18,
+    ("vertex", "T-inverse", "pass"): 27,
+    ("vertex", "b-vacuum", "pass"): 6,
+    ("vertex", "rbrb", "pass"): 27,
+    ("vertex", "eq:ab", "pass"): 36,
+    ("vertex", "eq:bad", "pass"): 28,
+    ("vertex", "eq:bad", "skip"): 8,
+    ("vertex", "eq:bb", "pass"): 36,
+    ("boundary", "BNl-1", "pass"): 36,
+    ("boundary", "BNl-2", "pass"): 16,
+    ("boundary", "BNl-2", "skip"): 20,
+    ("boundary", "BNl-3", "pass"): 28,
+    ("boundary", "BNl-3", "skip"): 8,
+    ("boundary", "BNl-4", "pass"): 36,
+    ("boundary", "BNl-5", "pass"): 28,
+    ("boundary", "BNl-5", "skip"): 8,
+    ("boundary", "eq:bb", "pass"): 36,
+    ("boundary", "rbrb", "pass"): 36,
+    ("boundary", "rho", "pass"): 21,
+    ("boundary", "rho", "skip"): 6,
+    ("boundary", "rhoB-aa", "pass"): 36,
+    ("boundary", "rhoB-adad", "pass"): 16,
+    ("boundary", "rhoB-adad", "skip"): 20,
+    ("boundary", "rhoB-aad", "pass"): 28,
+    ("boundary", "rhoB-aad", "skip"): 8,
+    ("boundary", "rhoB-involution", "pass"): 36,
+    ("boundary", "coset", "pass"): 28,
+    ("boundary", "coset", "skip"): 8,
+    ("hierarchy", "H-odd", "pass"): 27,
+    ("hierarchy", "H-eigen", "pass"): 24,
+    ("hierarchy", "H-commute", "pass"): 18,
+    ("hierarchy", "H-iom", "pass"): 18,
+    ("hierarchy", "ssb", "pass"): 1,
+}
+
+
+class TestRecordSkeleton:
+    @pytest.mark.parametrize("name", sorted(SKELETON_CONFIGS))
+    def test_skeleton_is_pinned(self, name):
+        data, digest = SKELETON_CONFIGS[name]
+        records = run_suites(config_from_dict(data)).records
+        counts: dict[tuple, int] = {}
+        for r in records:
+            key = (r.suite, r.relation, r.status)
+            counts[key] = counts.get(key, 0) + 1
+        assert counts == SKELETON_COUNTS
+        skeleton = [
+            [r.suite, r.relation, list(r.momenta), r.sample, r.status, r.cause]
+            for r in records
+        ]
+        got = hashlib.sha256(json.dumps(skeleton).encode()).hexdigest()
+        assert got == digest

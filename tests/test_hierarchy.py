@@ -6,18 +6,18 @@ import pytest
 from conftest import GRID, random_state
 from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import particle_number
+from zfcheck.harness import RELATIONS
 from zfcheck.hierarchy import (
-    RELATION_HEADROOM,
     HierarchyOperator,
     apply_H,
-    check_eigenrelations,
-    check_flow_commutes,
-    check_integrals_of_motion,
-    check_odd_vanishing,
     check_symmetry_breaking,
+    eigenrelation_evaluator,
+    flow_commute_evaluator,
+    integral_of_motion_evaluator,
+    odd_vanishing_evaluator,
     one_particle_matrix,
 )
-from zfcheck.rmatrix import table_b
+from zfcheck.rmatrix import table_b, worst_over
 from zfcheck.vertex import VertexContext
 
 
@@ -67,7 +67,7 @@ class TestApplyH:
         assert (op(s) - apply_H(bctx, 2, s)).maxamp() == 0.0
 
     def test_headroom_table_covers_all_tags(self):
-        assert set(RELATION_HEADROOM) == {
+        assert {r.tag for r in RELATIONS if r.suite == "hierarchy"} == {
             "H-odd", "H-eigen", "H-commute", "H-iom", "ssb",
         }
 
@@ -106,43 +106,42 @@ class TestEigenrelations:
     @pytest.mark.parametrize("k", [1.0, 3.0])
     def test_even_orders(self, bctx, rng, n, k):
         samples = [bctx.space.vacuum(), random_state(rng, bctx.space, 1)]
-        res = check_eigenrelations(bctx, n, k, samples)
+        res = worst_over(eigenrelation_evaluator(bctx, n, k), samples, order=n)
         assert res.value < 1e-11
         assert res.context["order"] == n
 
     def test_odd_order_gives_vanishing_commutator(self, bctx, rng):
-        res = check_eigenrelations(bctx, 3, 2.0, [random_state(rng, bctx.space, 1)])
-        assert res.value < 1e-11
+        fn = eigenrelation_evaluator(bctx, 3, 2.0)
+        assert fn(random_state(rng, bctx.space, 1)) < 1e-11
 
     def test_two_particle_samples(self, bctx, rng):
-        res = check_eigenrelations(bctx, 2, 1.0, [random_state(rng, bctx.space, 2)])
-        assert res.value < 1e-10
+        fn = eigenrelation_evaluator(bctx, 2, 1.0)
+        assert fn(random_state(rng, bctx.space, 2)) < 1e-10
 
     def test_default_sample_is_the_vacuum(self, bctx):
-        res = check_eigenrelations(bctx, 2, 1.0)
-        assert res.value < 1e-12
+        fn = eigenrelation_evaluator(bctx, 2, 1.0)
+        assert fn(bctx.space.vacuum()) < 1e-12
 
 
 class TestCommutation:
     @pytest.mark.parametrize("orders", [(2, 4), (0, 2)])
     def test_flows_commute(self, bctx, rng, orders):
         samples = [random_state(rng, bctx.space, n) for n in (1, 2)]
-        res = check_flow_commutes(bctx, orders[0], orders[1], samples)
+        res = worst_over(flow_commute_evaluator(bctx, *orders), samples, orders=orders)
         assert res.value < 1e-10
         assert res.context["orders"] == orders
 
     def test_charges_commute_with_reflection_operator(self, bctx, rng):
         samples = [random_state(rng, bctx.space, n) for n in (1, 2)]
         for k in (1.0, -2.0):
-            res = check_integrals_of_motion(bctx, 2, k, samples)
-            assert res.value < 1e-10
+            fn = integral_of_motion_evaluator(bctx, 2, k)
+            assert worst_over(fn, samples).value < 1e-10
 
     def test_odd_vanishing_wrapper(self, bctx, rng):
         samples = [random_state(rng, bctx.space, n) for n in (1, 2, 3)]
-        res = check_odd_vanishing(bctx, 3, samples)
-        assert res.value < 1e-10
+        assert worst_over(odd_vanishing_evaluator(bctx, 3), samples).value < 1e-10
         with pytest.raises(ValueError, match="even order"):
-            check_odd_vanishing(bctx, 2, samples)
+            odd_vanishing_evaluator(bctx, 2)
 
 
 class TestSymmetryBreaking:
@@ -179,5 +178,5 @@ class TestCrossFamily:
         s = random_state(rng, bctx_flip.space, 1)
         for tag, fn in boundary_relation_evaluators(bctx_flip, 1.0, 2.0).items():
             assert fn(s) < 1e-11, tag
-        assert check_eigenrelations(bctx_flip, 2, 1.0, [s]).value < 1e-11
-        assert check_flow_commutes(bctx_flip, 2, 4, [s]).value < 1e-11
+        assert eigenrelation_evaluator(bctx_flip, 2, 1.0)(s) < 1e-11
+        assert flow_commute_evaluator(bctx_flip, 2, 4)(s) < 1e-11

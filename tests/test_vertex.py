@@ -3,22 +3,17 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import GRID, random_state
 from oracles import dense_T_oracle, dense_operator_matrix
 from zfcheck.errors import GridDomainError, NotWhitelistedError
 from zfcheck.fock import AuxState
-from zfcheck.rmatrix import constant_diagonal_b, eval_b, eval_r, identity_b
+from zfcheck.harness import RELATIONS, build_reflection, config_from_dict
+from zfcheck.rmatrix import constant_diagonal_b, eval_b, eval_r, identity_b, worst_over
 from zfcheck.vertex import (
-    RELATION_HEADROOM,
     VertexContext,
     b_exchange_evaluators,
     b_involution_evaluator,
-    check_b_exchange,
-    check_b_involution,
     check_b_vacuum,
-    check_rtt,
-    check_T_intertwining,
-    check_T_inverse,
     check_T_vacuum,
     compose_aux,
     identity_aux,
@@ -28,6 +23,8 @@ from zfcheck.vertex import (
 )
 
 AUX_MOMENTA = (0.5, -2.0, 3.0)
+
+HEADROOM = {r.tag: r.headroom for r in RELATIONS if r.suite == "vertex"}
 
 
 class TestVacuumAction:
@@ -126,7 +123,7 @@ class TestIntertwining:
         for n in (1, 2):
             s = random_state(rng, vctx.space, n)
             for tag, fn in fns.items():
-                cap = vctx.space.n_max - RELATION_HEADROOM[tag]
+                cap = vctx.space.n_max - HEADROOM[tag]
                 if n <= cap:
                     assert fn(s) < 1e-11, (tag, n)
 
@@ -144,13 +141,11 @@ class TestIntertwining:
 
     def test_check_wrappers_report_parts(self, vctx, rng):
         samples = [random_state(rng, vctx.space, 1)]
-        res = check_T_intertwining(vctx, 0.5, 1.0, samples)
-        assert set(res.context["parts"]) == {"defT-a", "defT-adag"}
-        assert res.value < 1e-11
-        res = check_rtt(vctx, 0.5, 1.0, samples)
-        assert res.context["samples"] == 1
-        res = check_T_inverse(vctx, 0.5, samples)
-        assert res.value < 1e-12
+        fns = t_relation_evaluators(vctx, 0.5, 1.0)
+        assert set(fns) == {"defT-a", "defT-adag"}
+        for tag, fn in fns.items():
+            assert worst_over(fn, samples).value < 1e-11, tag
+        assert worst_over(t_inverse_evaluator(vctx, 0.5), samples).value < 1e-12
 
 
 class TestDressedReflection:
@@ -170,7 +165,7 @@ class TestDressedReflection:
         for n in (1, 2):
             s = random_state(rng, vctx.space, n)
             for tag, fn in fns.items():
-                cap = vctx.space.n_max - RELATION_HEADROOM[tag]
+                cap = vctx.space.n_max - HEADROOM[tag]
                 if n <= cap:
                     assert fn(s) < 1e-10, (tag, n)
 
@@ -182,11 +177,11 @@ class TestDressedReflection:
 
     def test_check_wrappers(self, vctx, rng):
         samples = [random_state(rng, vctx.space, 1)]
-        res = check_b_involution(vctx, 1.0, samples)
-        assert res.value < 1e-11
-        res = check_b_exchange(vctx, 1.0, 2.0, samples)
-        assert set(res.context["parts"]) == {"eq:ab", "eq:bad", "eq:bb"}
-        assert res.value < 1e-10
+        assert worst_over(b_involution_evaluator(vctx, 1.0), samples).value < 1e-11
+        fns = b_exchange_evaluators(vctx, 1.0, 2.0)
+        assert set(fns) == {"eq:ab", "eq:bad", "eq:bb"}
+        for tag, fn in fns.items():
+            assert worst_over(fn, samples).value < 1e-10, tag
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +194,24 @@ class TestWhitelistGate:
         assert not vctx_bad.b_allowed()
         with pytest.raises(NotWhitelistedError, match="whitelist"):
             vctx_bad.apply_b(1.0, vctx_bad.space.vacuum())
+
+    @pytest.mark.parametrize(
+        "refl,ok",
+        [
+            ({"family": "identity"}, True),
+            ({"family": "constant-diagonal", "entries": [2.0, 1.0]}, False),
+            ({"family": "k-dependent-diagonal", "c": 1.0, "signs": [1, -1]}, True),
+            ({"family": "table", "path": "flip.tab"}, True),
+        ],
+        ids=lambda v: v["family"] if isinstance(v, dict) else str(v),
+    )
+    def test_b_allowed_is_the_gate_verdict(self, space, tmp_path, refl, ok):
+        # No family is exempt from the gate, the identity included.
+        (tmp_path / "flip.tab").write_text("".join(f"{k} 0 1 1 0\n" for k in GRID))
+        cfg = config_from_dict({"reflection": refl}, base_dir=tmp_path)
+        ctx = VertexContext(space, build_reflection(cfg))
+        assert ctx.whitelist.ok is ok
+        assert ctx.b_allowed() == ctx.whitelist.ok
 
     def test_t_layer_unaffected_by_gate(self, vctx_bad, rng):
         s = random_state(rng, vctx_bad.space, 1)
