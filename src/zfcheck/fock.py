@@ -10,13 +10,16 @@ two adjacent letters is not free: it costs the exchange-matrix weight
 
     a†_i(k1) a†_j(k2) = sum_{l,m} R(k2, k1)[(l,m), (j,i)] a†_l(k2) a†_m(k1)
 
-so canonicalization is a weighted bubble sort.  Different sort schedules
-agree because the weights satisfy the Yang-Baxter and unitarity identities;
-that is a measured property here, not an assumption (see the confluence
-checks).  Letters with equal grid momenta keep their encounter order: for
-the rational family the coincident-momentum exchange weight is the bare flip
-and the rewrite maps every word to itself, so distinct color orders at equal
-momenta are independent basis states.
+so canonicalization is a weighted bubble sort.  It runs in passes of one
+transposition per pending word, and equal words merge after each pass, so
+its cost follows the number of distinct intermediate words rather than the
+number of rewrite paths.  Different sort schedules agree because the
+weights satisfy the Yang-Baxter and unitarity identities; that is a
+measured property here, not an assumption (see the confluence checks).
+Letters with equal grid momenta keep their encounter order: for the
+rational family the coincident-momentum exchange weight is the bare flip
+and the rewrite maps every word to itself, so distinct color orders at
+equal momenta are independent basis states.
 
 The annihilation action is the recursive move-through rule
 
@@ -256,6 +259,8 @@ class FockSpace:
         self.n_max = int(n_max)
         self.prune = float(prune)
         self._swap_cache: dict[tuple[int, int], np.ndarray] = {}
+        # Nonzero weights of one letter pair's transposition, keyed by the pair.
+        self._swap_terms: dict[Word, tuple[tuple[Word, complex], ...]] = {}
         self._ann_cache: dict[tuple[int, int, Word], tuple[tuple[Word, complex], ...]] = {}
 
     # -- basics ------------------------------------------------------------
@@ -307,19 +312,19 @@ class FockSpace:
         """
         if not 0 <= pos < len(word) - 1:
             raise IndexError(f"no adjacent pair at position {pos} in word of length {len(word)}")
-        (ga, ca), (gb, cb) = word[pos], word[pos + 1]
-        mat = self._swap_matrix(ga, gb)
-        N = self.N
-        out: dict[Word, complex] = {}
-        col = cb * N + ca
-        for l in range(N):
-            for m in range(N):
-                coeff = mat[l * N + m, col]
-                if coeff == 0:
-                    continue
-                nw = word[:pos] + ((gb, l), (ga, m)) + word[pos + 2 :]
-                out[nw] = out.get(nw, 0j) + coeff
-        return out
+        pair = word[pos : pos + 2]
+        terms = self._swap_terms.get(pair)
+        if terms is None:
+            (ga, ca), (gb, cb) = pair
+            col = self._swap_matrix(ga, gb)[:, cb * self.N + ca]
+            terms = tuple(
+                (((gb, lm // self.N), (ga, lm % self.N)), complex(c))
+                for lm, c in enumerate(col)
+                if c != 0
+            )
+            self._swap_terms[pair] = terms
+        head, tail = word[:pos], word[pos + 2 :]
+        return {head + swapped + tail: c for swapped, c in terms}
 
     # -- canonicalization ----------------------------------------------------
 
@@ -338,29 +343,36 @@ class FockSpace:
     ) -> FockState:
         """Rewrite an arbitrary word combination into canonical form.
 
-        ``schedule`` picks which momentum inversion gets transposed first on
-        each rewrite step ("leftmost" or "rightmost").  The two schedules
-        must agree; the confluence checks measure exactly that.
+        The rewrite runs in passes: each pass transposes one momentum
+        inversion of every pending word, and equal words merge before the
+        next pass, so the work grows with the number of distinct words
+        rather than the number of rewrite paths.  ``schedule`` picks which
+        inversion a word gets transposed at ("leftmost" or "rightmost").
+        The two schedules must agree; the confluence checks measure exactly
+        that.
         """
         if schedule not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown schedule {schedule!r}")
         from_right = schedule == "rightmost"
-        amps = raw.amps if isinstance(raw, FockState) else raw
+        level: Mapping[Word, complex] = raw.amps if isinstance(raw, FockState) else raw
         out: dict[Word, complex] = {}
-        stack: list[tuple[Word, complex]] = list(amps.items())
-        # Amplitudes far below the prune floor are dropped mid-rewrite to
-        # keep the worklist finite in pathological inputs.
+        # Every pass removes one momentum inversion from each word, so the
+        # rewrite ends after as many passes as the most inverted input word
+        # has inversions.  Amplitudes three orders below the prune threshold
+        # are dropped between passes.
         floor = self.prune * 1e-3
-        while stack:
-            w, a = stack.pop()
-            if abs(a) <= floor:
-                continue
-            p = self._first_inversion(w, from_right)
-            if p is None:
-                out[w] = out.get(w, 0j) + a
-                continue
-            for nw, coeff in self.transpose_adjacent(w, p).items():
-                stack.append((nw, a * coeff))
+        while level:
+            nxt: dict[Word, complex] = {}
+            for w, a in level.items():
+                if abs(a) <= floor:
+                    continue
+                p = self._first_inversion(w, from_right)
+                if p is None:
+                    out[w] = out.get(w, 0j) + a
+                    continue
+                for nw, coeff in self.transpose_adjacent(w, p).items():
+                    nxt[nw] = nxt.get(nw, 0j) + a * coeff
+            level = nxt
         return FockState(out).pruned(self.prune)
 
     # -- creation / annihilation ---------------------------------------------

@@ -25,7 +25,9 @@ run, since they never touch the reflection matrix.
 
 Checks whose relation needs more particle headroom than a sample's sector
 leaves under the cap are likewise recorded as skips, never silently
-narrowed.
+narrowed, with one exception: ``H-eigen`` samples only the vacuum and the
+one-particle sector (its ``low-sectors`` sample source) and records no
+skips for the configured samples of higher sectors.
 """
 
 from __future__ import annotations
@@ -225,6 +227,11 @@ def config_from_dict(data: object, base_dir: Path | None = None) -> RunConfig:
     _require(_is_int(N) and N >= 1, f"N must be an integer >= 1, got {N!r}")
     g = data.get("g", base.g)
     _require(_is_number(g), f"g must be a real number, got {g!r}")
+    _require(
+        g != 0,
+        "g must be nonzero: the Fock basis keeps equal-momentum color orders "
+        "as independent states, which assumes R(k, k) = P, and g = 0 gives R = I",
+    )
     grid_raw = data.get("grid", list(base.grid))
     _require(
         isinstance(grid_raw, list) and all(_is_number(k) for k in grid_raw),

@@ -96,7 +96,8 @@ def rational_r(N: int, g: float) -> RMatrixSpec:
 
     At coincident momenta this is exactly the flip P; for large separation it
     approaches the identity.  g = 0 degenerates to the identity everywhere
-    (free exchange); that is allowed but callers may want to flag it.
+    (free exchange), which breaks R(k, k) = P, the assumption the Fock basis
+    rests on; run configs therefore reject it.
     """
     P = perm_matrix(N)
     eye = np.eye(N * N, dtype=complex)

@@ -89,6 +89,40 @@ def annihilation_pair_oracle(
     return FockState(amps)
 
 
+def stack_canonicalize_oracle(
+    space: FockSpace, raw: dict[Word, complex], schedule: str = "leftmost"
+) -> FockState:
+    """Canonical form by walking every rewrite path, one word at a time.
+
+    The unmerged worklist: pop a word, transpose its leftmost (or rightmost)
+    momentum inversion with the exchange rule
+
+        a†_i(k1) a†_j(k2) = sum_{l,m} R(k2, k1)[(l,m), (j,i)] a†_l(k2) a†_m(k1)
+
+    read straight off ``eval_r``, and push every resulting word back with
+    its own amplitude.  Equal words are only summed once they are canonical,
+    so the cost is the number of rewrite paths; keep inputs short.
+    """
+    N = space.N
+    out: dict[Word, complex] = {}
+    stack = list(raw.items())
+    while stack:
+        w, a = stack.pop()
+        inversions = [p for p in range(len(w) - 1) if w[p][0] > w[p + 1][0]]
+        if not inversions:
+            out[w] = out.get(w, 0j) + a
+            continue
+        p = inversions[-1] if schedule == "rightmost" else inversions[0]
+        (ga, ca), (gb, cb) = w[p], w[p + 1]
+        mat = eval_r(space.r, space.grid.value(gb), space.grid.value(ga))
+        for l in range(N):
+            for m in range(N):
+                coeff = mat[l * N + m, cb * N + ca]
+                if coeff != 0:
+                    stack.append((w[:p] + ((gb, l), (ga, m)) + w[p + 2 :], a * coeff))
+    return FockState(out)
+
+
 def dense_T_oracle(space: FockSpace, k0: float, state: FockState) -> np.ndarray:
     """T(k0) applied to a state using only the defining relations.
 

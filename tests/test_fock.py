@@ -1,6 +1,7 @@
 """Fock states, canonicalization, ladder operators, and the bulk exchange algebra."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_state
-from oracles import annihilation_pair_oracle, creation_pair_oracle
+from oracles import (
+    annihilation_pair_oracle,
+    creation_pair_oracle,
+    stack_canonicalize_oracle,
+)
 from zfcheck.errors import CapacityError, GridDomainError, GridValidationError
 from zfcheck.fock import (
     FockSpace,
@@ -201,6 +206,81 @@ class TestCanonicalization:
         out = space.canonicalize({w: 1.0 + 0j})
         norm = sum(abs(a) ** 2 for a in out.amps.values())
         assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+WIDE_GRID = SpectralGrid([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+WIDE_SPACES = {N: FockSpace(WIDE_GRID, rational_r(N, 0.7), n_max=7) for N in (2, 3)}
+
+# Letter pools whose permutations the merged rewrite is checked on: distinct
+# momenta, a repeated momentum, and a repeated letter (grid indices 0..7).
+LETTER_POOLS = [
+    [(7, 0), (5, 1), (4, 2), (2, 0), (0, 1)],
+    [(6, 1), (6, 0), (3, 2), (1, 1), (0, 0)],
+    [(7, 1), (5, 0), (5, 0), (2, 2), (1, 1)],
+]
+
+wide_letters = st.tuples(st.integers(0, 7), st.integers(0, 2))
+raw_combinations = st.dictionaries(
+    st.lists(wide_letters, max_size=4).map(tuple),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _max_dev(s1: FockState, s2: FockState) -> float:
+    return states_equal(s1, s2, tol=0.0)[1]
+
+
+class TestMergedRewrite:
+    """The merged pass-by-pass rewrite against the unmerged stack worklist."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_every_permutation_matches_stack_oracle(self, N):
+        space = WIDE_SPACES[N]
+        for pool in LETTER_POOLS:
+            letters = [(g, c % N) for g, c in pool]
+            for n in range(1, 6):
+                for word in sorted(set(permutations(letters[:n]))):
+                    for schedule in ("leftmost", "rightmost"):
+                        got = space.canonicalize({word: 1.0 + 0j}, schedule=schedule)
+                        want = stack_canonicalize_oracle(space, {word: 1.0 + 0j}, schedule)
+                        assert _max_dev(got, want) <= 1e-13, (N, word, schedule)
+
+    @given(raw=raw_combinations, N=st.sampled_from([2, 3]))
+    def test_raw_combinations_match_stack_oracle(self, raw, N):
+        space = WIDE_SPACES[N]
+        raw = {tuple((g, c % N) for g, c in w): a for w, a in raw.items()}
+        for schedule in ("leftmost", "rightmost"):
+            got = space.canonicalize(raw, schedule=schedule)
+            want = stack_canonicalize_oracle(space, raw, schedule).pruned(space.prune)
+            assert _max_dev(got, want) <= 1e-13, schedule
+
+    def test_reversed_seven_letter_word_step_count(self):
+        # Walking every rewrite path takes 409,648 transpositions here;
+        # merging equal words after each pass needs about 1,500.
+        space = FockSpace(WIDE_GRID, rational_r(3, 0.7), n_max=7)
+        calls = 0
+        transpose = space.transpose_adjacent
+
+        def counted(word, pos):
+            nonlocal calls
+            calls += 1
+            return transpose(word, pos)
+
+        space.transpose_adjacent = counted
+        word = tuple((7 - i, i % 3) for i in range(7))
+        states = {}
+        for schedule in ("leftmost", "rightmost"):
+            calls = 0
+            states[schedule] = space.canonicalize({word: 1.0 + 0j}, schedule=schedule)
+            assert calls <= 2000, schedule
+        left = states["leftmost"]
+        # 7! / (3! 2! 2!) color arrangements over the sorted momenta.
+        assert len(left) == 210
+        norm = math.sqrt(sum(abs(a) ** 2 for a in left.amps.values()))
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert _max_dev(left, states["rightmost"]) <= 1e-12
 
 
 class TestExchangeRelations:

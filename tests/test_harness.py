@@ -90,6 +90,16 @@ class TestConfigValidation:
             config_from_dict({"prune": 1e-9})
         assert config_from_dict({"prune": 0}).prune == 0.0
 
+    def test_zero_coupling_rejected(self):
+        # R(k, k) = I instead of P at g = 0, so equal-momentum color orders
+        # stop being independent states; AN-2, BNl-2, rhoB-adad and H-eigen
+        # FAIL on such a run.
+        with pytest.raises(ConfigError, match=r"g must be nonzero.*R\(k, k\) = P"):
+            config_from_dict({"g": 0})
+        with pytest.raises(ConfigError, match="g must be nonzero"):
+            config_from_dict({"g": 0.0})
+        assert config_from_dict({"g": -0.7}).g == -0.7
+
     def test_rmatrix_samples_positive(self):
         with pytest.raises(ConfigError, match="rmatrix_samples"):
             config_from_dict({"rmatrix_samples": 0})
@@ -408,6 +418,13 @@ class TestCLI:
         assert main(["verify", "--config", cfgfile, "--tol", "2.0"]) == 2
         assert main(["verify", "--config", cfgfile, "--seed", "-3"]) == 2
         capsys.readouterr()
+
+    def test_zero_coupling_exits_2(self, tmp_path, capsys):
+        cfgfile = self.write_cfg(tmp_path, {"g": 0})
+        assert main(["verify", "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zfcheck: error:")
+        assert "R(k, k) = P" in err
 
     def test_unknown_suite_flag_exits_2(self, tmp_path, capsys):
         cfgfile = self.write_cfg(tmp_path)
