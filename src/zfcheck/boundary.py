@@ -221,7 +221,7 @@ def boundary_relation_evaluators(
         if k1 == k2:
             rhs.append((0.5, delta_bridge(1, 2, N, s)))
         if k1 == -k2:
-            rhs.append((0.5, states_bridge(1, 2, ctx.vertex.apply_b(k1, s).data)))
+            rhs.append((0.5, states_bridge(1, 2, ctx.vertex.apply_b(k1, s))))
         return identity_residual([(1.0, [at1, atdag2])], rhs, s, N)
 
     return {

@@ -115,10 +115,6 @@ class FockState:
     def __init__(self, amps: Mapping[Word, complex] | None = None):
         self.amps: dict[Word, complex] = dict(amps) if amps else {}
 
-    @classmethod
-    def zero(cls) -> "FockState":
-        return cls()
-
     @staticmethod
     def combine(terms: Iterable[tuple[complex, "FockState"]]) -> "FockState":
         """Linear combination sum_i c_i s_i as a single pass over amplitudes."""
@@ -151,9 +147,6 @@ class FockState:
 
     def pruned(self, eps: float = DEFAULT_PRUNE) -> "FockState":
         return FockState({w: a for w, a in self.amps.items() if abs(a) > eps})
-
-    def particle_numbers(self) -> set[int]:
-        return {len(w) for w in self.amps}
 
     def max_particles(self) -> int:
         if not self.amps:
@@ -190,50 +183,6 @@ def states_equal(
     for w in keys:
         dev = max(dev, abs(s1.amps.get(w, 0j) - s2.amps.get(w, 0j)))
     return dev <= tol, dev
-
-
-class AuxState:
-    """An N x N array of Fock states: the value of a matrix-valued operator.
-
-    Entry (i, l) is the state ``O^{il} s`` for the operator O it came from.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray):
-        self.data = data  # object ndarray of FockState, shape (N, N)
-
-    @classmethod
-    def zero(cls, N: int) -> "AuxState":
-        data = np.empty((N, N), dtype=object)
-        for i in range(N):
-            for j in range(N):
-                data[i, j] = FockState()
-        return cls(data)
-
-    @classmethod
-    def from_scalar_matrix(cls, mat: np.ndarray, state: FockState) -> "AuxState":
-        N = mat.shape[0]
-        data = np.empty((N, N), dtype=object)
-        for i in range(N):
-            for j in range(N):
-                data[i, j] = state.scaled(complex(mat[i, j]))
-        return cls(data)
-
-    @property
-    def N(self) -> int:
-        return self.data.shape[0]
-
-    def __getitem__(self, idx: tuple[int, int]) -> FockState:
-        return self.data[idx]
-
-    def max_deviation(self, other: "AuxState") -> float:
-        dev = 0.0
-        for i in range(self.N):
-            for j in range(self.N):
-                _, d = states_equal(self.data[i, j], other.data[i, j], tol=0.0)
-                dev = max(dev, d)
-        return dev
 
 
 class FockSpace:
@@ -389,16 +338,18 @@ class FockSpace:
         return self.canonicalize(raw)
 
     def apply_annihilation(self, color: int, k: float, state: FockState) -> FockState:
-        """Left-multiply by a_color(k): move through letters, collect deltas."""
+        """Left-multiply by a_color(k): move through letters, collect deltas.
+
+        The input must be canonical.  Moving through keeps the letters'
+        momentum order, so the output is canonical too, with no rewrite.
+        """
         gi = self.grid.index_of(k)
         self._check_color(color)
         acc: dict[Word, complex] = {}
         for w, a in state.amps.items():
             for nw, coeff in self._annihilate_word(color, gi, w):
                 acc[nw] = acc.get(nw, 0j) + a * coeff
-        # Terms produced by the move-through rule are already canonical when
-        # the input is; canonicalize defensively anyway.
-        return self.canonicalize(acc)
+        return FockState(acc).pruned(self.prune)
 
     def _annihilate_word(
         self, color: int, gi: int, word: Word

@@ -33,6 +33,7 @@ skips for the configured samples of higher sectors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
@@ -125,6 +126,14 @@ def _is_number(x: object) -> bool:
 
 def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _sixth_power_finite(k: float) -> bool:
+    """Whether k^6, the largest charge weight a run forms (H(2) H(4)), is a finite float."""
+    try:
+        return math.isfinite((float(k) * float(k)) ** 3)
+    except OverflowError:  # k or k^6 is past the float range
+        return False
 
 
 def _parse_entry(x: object, where: str) -> complex:
@@ -237,6 +246,10 @@ def config_from_dict(data: object, base_dir: Path | None = None) -> RunConfig:
         isinstance(grid_raw, list) and all(_is_number(k) for k in grid_raw),
         "grid must be a list of real momenta",
     )
+    for k in grid_raw:
+        _require(
+            _sixth_power_finite(k), f"grid momentum {k!r} is too large: the charges form k^6"
+        )
     n_max = data.get("n_max", base.n_max)
     _require(
         _is_int(n_max) and n_max >= 1, f"n_max must be an integer >= 1, got {n_max!r}"

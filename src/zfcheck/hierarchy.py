@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryContext, ResidualFn
-from .fock import FockState, states_equal
+from .fock import FockState
+from .relations import NumMat, identity_residual, states_bridge
 from .rmatrix import Residual, eval_b
 
 
@@ -104,18 +105,12 @@ def integral_of_motion_evaluator(
 
     def fn(s: FockState) -> float:
         hs = apply_H(ctx, n, s)
-        b_then_h = ctx.vertex.apply_b(k, s)
         h_of_b = np.empty((ctx.N, ctx.N), dtype=object)
-        for i in range(ctx.N):
-            for j in range(ctx.N):
-                h_of_b[i, j] = apply_H(ctx, n, b_then_h[i, j])
-        b_of_h = ctx.vertex.apply_b(k, hs)
-        dev = 0.0
-        for i in range(ctx.N):
-            for j in range(ctx.N):
-                _, d = states_equal(h_of_b[i, j], b_of_h[i, j], tol=0.0)
-                dev = max(dev, d)
-        return dev
+        for idx, entry in np.ndenumerate(ctx.vertex.apply_b(k, s)):
+            h_of_b[idx] = apply_H(ctx, n, entry)
+        lhs = [(1.0, states_bridge(1, 1, h_of_b))]
+        rhs = [(1.0, states_bridge(1, 1, ctx.vertex.apply_b(k, hs)))]
+        return identity_residual(lhs, rhs, s, ctx.N)
 
     return fn
 
@@ -134,11 +129,11 @@ def check_symmetry_breaking(
 ) -> SymmetryBreakingReport:
     """Measure b(k) on the vacuum against the numeric reflection matrix.
 
-    The residual compares every component of b(k) vacuum with B_ij(k) times
-    the vacuum, over the whole grid.  The broken-generator list collects the
-    index pairs (i, j) whose vacuum expectation is nonzero for some grid k:
-    those components act on the vacuum with a nonvanishing value, so the
-    symmetry they generate does not fix it.
+    The residual compares b(k) vacuum with B(k) times the vacuum over the
+    grid, as ``vertex.check_b_vacuum`` does.  The broken-generator list
+    collects the index pairs (i, j) whose vacuum expectation is nonzero for
+    some grid k: those components act on the vacuum with a nonvanishing
+    value, so the symmetry they generate does not fix it.
     """
     vac = ctx.space.vacuum()
     worst = 0.0
@@ -146,12 +141,11 @@ def check_symmetry_breaking(
     expectations: dict = {}
     for k in ctx.grid:
         got = ctx.vertex.apply_b(k, vac)
-        bmat = eval_b(ctx.vertex.reflection, k)
+        lhs = [(1.0, states_bridge(1, 1, got))]
+        rhs = [(1.0, [NumMat(1, eval_b(ctx.vertex.reflection, k))])]
+        worst = max(worst, identity_residual(lhs, rhs, vac, ctx.N))
         for i in range(ctx.N):
             for j in range(ctx.N):
-                want = vac.scaled(complex(bmat[i, j]))
-                _, d = states_equal(got[i, j], want, tol=0.0)
-                worst = max(worst, d)
                 expect = got[i, j].amps.get((), 0j)
                 expectations[(i, j, k)] = expect
                 if abs(expect) > expectation_tol:

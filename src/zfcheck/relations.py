@@ -79,16 +79,16 @@ class LabeledTensor:
     data: np.ndarray
 
     def scaled(self, c: complex) -> "LabeledTensor":
-        out = np.empty(self.data.shape, dtype=object)
-        for idx in np.ndindex(*self.data.shape) if self.data.shape else [()]:
+        out = _fresh(self.data.shape)
+        for idx in _indices(self.data.shape):
             out[idx] = self.data[idx].scaled(c)
         return LabeledTensor(self.axes, out)
 
     def add(self, other: "LabeledTensor") -> "LabeledTensor":
         if self.axes != other.axes:
             raise ValueError(f"axis mismatch: {self.axes} vs {other.axes}")
-        out = np.empty(self.data.shape, dtype=object)
-        for idx in np.ndindex(*self.data.shape) if self.data.shape else [()]:
+        out = _fresh(self.data.shape)
+        for idx in _indices(self.data.shape):
             out[idx] = self.data[idx] + other.data[idx]
         return LabeledTensor(self.axes, out)
 
@@ -97,7 +97,7 @@ class LabeledTensor:
 
     def max_amp(self) -> float:
         worst = 0.0
-        for idx in np.ndindex(*self.data.shape) if self.data.shape else [()]:
+        for idx in _indices(self.data.shape):
             worst = max(worst, self.data[idx].maxamp())
         return worst
 
@@ -308,16 +308,12 @@ def delta_bridge(
     space_out: int, space_in: int, N: int, state: FockState
 ) -> LabeledTensor:
     """The tensor with entries delta_{ij} * state on legs (out_a, in_b)."""
-    axes_raw = [("out", space_out), ("in", space_in)]
     data = _fresh((N, N))
     zero = FockState()
     for i in range(N):
         for j in range(N):
             data[i, j] = state if i == j else zero
-    order = sorted(range(2), key=lambda t: (axes_raw[t][1], axes_raw[t][0] != "out"))
-    return LabeledTensor(
-        tuple(axes_raw[i] for i in order), np.transpose(data, order)
-    )
+    return states_bridge(space_out, space_in, data)
 
 
 def states_bridge(

@@ -9,9 +9,9 @@ colors alone, through the chain matrix
     C(k0; k_1..k_n) = R_01(k0, k_1) R_02(k0, k_2) ... R_0n(k0, k_n)
 
 living on the (n+1)-leg space (aux leg 0, then one leg per letter).  Entry
-(i, l) of the resulting AuxState is the contraction of C against the aux pair
-(i, l) and the word's colors.  The inverse uses the reversed product of
-unitarity inverses, R_0j(k0, k_j)^-1 = P R(k_j, k0) P lifted to the same
+(i, l) of the (N, N) object array of states that T returns, as an ``OpMat``
+value, is the contraction of C against the aux pair (i, l) and the word's
+colors.  The inverse uses the reversed product of unitarity inverses, R_0j(k0, k_j)^-1 = P R(k_j, k0) P lifted to the same
 legs.  b(k) composes the three maps T(k), B(k), T(-k)^-1 on the aux leg, so
 each word again picks up a single cached matrix.
 
@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotWhitelistedError
-from .fock import AuxState, FockSpace, FockState, Word
-from .relations import CoVec, OpMat, RMat, Vec, identity_residual
+from .fock import FockSpace, FockState, Word
+from .relations import CoVec, NumMat, OpMat, RMat, Vec, identity_residual
 from .rmatrix import (
     Residual,
     ReflectionMatrixSpec,
@@ -127,7 +127,7 @@ class VertexContext:
 
     def _apply_matrix_map(
         self, matrix_of: Callable[[tuple[int, ...]], np.ndarray], state: FockState
-    ) -> AuxState:
+    ) -> np.ndarray:
         """Contract a per-word (aux, colors) matrix against every word."""
         N = self.N
         acc: list[list[dict[Word, complex]]] = [
@@ -153,13 +153,13 @@ class VertexContext:
         for i in range(N):
             for l in range(N):
                 data[i, l] = FockState(acc[i][l]).pruned(self.space.prune)
-        return AuxState(data)
+        return data
 
-    def apply_T(self, k0: float, state: FockState) -> AuxState:
+    def apply_T(self, k0: float, state: FockState) -> np.ndarray:
         """T(k0) applied to a state; acts on colors only, word by word."""
         return self._apply_matrix_map(lambda gs: self.chain(k0, gs), state)
 
-    def apply_T_inverse(self, k0: float, state: FockState) -> AuxState:
+    def apply_T_inverse(self, k0: float, state: FockState) -> np.ndarray:
         return self._apply_matrix_map(lambda gs: self.chain_inv(k0, gs), state)
 
     def b_allowed(self) -> bool:
@@ -179,7 +179,7 @@ class VertexContext:
             f"gate ({detail}); refusing to build b(k)"
         )
 
-    def apply_b(self, k: float, state: FockState, force: bool = False) -> AuxState:
+    def apply_b(self, k: float, state: FockState, force: bool = False) -> np.ndarray:
         """b(k) applied to a state.  Requires k (hence -k) on the grid.
 
         ``force`` bypasses the whitelist gate; that exists for negative
@@ -192,33 +192,19 @@ class VertexContext:
     # -- factor builders for the relation evaluator -------------------------------
 
     def t_opmat(self, space_label: int, k0: float) -> OpMat:
-        return OpMat(space_label, lambda s: self.apply_T(k0, s).data)
+        return OpMat(space_label, lambda s: self.apply_T(k0, s))
+
+    def t_inverse_opmat(self, space_label: int, k0: float) -> OpMat:
+        return OpMat(space_label, lambda s: self.apply_T_inverse(k0, s))
 
     def b_opmat(self, space_label: int, k: float, force: bool = False) -> OpMat:
-        return OpMat(space_label, lambda s: self.apply_b(k, s, force=force).data)
+        return OpMat(space_label, lambda s: self.apply_b(k, s, force=force))
 
     def a_vec(self, space_label: int, k: float) -> Vec:
         return Vec(space_label, lambda c, s: self.space.apply_annihilation(c, k, s))
 
     def adag_covec(self, space_label: int, k: float) -> CoVec:
         return CoVec(space_label, lambda c, s: self.space.apply_creation(c, k, s))
-
-
-def compose_aux(outer: Callable[[FockState], AuxState], inner: AuxState) -> AuxState:
-    """Matrix composition of operator values: (O U)_{il} = sum_p O_{ip} U_{pl}."""
-    N = inner.N
-    data = np.empty((N, N), dtype=object)
-    applied = [[outer(inner[p, l]) for l in range(N)] for p in range(N)]
-    for i in range(N):
-        for l in range(N):
-            data[i, l] = FockState.combine(
-                (1.0 + 0j, applied[p][l][i, p]) for p in range(N)
-            )
-    return AuxState(data)
-
-
-def identity_aux(N: int, state: FockState) -> AuxState:
-    return AuxState.from_scalar_matrix(np.eye(N, dtype=complex), state)
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +248,21 @@ def rtt_evaluator(ctx: VertexContext, k1: float, k2: float) -> ResidualFn:
 
 
 def t_inverse_evaluator(ctx: VertexContext, k0: float) -> ResidualFn:
-    def fn(s: FockState) -> float:
-        inv = ctx.apply_T_inverse(k0, s)
-        roundtrip = compose_aux(lambda t: ctx.apply_T(k0, t), inv)
-        return roundtrip.max_deviation(identity_aux(ctx.N, s))
-
-    return fn
+    """Residual function for T(k0) T(k0)^-1 = 1 on the aux space."""
+    one = NumMat(1, np.eye(ctx.N, dtype=complex))
+    t = ctx.t_opmat(1, k0)
+    t_inv = ctx.t_inverse_opmat(1, k0)
+    return lambda s: identity_residual([(1.0, [t, t_inv])], [(1.0, [one])], s, ctx.N)
 
 
 def b_involution_evaluator(
     ctx: VertexContext, k: float, force: bool = False
 ) -> ResidualFn:
-    def fn(s: FockState) -> float:
-        inner = ctx.apply_b(-k, s, force=force)
-        comp = compose_aux(lambda t: ctx.apply_b(k, t, force=force), inner)
-        return comp.max_deviation(identity_aux(ctx.N, s))
-
-    return fn
+    """Residual function for b(k) b(-k) = 1 on the aux space."""
+    one = NumMat(1, np.eye(ctx.N, dtype=complex))
+    b_k = ctx.b_opmat(1, k, force=force)
+    b_mk = ctx.b_opmat(1, -k, force=force)
+    return lambda s: identity_residual([(1.0, [b_k, b_mk])], [(1.0, [one])], s, ctx.N)
 
 
 def b_exchange_evaluators(
@@ -323,13 +307,15 @@ def b_exchange_evaluators(
 
 def check_T_vacuum(ctx: VertexContext, k0: float) -> Residual:
     """T(k0) acting on the vacuum must be the identity aux matrix times the vacuum."""
-    got = ctx.apply_T(k0, ctx.space.vacuum())
-    want = identity_aux(ctx.N, ctx.space.vacuum())
-    return Residual(got.max_deviation(want), {"relation": "TOmega", "momenta": (k0,)})
+    t = ctx.t_opmat(1, k0)
+    one = NumMat(1, np.eye(ctx.N, dtype=complex))
+    value = identity_residual([(1.0, [t])], [(1.0, [one])], ctx.space.vacuum(), ctx.N)
+    return Residual(value, {"relation": "TOmega", "momenta": (k0,)})
 
 
 def check_b_vacuum(ctx: VertexContext, k: float, force: bool = False) -> Residual:
     """b(k) on the vacuum must equal the numeric B(k) tensored with the vacuum."""
-    got = ctx.apply_b(k, ctx.space.vacuum(), force=force)
-    want = AuxState.from_scalar_matrix(eval_b(ctx.reflection, k), ctx.space.vacuum())
-    return Residual(got.max_deviation(want), {"relation": "b-vacuum", "momenta": (k,)})
+    b = ctx.b_opmat(1, k, force=force)
+    want = NumMat(1, eval_b(ctx.reflection, k))
+    value = identity_residual([(1.0, [b])], [(1.0, [want])], ctx.space.vacuum(), ctx.N)
+    return Residual(value, {"relation": "b-vacuum", "momenta": (k,)})

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from zfcheck.fock import FockSpace, FockState, Word
+from zfcheck.fock import FockSpace, FockState, Word, states_equal
 from zfcheck.rmatrix import eval_r
 
 
@@ -182,10 +182,27 @@ def dense_T_oracle(space: FockSpace, k0: float, state: FockState) -> np.ndarray:
     return total
 
 
+def scalar_times_state(mat: np.ndarray, state: FockState) -> np.ndarray:
+    """The (N, N) array of states with entries mat[i, l] * state."""
+    out = np.empty(mat.shape, dtype=object)
+    for idx in np.ndindex(*mat.shape):
+        out[idx] = state.scaled(complex(mat[idx]))
+    return out
+
+
+def max_entry_deviation(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest amplitude difference between two equal-shape arrays of states."""
+    dev = 0.0
+    for idx in np.ndindex(*got.shape):
+        _, d = states_equal(got[idx], want[idx], tol=0.0)
+        dev = max(dev, d)
+    return dev
+
+
 def dense_operator_matrix(space: FockSpace, n: int, apply_aux) -> tuple[np.ndarray, list]:
     """Dense matrix of an aux-matrix-valued operator on (aux ⊗ sector n).
 
-    ``apply_aux(state)`` must return an (N, N) object array (or AuxState).
+    ``apply_aux(state)`` must return an (N, N) object array of states.
     Row/column composite index is aux * dim_sector + word_index.
     """
     words = space.canonical_words(n)
@@ -195,10 +212,9 @@ def dense_operator_matrix(space: FockSpace, n: int, apply_aux) -> tuple[np.ndarr
     out = np.zeros((N * dim, N * dim), dtype=complex)
     for col_w, w in enumerate(words):
         applied = apply_aux(space.basis_state(w))
-        data = applied.data if hasattr(applied, "data") else applied
         for l in range(N):
             for i in range(N):
-                for nw, amp in data[i, l].amps.items():
+                for nw, amp in applied[i, l].amps.items():
                     out[i * dim + index[nw], l * dim + col_w] = amp
     return out, words
 

@@ -180,6 +180,21 @@ class TestAnnihilation:
                     _, dev = states_equal(got, want, tol=0.0)
                     assert dev < 1e-14, (word, i, k)
 
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_canonical_input_gives_canonical_output(self, grid, N):
+        # apply_annihilation does not rewrite its output, so on every
+        # canonical basis word the output must already be in canonical form.
+        space = FockSpace(grid, rational_r(N, 0.7), n_max=3)
+        for n in range(4):
+            for word in space.canonical_words(n):
+                target = space.basis_state(word)
+                for k in grid:
+                    for i in range(N):
+                        got = space.apply_annihilation(i, k, target)
+                        for w in got.amps:
+                            assert all(a[0] <= b[0] for a, b in zip(w, w[1:])), (word, w)
+                        assert space.canonicalize(got).amps == got.amps, (word, i, k)
+
 
 class TestCanonicalization:
     @given(word=words3)

@@ -100,6 +100,14 @@ class TestConfigValidation:
             config_from_dict({"g": 0.0})
         assert config_from_dict({"g": -0.7}).g == -0.7
 
+    @pytest.mark.parametrize("k", [1e300, 1e60])
+    def test_grid_with_infinite_sixth_power_rejected(self, k):
+        # H(2) H(4) weighs by k^6: at 1e300 apply_H overflowed, at 1e60 the
+        # report carried NaN residuals.
+        with pytest.raises(ConfigError, match=r"grid momentum .* k\^6"):
+            config_from_dict({"grid": [-k, k]})
+        assert config_from_dict({"grid": [-1e51, 1e51]}).grid == (-1e51, 1e51)
+
     def test_rmatrix_samples_positive(self):
         with pytest.raises(ConfigError, match="rmatrix_samples"):
             config_from_dict({"rmatrix_samples": 0})
@@ -425,6 +433,25 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("zfcheck: error:")
         assert "R(k, k) = P" in err
+
+    @pytest.mark.parametrize("k", [1e300, 1e60])
+    def test_too_large_grid_exits_2(self, tmp_path, capsys, k):
+        cfgfile = self.write_cfg(tmp_path, {"grid": [-k, k]})
+        assert main(["verify", "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zfcheck: error:")
+        assert "k^6" in err
+
+    def test_large_grid_reports_finite_residuals(self, tmp_path, capsys):
+        cfgfile = self.write_cfg(tmp_path, {"grid": [-1e51, 1e51]})
+        out = tmp_path / "report.json"
+        code = main(["verify", "--config", cfgfile, "--format", "json", "--report", str(out)])
+        capsys.readouterr()
+        assert code in (0, 1)
+        text = out.read_text()
+        assert "NaN" not in text
+        assert "Infinity" not in text
+        assert json.loads(text)["records"]
 
     def test_unknown_suite_flag_exits_2(self, tmp_path, capsys):
         cfgfile = self.write_cfg(tmp_path)

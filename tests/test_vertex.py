@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import GRID, random_state
-from oracles import dense_T_oracle, dense_operator_matrix
+from oracles import (
+    dense_T_oracle,
+    dense_operator_matrix,
+    max_entry_deviation,
+    scalar_times_state,
+)
 from zfcheck.errors import GridDomainError, NotWhitelistedError
-from zfcheck.fock import AuxState
 from zfcheck.harness import RELATIONS, build_reflection, config_from_dict
+from zfcheck.relations import NumMat, identity_residual
 from zfcheck.rmatrix import constant_diagonal_b, eval_b, eval_r, identity_b, worst_over
 from zfcheck.vertex import (
     VertexContext,
@@ -15,8 +20,6 @@ from zfcheck.vertex import (
     b_involution_evaluator,
     check_b_vacuum,
     check_T_vacuum,
-    compose_aux,
-    identity_aux,
     rtt_evaluator,
     t_inverse_evaluator,
     t_relation_evaluators,
@@ -75,15 +78,15 @@ class TestDenseOracle:
     def test_apply_T_matches_recursion(self, vctx, rng, k0, n):
         s = random_state(rng, vctx.space, n)
         got = vctx.apply_T(k0, s)
-        want = AuxState(dense_T_oracle(vctx.space, k0, s))
-        assert got.max_deviation(want) < 1e-12
+        want = dense_T_oracle(vctx.space, k0, s)
+        assert max_entry_deviation(got, want) < 1e-12
 
     def test_apply_T_matches_recursion_on_repeated_momenta(self, vctx):
         space = vctx.space
         s = space.basis_state(((2, 0), (2, 1), (4, 1)))
         got = vctx.apply_T(-1.3, s)
-        want = AuxState(dense_T_oracle(space, -1.3, s))
-        assert got.max_deviation(want) < 1e-12
+        want = dense_T_oracle(space, -1.3, s)
+        assert max_entry_deviation(got, want) < 1e-12
 
 
 class TestInverse:
@@ -111,7 +114,8 @@ class TestInverse:
         for n in (1, 2):
             s = random_state(rng, vctx.space, n)
             got = vctx.apply_T(k0, s)
-            assert got.max_deviation(identity_aux(vctx.N, s)) < 1e-8
+            want = scalar_times_state(np.eye(vctx.N), s)
+            assert max_entry_deviation(got, want) < 1e-8
 
 
 class TestIntertwining:
@@ -276,8 +280,7 @@ class TestComposeAux:
         vac = space.vacuum()
         A = np.array([[1.0, 2.0], [0.5, -1.0j]], dtype=complex)
         B = np.array([[0.0, 1.0], [1.0, 3.0]], dtype=complex)
-        inner = AuxState.from_scalar_matrix(B, vac)
-        outer = lambda s: AuxState.from_scalar_matrix(A, s)
-        got = compose_aux(outer, inner)
-        want = AuxState.from_scalar_matrix(A @ B, vac)
-        assert got.max_deviation(want) < 1e-15
+        res = identity_residual(
+            [(1.0, [NumMat(1, A), NumMat(1, B)])], [(1.0, [NumMat(1, A @ B)])], vac, space.N
+        )
+        assert res < 1e-15
