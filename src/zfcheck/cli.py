@@ -107,7 +107,10 @@ def _verify(args: argparse.Namespace) -> int:
 def _default_config(args: argparse.Namespace) -> int:
     text = json.dumps(RunConfig().to_dict(), sort_keys=True, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write config {args.out}: {e}") from None
     else:
         sys.stdout.write(text)
     return 0

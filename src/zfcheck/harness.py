@@ -509,7 +509,10 @@ def emit_report(report: Report, path: str | Path | None = None, fmt: str = "json
     else:
         raise ConfigError(f"unknown report format {fmt!r}; use 'text' or 'json'")
     if path is not None:
-        Path(path).write_text(rendered)
+        try:
+            Path(path).write_text(rendered)
+        except OSError as e:
+            raise ConfigError(f"cannot write report {path}: {e}") from None
     return rendered
 
 

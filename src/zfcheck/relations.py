@@ -20,6 +20,11 @@ tensors with the same legs; their entrywise difference is the residual.
 
 Factors are listed in operator order (left to right) and applied to the
 state right to left, so the rightmost factor acts first.
+
+Every factor is linear, so it maps the zero state to the zero state.  The
+evaluator relies on that: where a tensor entry is zero it writes the zero
+state instead of calling the factor's operator, so operators are never
+called on an empty state.
 """
 
 from __future__ import annotations
@@ -133,12 +138,13 @@ class _Accumulator:
     def _has(self, kind: str, space: int) -> bool:
         return (kind, space) in self.labels
 
-    def _prepend(self, label: Label, maker: Callable[[int, tuple], FockState]) -> None:
+    def _prepend(self, label: Label, op: ColorOp) -> None:
         N = self.N
         out = _fresh((N,) + self.data.shape)
         for idx in _indices(self.data.shape):
+            s = self.data[idx]
             for v in range(N):
-                out[(v,) + idx] = maker(v, idx)
+                out[(v,) + idx] = op(v, s) if s.amps else FockState()
         self.data = out
         self.labels.insert(0, label)
 
@@ -149,25 +155,22 @@ class _Accumulator:
             raise ValueError(
                 f"annihilation-type factor must be rightmost in space {f.space}"
             )
-        self._prepend(("open", f.space), lambda c, idx: f.op(c, self.data[idx]))
+        self._prepend(("open", f.space), f.op)
 
     def apply_covec(self, f: CoVec) -> None:
         p = self._axis_of_open(f.space)
         if p is None:
             if self._has("in", f.space):
                 raise ValueError(f"space {f.space} already closed by a creation row")
-            self._prepend(("in", f.space), lambda c, idx: f.op(c, self.data[idx]))
+            self._prepend(("in", f.space), f.op)
             return
         N = self.N
         old = self.data
         shape = old.shape[:p] + old.shape[p + 1 :]
         out = _fresh(shape)
         for idx in _indices(shape):
-            terms = []
-            for l in range(N):
-                full = idx[:p] + (l,) + idx[p:]
-                terms.append((1.0 + 0j, f.op(l, old[full])))
-            out[idx] = FockState.combine(terms)
+            entries = ((l, old[idx[:p] + (l,) + idx[p:]]) for l in range(N))
+            out[idx] = FockState.combine((1.0, f.op(l, e)) for l, e in entries if e.amps)
         self.data = out
         del self.labels[p]
 
@@ -186,10 +189,10 @@ class _Accumulator:
             out = _fresh((N, N) + old.shape)
             for idx in _indices(old.shape):
                 if op is not None:
-                    w = op(old[idx])
+                    w = op(old[idx]) if old[idx].amps else None
                     for r in range(N):
                         for c in range(N):
-                            out[(r, c) + idx] = w[r, c]
+                            out[(r, c) + idx] = FockState() if w is None else w[r, c]
                 else:
                     for r in range(N):
                         for c in range(N):
@@ -205,12 +208,10 @@ class _Accumulator:
                 full = idx[:p] + (c,) + idx[p:]
                 entries.append(old[full])
             if op is not None:
-                applied = [op(e) for e in entries]  # applied[c][r, c']
+                applied = [(c, op(e)) for c, e in enumerate(entries) if e.amps]
                 for r in range(N):
                     full = idx[:p] + (r,) + idx[p:]
-                    out[full] = FockState.combine(
-                        (1.0 + 0j, applied[c][r, c]) for c in range(N)
-                    )
+                    out[full] = FockState.combine((1.0, m[r, c]) for c, m in applied)
             else:
                 for r in range(N):
                     full = idx[:p] + (r,) + idx[p:]

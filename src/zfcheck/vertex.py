@@ -11,16 +11,20 @@ colors alone, through the chain matrix
 living on the (n+1)-leg space (aux leg 0, then one leg per letter).  Entry
 (i, l) of the (N, N) object array of states that T returns, as an ``OpMat``
 value, is the contraction of C against the aux pair (i, l) and the word's
-colors.  The inverse uses the reversed product of unitarity inverses, R_0j(k0, k_j)^-1 = P R(k_j, k0) P lifted to the same
-legs.  b(k) composes the three maps T(k), B(k), T(-k)^-1 on the aux leg, so
-each word again picks up a single cached matrix.
+colors.  The inverse uses the reversed product of unitarity inverses,
+R_0j(k0, k_j)^-1 = P R(k_j, k0) P, lifted to the same legs.  b(k) composes
+the three maps T(k), B(k), T(-k)^-1 on the aux leg, so each word again picks
+up a single cached matrix.
 
 Chain matrices depend only on (k0, momentum tuple), never on colors, and are
-cached per context.  Everything here is pure: states in, states out.
+cached per context.  The words of a state that share a momentum tuple share
+that matrix, so a state is contracted block by block, one numpy product per
+momentum tuple.  Everything here is pure: states in, states out.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,8 +42,6 @@ from .rmatrix import (
     perm_conj,
     whitelist_reflection,
 )
-
-_TINY = 1e-300  # drop exact-zero matrix entries only
 
 ResidualFn = Callable[[FockState], float]
 
@@ -67,6 +69,8 @@ class VertexContext:
         self._chains: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
         self._chains_inv: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
         self._bmats: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
+        # Per word length n, all color tuples indexed by their base-N code.
+        self._colors: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     # -- cached matrices ------------------------------------------------------
 
@@ -119,40 +123,40 @@ class VertexContext:
             code = code * self.N + c
         return code
 
-    def _decode_colors(self, code: int, n: int) -> tuple[int, ...]:
-        out = [0] * n
-        for pos in range(n - 1, -1, -1):
-            code, out[pos] = divmod(code, self.N)
-        return tuple(out)
-
     def _apply_matrix_map(
         self, matrix_of: Callable[[tuple[int, ...]], np.ndarray], state: FockState
     ) -> np.ndarray:
-        """Contract a per-word (aux, colors) matrix against every word."""
+        """Contract a per-momentum-tuple (aux, colors) matrix against a state.
+
+        The words sharing a momentum tuple form one block.  Its matrix, read
+        as (aux row and colors, aux column, colors), meets the block's
+        amplitude vector in one matrix-vector product.  Output words are
+        decoded from the color table of their length and pruned at
+        ``space.prune``.
+        """
         N = self.N
-        acc: list[list[dict[Word, complex]]] = [
-            [dict() for _ in range(N)] for _ in range(N)
-        ]
+        blocks: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
         for w, amp in state.amps.items():
-            gs = tuple(g for g, _ in w)
-            cs = tuple(c for _, c in w)
-            n = len(w)
-            dimc = N**n
-            mat = matrix_of(gs)
-            base = self._color_code(cs)
-            for l in range(N):
-                col = mat[:, l * dimc + base]
-                for row, v in enumerate(col):
-                    if abs(v) <= _TINY:
-                        continue
-                    i, rem = divmod(row, dimc)
-                    nw = tuple(zip(gs, self._decode_colors(rem, n)))
-                    target = acc[i][l]
-                    target[nw] = target.get(nw, 0j) + amp * v
+            blocks.setdefault(tuple(g for g, _ in w), {})[tuple(c for _, c in w)] = amp
+        acc: list[list[dict[Word, complex]]] = [[{} for _ in range(N)] for _ in range(N)]
+        for gs, amps in blocks.items():
+            colors = self._colors.get(len(gs))
+            if colors is None:
+                colors = self._colors[len(gs)] = tuple(product(range(N), repeat=len(gs)))
+            dimc = len(colors)
+            mat = matrix_of(gs).reshape(N * dimc, N, dimc)
+            x = np.zeros(dimc, dtype=complex)
+            for cs, amp in amps.items():
+                x[self._color_code(cs)] = amp
+            out = mat @ x
+            rows, cols = np.nonzero(np.abs(out) > self.space.prune)
+            for row, l, v in zip(rows.tolist(), cols.tolist(), out[rows, cols].tolist()):
+                i, rem = divmod(row, dimc)
+                acc[i][l][tuple(zip(gs, colors[rem]))] = v
         data = np.empty((N, N), dtype=object)
         for i in range(N):
             for l in range(N):
-                data[i, l] = FockState(acc[i][l]).pruned(self.space.prune)
+                data[i, l] = FockState(acc[i][l])
         return data
 
     def apply_T(self, k0: float, state: FockState) -> np.ndarray:

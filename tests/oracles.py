@@ -182,6 +182,53 @@ def dense_T_oracle(space: FockSpace, k0: float, state: FockState) -> np.ndarray:
     return total
 
 
+def word_matrix_map_oracle(ctx, matrix_of, state: FockState) -> np.ndarray:
+    """Contract a per-word (aux, colors) matrix against a state, word by word.
+
+    ``matrix_of(gs)`` is the cached matrix of one momentum tuple, as
+    ``VertexContext.chain``, ``chain_inv`` or ``b_matrix`` build it: row and
+    column index aux * N^n + colors, colors read as base-N digits.  Each
+    input word reads its column for every aux column l, and every nonzero
+    entry is decoded back into a word, one scalar at a time.
+    """
+    N = ctx.N
+
+    def color_code(colors) -> int:
+        code = 0
+        for c in colors:
+            code = code * N + c
+        return code
+
+    def decode_colors(code: int, n: int) -> tuple[int, ...]:
+        out = [0] * n
+        for pos in range(n - 1, -1, -1):
+            code, out[pos] = divmod(code, N)
+        return tuple(out)
+
+    acc: list[list[dict[Word, complex]]] = [[dict() for _ in range(N)] for _ in range(N)]
+    for w, amp in state.amps.items():
+        gs = tuple(g for g, _ in w)
+        cs = tuple(c for _, c in w)
+        n = len(w)
+        dimc = N**n
+        mat = matrix_of(gs)
+        base = color_code(cs)
+        for l in range(N):
+            col = mat[:, l * dimc + base]
+            for row, v in enumerate(col):
+                if abs(v) <= 1e-300:  # drop exact-zero matrix entries only
+                    continue
+                i, rem = divmod(row, dimc)
+                nw = tuple(zip(gs, decode_colors(rem, n)))
+                target = acc[i][l]
+                target[nw] = target.get(nw, 0j) + amp * v
+    data = np.empty((N, N), dtype=object)
+    for i in range(N):
+        for l in range(N):
+            data[i, l] = FockState(acc[i][l]).pruned(ctx.space.prune)
+    return data
+
+
 def scalar_times_state(mat: np.ndarray, state: FockState) -> np.ndarray:
     """The (N, N) array of states with entries mat[i, l] * state."""
     out = np.empty(mat.shape, dtype=object)

@@ -366,6 +366,21 @@ class TestCLI:
         assert main(["default-config", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["seed"] == 2026
 
+    def test_default_config_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "c.json"
+        assert main(["default-config", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zfcheck: error:")
+        assert "cannot write config" in err
+
+    def test_verify_unwritable_report_exits_2(self, tmp_path, capsys):
+        cfgfile = self.write_cfg(tmp_path, {"suites": ["rmatrix"]})
+        report = tmp_path / "no" / "such" / "dir" / "r.json"
+        assert main(["verify", "--config", cfgfile, "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zfcheck: error:")
+        assert "cannot write report" in err
+
     def test_verify_green_run(self, tmp_path, capsys):
         cfgfile = self.write_cfg(tmp_path)
         code = main(["verify", "--config", cfgfile])

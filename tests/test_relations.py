@@ -1,10 +1,14 @@
 """The factor-product evaluator, checked against explicit index loops."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_state
+from zfcheck import boundary, relations, vertex
 from zfcheck.fock import FockState
+from zfcheck.harness import RunConfig, run_suites
 from zfcheck.relations import (
     CoVec,
     LabeledTensor,
@@ -325,3 +329,46 @@ class TestScalarTensor:
         assert lt.max_amp() == s.maxamp()
         assert lt.scaled(2.0).max_amp() == pytest.approx(2.0 * s.maxamp())
         assert lt.sub(lt).max_amp() == 0.0
+
+
+class TestZeroStateContract:
+    """Factors are linear, so the evaluator never hands them the zero state."""
+
+    def test_default_vertex_and_boundary_suites(self, monkeypatch):
+        empty_calls = []
+        zero_residuals = []
+
+        def spied(op):
+            def call(*args):
+                if not args[-1].amps:
+                    empty_calls.append(op)
+                return op(*args)
+
+            return call
+
+        evaluate_orig = relations.evaluate
+
+        def spying_evaluate(factors, state, N):
+            factors = [
+                replace(f, op=spied(f.op)) if isinstance(f, (Vec, CoVec, OpMat)) else f
+                for f in factors
+            ]
+            return evaluate_orig(factors, state, N)
+
+        residual_orig = relations.identity_residual
+
+        def residual_also_on_zero(lhs, rhs, state, N):
+            # Prebuilt tensors belong to the given state; only pure factor
+            # products can be re-evaluated on the zero state.
+            if not any(isinstance(item, LabeledTensor) for _, item in [*lhs, *rhs]):
+                zero_residuals.append(residual_orig(lhs, rhs, FockState(), N))
+            return residual_orig(lhs, rhs, state, N)
+
+        monkeypatch.setattr(relations, "evaluate", spying_evaluate)
+        for module in (relations, vertex, boundary):
+            monkeypatch.setattr(module, "identity_residual", residual_also_on_zero)
+        report = run_suites(RunConfig(), suites=("vertex", "boundary"))
+
+        assert report.counts["pass"] > 0 and not report.failed
+        assert not empty_calls, f"{len(empty_calls)} operator calls on the zero state"
+        assert zero_residuals and set(zero_residuals) == {0.0}

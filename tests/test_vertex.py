@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import GRID, random_state
 from oracles import (
@@ -9,11 +11,20 @@ from oracles import (
     dense_operator_matrix,
     max_entry_deviation,
     scalar_times_state,
+    word_matrix_map_oracle,
 )
 from zfcheck.errors import GridDomainError, NotWhitelistedError
+from zfcheck.fock import FockSpace, FockState, SpectralGrid
 from zfcheck.harness import RELATIONS, build_reflection, config_from_dict
 from zfcheck.relations import NumMat, identity_residual
-from zfcheck.rmatrix import constant_diagonal_b, eval_b, eval_r, identity_b, worst_over
+from zfcheck.rmatrix import (
+    constant_diagonal_b,
+    eval_b,
+    eval_r,
+    identity_b,
+    rational_r,
+    worst_over,
+)
 from zfcheck.vertex import (
     VertexContext,
     b_exchange_evaluators,
@@ -87,6 +98,87 @@ class TestDenseOracle:
         got = vctx.apply_T(-1.3, s)
         want = dense_T_oracle(space, -1.3, s)
         assert max_entry_deviation(got, want) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def block_ctx():
+    """Per N, the default config's grid and coupling with a k-dependent b."""
+    out = {}
+    for N in (2, 3):
+        cfg = config_from_dict(
+            {
+                "N": N,
+                "reflection": {
+                    "family": "k-dependent-diagonal",
+                    "c": 1.0,
+                    "signs": [(-1) ** c for c in range(N)],
+                },
+            }
+        )
+        space = FockSpace(SpectralGrid(cfg.grid), rational_r(N, cfg.g), n_max=3, prune=cfg.prune)
+        out[N] = VertexContext(space, build_reflection(cfg))
+    return out
+
+# (operator, matrix it reads, momentum) for the three closed-form maps.
+MAPS = (
+    ("apply_T", "chain", 0.37),
+    ("apply_T_inverse", "chain_inv", -1.6),
+    ("apply_b", "b_matrix", 2.0),
+)
+
+
+def _block_deviation(ctx: VertexContext, state: FockState) -> float:
+    """Largest gap between the block contraction and the word-by-word oracle."""
+    worst = 0.0
+    for op, matrix, k in MAPS:
+        got = getattr(ctx, op)(k, state)
+        want = word_matrix_map_oracle(ctx, lambda gs: getattr(ctx, matrix)(k, gs), state)
+        worst = max(worst, max_entry_deviation(got, want))
+    return worst
+
+
+class TestBlockContraction:
+    """The momentum-block contraction against the word-by-word oracle."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_every_basis_word(self, block_ctx, N):
+        ctx = block_ctx[N]
+        for n in range(4):
+            for word in ctx.space.canonical_words(n):
+                assert _block_deviation(ctx, ctx.space.basis_state(word)) <= 1e-13, word
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_whole_blocks(self, block_ctx, N):
+        # Every color assignment of one momentum tuple in one state.  Inside
+        # an equal-momentum run, each color order is its own basis word.
+        ctx = block_ctx[N]
+        for gs in ((1,), (0, 4), (2, 2), (1, 3, 3), (5, 5, 5)):
+            words = [w for w in ctx.space.canonical_words(len(gs)) if tuple(g for g, _ in w) == gs]
+            state = FockState({w: complex(1 + t, -0.5 * t) for t, w in enumerate(words)})
+            assert _block_deviation(ctx, state) <= 1e-13, gs
+
+    @given(
+        N=st.sampled_from([2, 3]),
+        blocks=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, len(GRID) - 1), max_size=3),
+                st.lists(st.integers(0, 26), min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        amps=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=12, max_size=12),
+    )
+    def test_drawn_combinations(self, block_ctx, N, blocks, amps):
+        # Each drawn block is one momentum tuple with a few color codes.
+        ctx = block_ctx[N]
+        words = set()
+        for momenta, codes in blocks:
+            gs = sorted(momenta)
+            for code in codes:
+                words.add(tuple((g, code // N**p % N) for p, g in enumerate(gs)))
+        state = FockState(dict(zip(sorted(words), amps)))
+        assert _block_deviation(ctx, state) <= 1e-13
 
 
 class TestInverse:
