@@ -21,6 +21,12 @@ rational family the coincident-momentum exchange weight is the bare flip
 and the rewrite maps every word to itself, so distinct color orders at
 equal momenta are independent basis states.
 
+Creation on a canonical state needs no general rewrite: a†_i(k) moves right
+past the letters of momentum strictly below k, one transposition each, and
+stops before the rest of the word, which it leaves as it is.  The terms of
+that move depend only on the color, k and the passed prefix, and are cached
+under that key; ``canonicalize`` is for arbitrary input.
+
 The annihilation action is the recursive move-through rule
 
     a_i(k) a†_j(k') = sum_{l,m} R(k, k')[(i,l), (m,j)] a†_l(k') a_m(k)
@@ -211,6 +217,8 @@ class FockSpace:
         # Nonzero weights of one letter pair's transposition, keyed by the pair.
         self._swap_terms: dict[Word, tuple[tuple[Word, complex], ...]] = {}
         self._ann_cache: dict[tuple[int, int, Word], tuple[tuple[Word, complex], ...]] = {}
+        # Creation move-through terms, keyed by (color, grid index, prefix).
+        self._cre_cache: dict[tuple[int, int, Word], tuple[tuple[Word, complex], ...]] = {}
 
     # -- basics ------------------------------------------------------------
 
@@ -327,15 +335,55 @@ class FockSpace:
     # -- creation / annihilation ---------------------------------------------
 
     def apply_creation(self, color: int, k: float, state: FockState) -> FockState:
-        """Left-multiply by a†_color(k) and recanonicalize."""
+        """Left-multiply by a†_color(k), move the new letter into place.
+
+        The input must be canonical.  The new letter moves right through each
+        word's prefix of letters with momentum strictly below k, the
+        inversions ``canonicalize`` would remove, and leaves the tail after
+        it unchanged, so the output is canonical with no rewrite.
+        """
         gi = self.grid.index_of(k)
         self._check_color(color)
         if state.max_particles() + 1 > self.n_max:
             raise CapacityError(
                 f"creation would exceed the particle cap n_max = {self.n_max}"
             )
-        raw = {((gi, color),) + w: a for w, a in state.amps.items()}
-        return self.canonicalize(raw)
+        acc: dict[Word, complex] = {}
+        for w, a in state.amps.items():
+            p = 0
+            while p < len(w) and gi > w[p][0]:
+                p += 1
+            tail = w[p:]
+            for nw, coeff in self._create_through(color, gi, w[:p]):
+                nw += tail
+                acc[nw] = acc.get(nw, 0j) + a * coeff
+        return FockState(acc).pruned(self.prune)
+
+    def _create_through(
+        self, color: int, gi: int, prefix: Word
+    ) -> tuple[tuple[Word, complex], ...]:
+        """Terms of a†_color(k_gi) moved through a prefix of lower momenta.
+
+        The mirror of ``_annihilate_word``: one adjacent transposition past
+        the prefix's first letter, then the same move through the rest.
+        """
+        key = (color, gi, prefix)
+        cached = self._cre_cache.get(key)
+        if cached is not None:
+            return cached
+        if not prefix:
+            result: tuple[tuple[Word, complex], ...] = ((((gi, color),), 1.0 + 0j),)
+        else:
+            terms: dict[Word, complex] = {}
+            for (passed, (_, m)), coeff in self.transpose_adjacent(
+                ((gi, color), prefix[0]), 0
+            ).items():
+                for tw, tc in self._create_through(m, gi, prefix[1:]):
+                    nw = (passed,) + tw
+                    terms[nw] = terms.get(nw, 0j) + coeff * tc
+            result = tuple(terms.items())
+        self._cre_cache[key] = result
+        return result
 
     def apply_annihilation(self, color: int, k: float, state: FockState) -> FockState:
         """Left-multiply by a_color(k): move through letters, collect deltas.

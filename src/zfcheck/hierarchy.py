@@ -71,16 +71,13 @@ def eigenrelation_evaluator(ctx: BoundaryContext, n: int, k: float) -> ResidualF
 
     def fn(s: FockState) -> float:
         worst = 0.0
+        hs = apply_H(ctx, n, s)
         for i in range(ctx.N):
             raised = ctx.apply_a_tilde_dagger(i, k, s)
-            lhs = apply_H(ctx, n, raised) - ctx.apply_a_tilde_dagger(
-                i, k, apply_H(ctx, n, s)
-            )
+            lhs = apply_H(ctx, n, raised) - ctx.apply_a_tilde_dagger(i, k, hs)
             worst = max(worst, (lhs - raised.scaled(lam)).maxamp())
             lowered = ctx.apply_a_tilde(i, k, s)
-            lhs = apply_H(ctx, n, lowered) - ctx.apply_a_tilde(
-                i, k, apply_H(ctx, n, s)
-            )
+            lhs = apply_H(ctx, n, lowered) - ctx.apply_a_tilde(i, k, hs)
             worst = max(worst, (lhs - lowered.scaled(-lam)).maxamp())
         return worst
 

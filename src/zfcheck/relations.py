@@ -21,10 +21,12 @@ tensors with the same legs; their entrywise difference is the residual.
 Factors are listed in operator order (left to right) and applied to the
 state right to left, so the rightmost factor acts first.
 
-Every factor is linear, so it maps the zero state to the zero state.  The
-evaluator relies on that: where a tensor entry is zero it writes the zero
-state instead of calling the factor's operator, so operators are never
-called on an empty state.
+A tensor holds only its nonzero entries, a map from leg-index tuple to
+state; an absent index is the zero state.  Every factor is linear, so it
+maps the zero state to the zero state, and the evaluator relies on that: it
+applies operators and scalar matrix columns only to the entries present, so
+operators are never called on an empty state, and a scalar matrix costs
+only its nonzero entries (the rational R has at most 2 of N^2 per column).
 """
 
 from __future__ import annotations
@@ -74,48 +76,54 @@ class RMat:
 Factor = Union[Vec, CoVec, OpMat, NumMat, RMat]
 
 Label = tuple[str, int]  # ("out" | "in" | "open", space)
+Index = tuple[int, ...]
 
 
 @dataclass
 class LabeledTensor:
-    """An object ndarray of Fock states with named color axes."""
+    """The nonzero Fock-state entries of a tensor with named color axes.
+
+    ``entries`` maps a leg-index tuple, one index per axis, to a state; an
+    absent index is the zero state.
+    """
 
     axes: tuple[Label, ...]
-    data: np.ndarray
+    entries: dict[Index, FockState]
 
     def scaled(self, c: complex) -> "LabeledTensor":
-        out = _fresh(self.data.shape)
-        for idx in _indices(self.data.shape):
-            out[idx] = self.data[idx].scaled(c)
-        return LabeledTensor(self.axes, out)
+        if c == 0:
+            return LabeledTensor(self.axes, {})
+        return LabeledTensor(self.axes, {i: s.scaled(c) for i, s in self.entries.items()})
 
     def add(self, other: "LabeledTensor") -> "LabeledTensor":
         if self.axes != other.axes:
             raise ValueError(f"axis mismatch: {self.axes} vs {other.axes}")
-        out = _fresh(self.data.shape)
-        for idx in _indices(self.data.shape):
-            out[idx] = self.data[idx] + other.data[idx]
+        out = dict(self.entries)
+        for idx, s in other.entries.items():
+            mine = out.get(idx)
+            out[idx] = s if mine is None else mine + s
         return LabeledTensor(self.axes, out)
 
     def sub(self, other: "LabeledTensor") -> "LabeledTensor":
         return self.add(other.scaled(-1.0))
 
     def max_amp(self) -> float:
-        worst = 0.0
-        for idx in _indices(self.data.shape):
-            worst = max(worst, self.data[idx].maxamp())
-        return worst
+        return max((s.maxamp() for s in self.entries.values()), default=0.0)
 
 
-def _fresh(shape: tuple[int, ...]) -> np.ndarray:
-    return np.empty(shape, dtype=object)
+def _columns(mat: np.ndarray) -> list[list[tuple[int, complex]]]:
+    """Per column of a scalar matrix, the rows and values of its nonzero entries."""
+    mat = np.asarray(mat, dtype=complex)
+    return [
+        [(r, v) for r, v in enumerate(mat[:, c].tolist()) if v != 0]
+        for c in range(mat.shape[1])
+    ]
 
 
-def _indices(shape: tuple[int, ...]):
-    if not shape:
-        yield ()
-    else:
-        yield from np.ndindex(*shape)
+def _summed(
+    contribs: dict[Index, list[tuple[complex, FockState]]]
+) -> dict[Index, FockState]:
+    return {idx: FockState.combine(terms) for idx, terms in contribs.items()}
 
 
 class _Accumulator:
@@ -123,8 +131,7 @@ class _Accumulator:
 
     def __init__(self, state: FockState, N: int):
         self.N = N
-        self.data = _fresh(())
-        self.data[()] = state
+        self.entries: dict[Index, FockState] = {(): state} if state.amps else {}
         self.labels: list[Label] = []
 
     # axis helpers ---------------------------------------------------------
@@ -139,13 +146,13 @@ class _Accumulator:
         return (kind, space) in self.labels
 
     def _prepend(self, label: Label, op: ColorOp) -> None:
-        N = self.N
-        out = _fresh((N,) + self.data.shape)
-        for idx in _indices(self.data.shape):
-            s = self.data[idx]
-            for v in range(N):
-                out[(v,) + idx] = op(v, s) if s.amps else FockState()
-        self.data = out
+        out: dict[Index, FockState] = {}
+        for idx, s in self.entries.items():
+            for v in range(self.N):
+                image = op(v, s)
+                if image.amps:
+                    out[(v,) + idx] = image
+        self.entries = out
         self.labels.insert(0, label)
 
     # factor cases -----------------------------------------------------------
@@ -164,61 +171,53 @@ class _Accumulator:
                 raise ValueError(f"space {f.space} already closed by a creation row")
             self._prepend(("in", f.space), f.op)
             return
-        N = self.N
-        old = self.data
-        shape = old.shape[:p] + old.shape[p + 1 :]
-        out = _fresh(shape)
-        for idx in _indices(shape):
-            entries = ((l, old[idx[:p] + (l,) + idx[p:]]) for l in range(N))
-            out[idx] = FockState.combine((1.0, f.op(l, e)) for l, e in entries if e.amps)
-        self.data = out
+        contribs: dict[Index, list[tuple[complex, FockState]]] = {}
+        for idx, e in self.entries.items():
+            image = f.op(idx[p], e)
+            if image.amps:
+                contribs.setdefault(idx[:p] + idx[p + 1 :], []).append((1.0, image))
+        self.entries = _summed(contribs)
         del self.labels[p]
 
     def apply_nummat(self, f: NumMat) -> None:
-        self._apply_matrix(f.space, scalar=np.asarray(f.mat, dtype=complex), op=None)
+        self._apply_matrix(f.space, columns=_columns(f.mat), op=None)
 
     def apply_opmat(self, f: OpMat) -> None:
-        self._apply_matrix(f.space, scalar=None, op=f.op)
+        self._apply_matrix(f.space, columns=None, op=f.op)
 
-    def _apply_matrix(self, space: int, scalar, op) -> None:
+    def _apply_matrix(self, space: int, columns, op) -> None:
+        """Apply an operator matrix ``op`` or a scalar one, given by its ``columns``."""
         N = self.N
         p = self._axis_of_open(space)
         if p is None:
             # Fresh space: the column leg dangles, the row leg opens.
-            old = self.data
-            out = _fresh((N, N) + old.shape)
-            for idx in _indices(old.shape):
+            out: dict[Index, FockState] = {}
+            for idx, s in self.entries.items():
                 if op is not None:
-                    w = op(old[idx]) if old[idx].amps else None
+                    w = op(s)
                     for r in range(N):
                         for c in range(N):
-                            out[(r, c) + idx] = FockState() if w is None else w[r, c]
+                            if w[r, c].amps:
+                                out[(r, c) + idx] = w[r, c]
                 else:
-                    for r in range(N):
-                        for c in range(N):
-                            out[(r, c) + idx] = old[idx].scaled(complex(scalar[r, c]))
-            self.data = out
+                    for c, col in enumerate(columns):
+                        for r, coeff in col:
+                            out[(r, c) + idx] = s.scaled(coeff)
+            self.entries = out
             self.labels[0:0] = [("open", space), ("in", space)]
             return
-        old = self.data
-        out = _fresh(old.shape)
-        for idx in _indices(old.shape[:p] + old.shape[p + 1 :]):
-            entries = []
-            for c in range(N):
-                full = idx[:p] + (c,) + idx[p:]
-                entries.append(old[full])
+        contribs: dict[Index, list[tuple[complex, FockState]]] = {}
+        for idx, e in self.entries.items():
+            c, head, tail = idx[p], idx[:p], idx[p + 1 :]
             if op is not None:
-                applied = [(c, op(e)) for c, e in enumerate(entries) if e.amps]
+                w = op(e)
                 for r in range(N):
-                    full = idx[:p] + (r,) + idx[p:]
-                    out[full] = FockState.combine((1.0, m[r, c]) for c, m in applied)
+                    if w[r, c].amps:
+                        contribs.setdefault(head + (r,) + tail, []).append((1.0, w[r, c]))
             else:
-                for r in range(N):
-                    full = idx[:p] + (r,) + idx[p:]
-                    out[full] = FockState.combine(
-                        (complex(scalar[r, c]), entries[c]) for c in range(N)
-                    )
-        self.data = out
+                for r, coeff in columns[c]:
+                    contribs.setdefault(head + (r,) + tail, []).append((coeff, e))
+        self.entries = _summed(contribs)
 
     def apply_rmat(self, f: RMat) -> None:
         N = self.N
@@ -226,36 +225,19 @@ class _Accumulator:
         # applied first: its column leg dangles, its row leg opens.
         for space in (f.space_a, f.space_b):
             if self._axis_of_open(space) is None:
-                self._apply_matrix(space, scalar=np.eye(N, dtype=complex), op=None)
+                identity = [[(c, 1.0 + 0j)] for c in range(N)]
+                self._apply_matrix(space, columns=identity, op=None)
         pa = self._axis_of_open(f.space_a)
         pb = self._axis_of_open(f.space_b)
         assert pa is not None and pb is not None and pa != pb
-        mat = np.asarray(f.mat, dtype=complex)
-        old = self.data
-        out = _fresh(old.shape)
-        reduced = tuple(
-            s for i, s in enumerate(old.shape) if i not in (pa, pb)
-        )
-        for idx in _indices(reduced):
-            def full_at(va: int, vb: int) -> tuple:
-                lst = list(idx)
-                first, second = sorted([(pa, va), (pb, vb)])
-                lst.insert(first[0], first[1])
-                lst.insert(second[0], second[1])
-                return tuple(lst)
-
-            cached = {
-                (ca, cb): old[full_at(ca, cb)] for ca in range(N) for cb in range(N)
-            }
-            for ra in range(N):
-                for rb in range(N):
-                    row = ra * N + rb
-                    out[full_at(ra, rb)] = FockState.combine(
-                        (mat[row, ca * N + cb], cached[(ca, cb)])
-                        for ca in range(N)
-                        for cb in range(N)
-                    )
-        self.data = out
+        columns = _columns(f.mat)
+        contribs: dict[Index, list[tuple[complex, FockState]]] = {}
+        for idx, e in self.entries.items():
+            for row, coeff in columns[idx[pa] * N + idx[pb]]:
+                out = list(idx)
+                out[pa], out[pb] = divmod(row, N)
+                contribs.setdefault(tuple(out), []).append((coeff, e))
+        self.entries = _summed(contribs)
 
     # finish -----------------------------------------------------------------
 
@@ -267,8 +249,8 @@ class _Accumulator:
             range(len(labels)), key=lambda i: (labels[i][1], labels[i][0] != "out")
         )
         axes = tuple(labels[i] for i in order)
-        data = np.transpose(self.data, order) if order else self.data
-        return LabeledTensor(axes, data)
+        entries = {tuple(idx[i] for i in order): s for idx, s in self.entries.items()}
+        return LabeledTensor(axes, entries)
 
 
 def evaluate(factors: Sequence[Factor], state: FockState, N: int) -> LabeledTensor:
@@ -309,7 +291,7 @@ def delta_bridge(
     space_out: int, space_in: int, N: int, state: FockState
 ) -> LabeledTensor:
     """The tensor with entries delta_{ij} * state on legs (out_a, in_b)."""
-    data = _fresh((N, N))
+    data = np.empty((N, N), dtype=object)
     zero = FockState()
     for i in range(N):
         for j in range(N):
@@ -324,7 +306,12 @@ def states_bridge(
     axes_raw = [("out", space_out), ("in", space_in)]
     order = sorted(range(2), key=lambda t: (axes_raw[t][1], axes_raw[t][0] != "out"))
     return LabeledTensor(
-        tuple(axes_raw[i] for i in order), np.transpose(entries, order)
+        tuple(axes_raw[i] for i in order),
+        {
+            tuple(idx[i] for i in order): s
+            for idx, s in np.ndenumerate(entries)
+            if s.amps
+        },
     )
 
 

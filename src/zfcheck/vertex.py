@@ -93,15 +93,17 @@ class VertexContext:
         key = (float(k0), gs)
         mat = self._chains_inv.get(key)
         if mat is None:
-            n = len(gs)
-            dim = self.N ** (n + 1)
-            mat = np.eye(dim, dtype=complex)
-            for j in range(n - 1, -1, -1):
-                inv_factor = perm_conj(
-                    eval_r(self.space.r, self.grid.value(gs[j]), k0), self.N
-                )
-                mat = mat @ lift_pair(inv_factor, n + 1, 0, j + 1, self.N)
-            self._chains_inv[key] = mat
+            mat = self._chains_inv[key] = self._build_chain_inv(k0, gs)
+        return mat
+
+    def _build_chain_inv(self, k0: float, gs: tuple[int, ...]) -> np.ndarray:
+        n = len(gs)
+        mat = np.eye(self.N ** (n + 1), dtype=complex)
+        for j in range(n - 1, -1, -1):
+            inv_factor = perm_conj(
+                eval_r(self.space.r, self.grid.value(gs[j]), k0), self.N
+            )
+            mat = mat @ lift_pair(inv_factor, n + 1, 0, j + 1, self.N)
         return mat
 
     def b_matrix(self, k: float, gs: tuple[int, ...]) -> np.ndarray:
@@ -111,7 +113,8 @@ class VertexContext:
         if mat is None:
             n = len(gs)
             bfac = np.kron(eval_b(self.reflection, k), np.eye(self.N**n, dtype=complex))
-            mat = self.chain(k, gs) @ bfac @ self.chain_inv(-k, gs)
+            # The inverse chain is read once, here, so it is not cached.
+            mat = self.chain(k, gs) @ bfac @ self._build_chain_inv(-k, gs)
             self._bmats[key] = mat
         return mat
 

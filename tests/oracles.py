@@ -8,9 +8,13 @@ came from sits next to it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from zfcheck.fock import FockSpace, FockState, Word, states_equal
+from zfcheck.relations import CoVec, ColorOp, Factor, Label, NumMat, OpMat, RMat, Vec
 from zfcheck.rmatrix import eval_r
 
 
@@ -87,6 +91,19 @@ def annihilation_pair_oracle(
             if coeff != 0:
                 amps[((g1, l),)] = amps.get(((g1, l),), 0j) + coeff
     return FockState(amps)
+
+
+def prepend_canonicalize_oracle(
+    space: FockSpace, color: int, k: float, state: FockState
+) -> FockState:
+    """a†_color(k) applied to a state by prepending its letter to every word.
+
+    The prepended words are out of order wherever the new momentum exceeds
+    a letter's, and ``canonicalize`` rewrites them, one transposition per
+    inversion, with no knowledge of where the new letter came from.
+    """
+    letter = (space.grid.index_of(k), color)
+    return space.canonicalize({(letter,) + w: a for w, a in state.amps.items()})
 
 
 def stack_canonicalize_oracle(
@@ -264,6 +281,229 @@ def dense_operator_matrix(space: FockSpace, n: int, apply_aux) -> tuple[np.ndarr
                 for nw, amp in applied[i, l].amps.items():
                     out[i * dim + index[nw], l * dim + col_w] = amp
     return out, words
+
+
+# -- the dense factor-product evaluator -----------------------------------------
+#
+# ``relations.evaluate`` as it was before tensors held only their nonzero
+# entries: every tensor is a full object ndarray of states, zero states
+# included, and ``RMat`` combines all N^4 products per reduced index.
+
+
+@dataclass
+class ObjectArrayTensor:
+    """An object ndarray of Fock states, zero states included, with named color axes."""
+
+    axes: tuple[Label, ...]
+    data: np.ndarray
+
+    def scaled(self, c: complex) -> "ObjectArrayTensor":
+        out = _fresh(self.data.shape)
+        for idx in _indices(self.data.shape):
+            out[idx] = self.data[idx].scaled(c)
+        return ObjectArrayTensor(self.axes, out)
+
+    def add(self, other: "ObjectArrayTensor") -> "ObjectArrayTensor":
+        if self.axes != other.axes:
+            raise ValueError(f"axis mismatch: {self.axes} vs {other.axes}")
+        out = _fresh(self.data.shape)
+        for idx in _indices(self.data.shape):
+            out[idx] = self.data[idx] + other.data[idx]
+        return ObjectArrayTensor(self.axes, out)
+
+    def sub(self, other: "ObjectArrayTensor") -> "ObjectArrayTensor":
+        return self.add(other.scaled(-1.0))
+
+    def max_amp(self) -> float:
+        worst = 0.0
+        for idx in _indices(self.data.shape):
+            worst = max(worst, self.data[idx].maxamp())
+        return worst
+
+
+def _fresh(shape: tuple[int, ...]) -> np.ndarray:
+    return np.empty(shape, dtype=object)
+
+
+def _indices(shape: tuple[int, ...]):
+    if not shape:
+        yield ()
+    else:
+        yield from np.ndindex(*shape)
+
+
+class _ObjectArrayAccumulator:
+    """Mutable tensor-with-labels used while scanning a factor product."""
+
+    def __init__(self, state: FockState, N: int):
+        self.N = N
+        self.data = _fresh(())
+        self.data[()] = state
+        self.labels: list[Label] = []
+
+    # axis helpers ---------------------------------------------------------
+
+    def _axis_of_open(self, space: int) -> int | None:
+        for pos, lab in enumerate(self.labels):
+            if lab == ("open", space):
+                return pos
+        return None
+
+    def _has(self, kind: str, space: int) -> bool:
+        return (kind, space) in self.labels
+
+    def _prepend(self, label: Label, op: ColorOp) -> None:
+        N = self.N
+        out = _fresh((N,) + self.data.shape)
+        for idx in _indices(self.data.shape):
+            s = self.data[idx]
+            for v in range(N):
+                out[(v,) + idx] = op(v, s) if s.amps else FockState()
+        self.data = out
+        self.labels.insert(0, label)
+
+    # factor cases -----------------------------------------------------------
+
+    def apply_vec(self, f: Vec) -> None:
+        if self._axis_of_open(f.space) is not None or self._has("in", f.space):
+            raise ValueError(
+                f"annihilation-type factor must be rightmost in space {f.space}"
+            )
+        self._prepend(("open", f.space), f.op)
+
+    def apply_covec(self, f: CoVec) -> None:
+        p = self._axis_of_open(f.space)
+        if p is None:
+            if self._has("in", f.space):
+                raise ValueError(f"space {f.space} already closed by a creation row")
+            self._prepend(("in", f.space), f.op)
+            return
+        N = self.N
+        old = self.data
+        shape = old.shape[:p] + old.shape[p + 1 :]
+        out = _fresh(shape)
+        for idx in _indices(shape):
+            entries = ((l, old[idx[:p] + (l,) + idx[p:]]) for l in range(N))
+            out[idx] = FockState.combine((1.0, f.op(l, e)) for l, e in entries if e.amps)
+        self.data = out
+        del self.labels[p]
+
+    def apply_nummat(self, f: NumMat) -> None:
+        self._apply_matrix(f.space, scalar=np.asarray(f.mat, dtype=complex), op=None)
+
+    def apply_opmat(self, f: OpMat) -> None:
+        self._apply_matrix(f.space, scalar=None, op=f.op)
+
+    def _apply_matrix(self, space: int, scalar, op) -> None:
+        N = self.N
+        p = self._axis_of_open(space)
+        if p is None:
+            # Fresh space: the column leg dangles, the row leg opens.
+            old = self.data
+            out = _fresh((N, N) + old.shape)
+            for idx in _indices(old.shape):
+                if op is not None:
+                    w = op(old[idx]) if old[idx].amps else None
+                    for r in range(N):
+                        for c in range(N):
+                            out[(r, c) + idx] = FockState() if w is None else w[r, c]
+                else:
+                    for r in range(N):
+                        for c in range(N):
+                            out[(r, c) + idx] = old[idx].scaled(complex(scalar[r, c]))
+            self.data = out
+            self.labels[0:0] = [("open", space), ("in", space)]
+            return
+        old = self.data
+        out = _fresh(old.shape)
+        for idx in _indices(old.shape[:p] + old.shape[p + 1 :]):
+            entries = []
+            for c in range(N):
+                full = idx[:p] + (c,) + idx[p:]
+                entries.append(old[full])
+            if op is not None:
+                applied = [(c, op(e)) for c, e in enumerate(entries) if e.amps]
+                for r in range(N):
+                    full = idx[:p] + (r,) + idx[p:]
+                    out[full] = FockState.combine((1.0, m[r, c]) for c, m in applied)
+            else:
+                for r in range(N):
+                    full = idx[:p] + (r,) + idx[p:]
+                    out[full] = FockState.combine(
+                        (complex(scalar[r, c]), entries[c]) for c in range(N)
+                    )
+        self.data = out
+
+    def apply_rmat(self, f: RMat) -> None:
+        N = self.N
+        # A fresh space hit by a pair matrix behaves like the identity matrix
+        # applied first: its column leg dangles, its row leg opens.
+        for space in (f.space_a, f.space_b):
+            if self._axis_of_open(space) is None:
+                self._apply_matrix(space, scalar=np.eye(N, dtype=complex), op=None)
+        pa = self._axis_of_open(f.space_a)
+        pb = self._axis_of_open(f.space_b)
+        assert pa is not None and pb is not None and pa != pb
+        mat = np.asarray(f.mat, dtype=complex)
+        old = self.data
+        out = _fresh(old.shape)
+        reduced = tuple(
+            s for i, s in enumerate(old.shape) if i not in (pa, pb)
+        )
+        for idx in _indices(reduced):
+            def full_at(va: int, vb: int) -> tuple:
+                lst = list(idx)
+                first, second = sorted([(pa, va), (pb, vb)])
+                lst.insert(first[0], first[1])
+                lst.insert(second[0], second[1])
+                return tuple(lst)
+
+            cached = {
+                (ca, cb): old[full_at(ca, cb)] for ca in range(N) for cb in range(N)
+            }
+            for ra in range(N):
+                for rb in range(N):
+                    row = ra * N + rb
+                    out[full_at(ra, rb)] = FockState.combine(
+                        (mat[row, ca * N + cb], cached[(ca, cb)])
+                        for ca in range(N)
+                        for cb in range(N)
+                    )
+        self.data = out
+
+    # finish -----------------------------------------------------------------
+
+    def finish(self) -> ObjectArrayTensor:
+        labels = [
+            ("out", s) if kind == "open" else (kind, s) for kind, s in self.labels
+        ]
+        order = sorted(
+            range(len(labels)), key=lambda i: (labels[i][1], labels[i][0] != "out")
+        )
+        axes = tuple(labels[i] for i in order)
+        data = np.transpose(self.data, order) if order else self.data
+        return ObjectArrayTensor(axes, data)
+
+
+def object_array_evaluate(
+    factors: Sequence[Factor], state: FockState, N: int
+) -> ObjectArrayTensor:
+    """The factor product evaluated on dense object arrays of states."""
+    acc = _ObjectArrayAccumulator(state, N)
+    for f in reversed(factors):
+        if isinstance(f, Vec):
+            acc.apply_vec(f)
+        elif isinstance(f, CoVec):
+            acc.apply_covec(f)
+        elif isinstance(f, OpMat):
+            acc.apply_opmat(f)
+        elif isinstance(f, NumMat):
+            acc.apply_nummat(f)
+        elif isinstance(f, RMat):
+            acc.apply_rmat(f)
+        else:
+            raise TypeError(f"unknown factor {f!r}")
+    return acc.finish()
 
 
 # -- frozen values ------------------------------------------------------------

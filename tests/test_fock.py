@@ -12,6 +12,7 @@ from conftest import random_state
 from oracles import (
     annihilation_pair_oracle,
     creation_pair_oracle,
+    prepend_canonicalize_oracle,
     stack_canonicalize_oracle,
 )
 from zfcheck.errors import CapacityError, GridDomainError, GridValidationError
@@ -148,6 +149,25 @@ class TestCreation:
     def test_bad_color(self, space):
         with pytest.raises(GridDomainError):
             space.apply_creation(2, 1.0, space.vacuum())
+
+    @pytest.mark.parametrize("g", [0.7, 0.0])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_every_basis_word_matches_prepend_then_canonicalize(self, grid, N, g):
+        # The move-through rule stops at the first letter whose momentum is
+        # not strictly below k.  At g = 0.7 the weight at equal momenta is the
+        # bare flip, so passing an equal momentum would change nothing; at
+        # g = 0 it is the identity, and passing one would reorder the colors
+        # of an equal-momentum run, so that case pins the strict boundary.
+        space = FockSpace(grid, rational_r(N, g), n_max=4)
+        for n in range(4):
+            for word in space.canonical_words(n):
+                target = space.basis_state(word)
+                for k in grid:
+                    for i in range(N):
+                        got = space.apply_creation(i, k, target)
+                        want = prepend_canonicalize_oracle(space, i, k, target)
+                        _, dev = states_equal(got, want, tol=0.0)
+                        assert dev <= 1e-13, (word, i, k)
 
     def test_zero_coupling_letters_commute(self, grid):
         free = FockSpace(grid, rational_r(2, 0.0), n_max=3)

@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import GRID, random_state
+from oracles import object_array_evaluate
 from zfcheck import boundary, relations, vertex
-from zfcheck.fock import FockState
+from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal
 from zfcheck.harness import RunConfig, run_suites
 from zfcheck.relations import (
     CoVec,
@@ -22,7 +25,8 @@ from zfcheck.relations import (
     identity_residual,
     states_bridge,
 )
-from zfcheck.rmatrix import eval_r
+from zfcheck.rmatrix import eval_r, phase_diagonal_b, rational_r
+from zfcheck.vertex import VertexContext
 
 
 def ann(space, k):
@@ -37,20 +41,25 @@ def diff(state_a, state_b):
     return (state_a + state_b.scaled(-1.0)).maxamp()
 
 
+def at(lt, *idx):
+    """The entry of a tensor at one leg-index tuple; absent means zero."""
+    return lt.entries.get(idx, FockState())
+
+
 class TestSingleFactors:
     def test_vec_opens_an_out_axis(self, space, rng):
         s = random_state(rng, space, 2)
         lt = evaluate([Vec(1, ann(space, 1.0))], s, space.N)
         assert lt.axes == (("out", 1),)
         for c in range(space.N):
-            assert diff(lt.data[c], space.apply_annihilation(c, 1.0, s)) == 0.0
+            assert diff(at(lt, c), space.apply_annihilation(c, 1.0, s)) == 0.0
 
     def test_covec_on_fresh_space_dangles_an_in_axis(self, space, rng):
         s = random_state(rng, space, 1)
         lt = evaluate([CoVec(2, dag(space, -2.0))], s, space.N)
         assert lt.axes == (("in", 2),)
         for c in range(space.N):
-            assert diff(lt.data[c], space.apply_creation(c, -2.0, s)) == 0.0
+            assert diff(at(lt, c), space.apply_creation(c, -2.0, s)) == 0.0
 
     def test_covec_contracts_an_open_axis(self, space, rng):
         # a†_c a_c summed over c: one scalar entry, no legs left.
@@ -61,7 +70,7 @@ class TestSingleFactors:
             (1.0, space.apply_creation(c, 1.0, space.apply_annihilation(c, 1.0, s)))
             for c in range(space.N)
         )
-        assert diff(lt.data[()], direct) < 1e-15
+        assert diff(at(lt), direct) < 1e-15
 
     def test_nummat_mixes_an_open_axis(self, space, rng):
         s = random_state(rng, space, 2)
@@ -73,7 +82,7 @@ class TestSingleFactors:
                 (mat[r, c], space.apply_annihilation(c, 2.0, s))
                 for c in range(space.N)
             )
-            assert diff(lt.data[r], direct) < 1e-15
+            assert diff(at(lt, r), direct) < 1e-15
 
     def test_nummat_on_fresh_space_scales_the_state(self, space, rng):
         s = random_state(rng, space, 1)
@@ -82,7 +91,7 @@ class TestSingleFactors:
         assert lt.axes == (("out", 1), ("in", 1))
         for r in range(space.N):
             for c in range(space.N):
-                assert diff(lt.data[r, c], s.scaled(mat[r, c])) == 0.0
+                assert diff(at(lt, r, c), s.scaled(mat[r, c])) == 0.0
 
     def test_opmat_matches_equivalent_nummat(self, space, rng):
         s = random_state(rng, space, 2)
@@ -111,7 +120,7 @@ class TestSingleFactors:
                 for rb in range(N):
                     for cb in range(N):
                         expect = s.scaled(mat[ra * N + rb, ca * N + cb])
-                        assert diff(lt.data[ra, ca, rb, cb], expect) == 0.0
+                        assert diff(at(lt, ra, ca, rb, cb), expect) == 0.0
 
 
 class TestOrderAndAlignment:
@@ -126,7 +135,7 @@ class TestOrderAndAlignment:
                 direct = space.apply_annihilation(
                     i, 1.0, space.apply_creation(j, 2.0, s)
                 )
-                assert diff(lt.data[i, j], direct) == 0.0
+                assert diff(at(lt, i, j), direct) == 0.0
 
     def test_axes_sorted_by_space_not_application_order(self, space, rng):
         s = random_state(rng, space, 1)
@@ -168,7 +177,7 @@ class TestRMatOrientation:
                     for l in range(N)
                     for m in range(N)
                 )
-                assert diff(lt.data[i, j], direct) < 1e-14
+                assert diff(at(lt, i, j), direct) < 1e-14
 
     def test_rmat_contracts_both_open_axes(self, space, rng):
         s = random_state(rng, space, 1)
@@ -192,7 +201,7 @@ class TestRMatOrientation:
                     for ca in range(N)
                     for cb in range(N)
                 )
-                assert diff(lt.data[ra, rb], direct) < 1e-14
+                assert diff(at(lt, ra, rb), direct) < 1e-14
 
 
 class TestBridges:
@@ -203,7 +212,7 @@ class TestBridges:
         for i in range(space.N):
             for j in range(space.N):
                 expect = s if i == j else FockState()
-                assert diff(lt.data[i, j], expect) == 0.0
+                assert diff(at(lt, i, j), expect) == 0.0
 
     def test_delta_bridge_axis_sorting_when_spaces_swap(self, space):
         s = space.vacuum()
@@ -222,7 +231,7 @@ class TestBridges:
         # entries are indexed [out, in]; the sorted tensor transposes them.
         for i in range(2):
             for j in range(2):
-                assert diff(lt.data[j, i], states[i, j]) == 0.0
+                assert diff(at(lt, j, i), states[i, j]) == 0.0
 
     def test_states_bridge_matches_evaluated_product(self, space, rng):
         s = random_state(rng, space, 1)
@@ -323,9 +332,7 @@ class TestErrorPaths:
 class TestScalarTensor:
     def test_scalar_tensor_round_trip(self, space, rng):
         s = random_state(rng, space, 2)
-        arr = np.empty((), dtype=object)
-        arr[()] = s
-        lt = LabeledTensor((), arr)
+        lt = LabeledTensor((), {(): s})
         assert lt.max_amp() == s.maxamp()
         assert lt.scaled(2.0).max_amp() == pytest.approx(2.0 * s.maxamp())
         assert lt.sub(lt).max_amp() == 0.0
@@ -372,3 +379,160 @@ class TestZeroStateContract:
         assert report.counts["pass"] > 0 and not report.failed
         assert not empty_calls, f"{len(empty_calls)} operator calls on the zero state"
         assert zero_residuals and set(zero_residuals) == {0.0}
+
+
+# -- the sparse evaluator against the dense object-array oracle ---------------
+
+# A factor spec, in operator order: (kind, space, momentum) for "vec", "covec",
+# "T" and "b"; (kind, space) for "num"; ("rmat", space_a, space_b, k1, k2).
+def _factor(ctx, spec):
+    kind, space = spec[0], spec[1]
+    if kind == "vec":
+        return ctx.a_vec(space, spec[2])
+    if kind == "covec":
+        return ctx.adag_covec(space, spec[2])
+    if kind == "T":
+        return ctx.t_opmat(space, spec[2])
+    if kind == "b":
+        return ctx.b_opmat(space, spec[2])
+    if kind == "num":
+        # Some entries zero, so columns differ in their nonzero rows.
+        N = ctx.N
+        mat = np.array(
+            [
+                [0 if (r + c) % 3 == 1 else (r + 1) + 0.5j * (c - r) for c in range(N)]
+                for r in range(N)
+            ],
+            dtype=complex,
+        )
+        return NumMat(space, mat)
+    return RMat(space, spec[2], eval_r(ctx.space.r, spec[3], spec[4]))
+
+
+def _oracle_deviation(ctx, specs, state):
+    factors = [_factor(ctx, spec) for spec in specs]
+    got = evaluate(factors, state, ctx.N)
+    want = object_array_evaluate(factors, state, ctx.N)
+    assert got.axes == want.axes
+    assert all(s.amps for s in got.entries.values()), "a zero state is stored"
+    indices = list(np.ndindex(*want.data.shape)) if want.data.shape else [()]
+    assert set(got.entries) <= set(indices)
+    dev = 0.0
+    for idx in indices:
+        _, d = states_equal(got.entries.get(idx, FockState()), want.data[idx], tol=0.0)
+        dev = max(dev, d)
+    return dev
+
+
+@pytest.fixture(scope="module")
+def oracle_ctx():
+    """Per N, a vertex context with particle headroom for two creations."""
+    out = {}
+    for N in (2, 3):
+        space = FockSpace(SpectralGrid(GRID), rational_r(N, 0.7), n_max=5)
+        signs = [(-1) ** c for c in range(N)]
+        out[N] = VertexContext(space, phase_diagonal_b(N, 1.0, signs))
+    return out
+
+
+def _mixed_state(space):
+    """Vacuum, one- and two-particle words, repeated momenta included."""
+    words = [(), ((1, 0),), ((2, 1),), ((0, 1), (4, 0)), ((3, 0), (3, 1)), ((5, 1), (5, 1))]
+    return FockState({w: complex(1 + t, 0.5 - 0.25 * t) for t, w in enumerate(words)})
+
+
+PRODUCTS = {
+    "vec fresh": [("vec", 1, 1.0)],
+    "covec fresh": [("covec", 1, -2.0)],
+    "covec open": [("covec", 1, 2.0), ("vec", 1, 2.0)],
+    "num fresh": [("num", 1)],
+    "num open": [("num", 1), ("vec", 1, -1.0)],
+    "T fresh": [("T", 1, 0.37)],
+    "T open": [("T", 1, -1.6), ("vec", 1, 3.0)],
+    "b open on b fresh": [("b", 1, 2.0), ("b", 1, -2.0)],
+    "rmat fresh": [("rmat", 1, 2, 1.0, 3.0)],
+    "rmat half open": [("rmat", 1, 2, 1.0, -2.0), ("vec", 2, -2.0)],
+    "rmat open": [("rmat", 1, 2, -1.0, 2.0), ("vec", 2, 2.0), ("vec", 1, -1.0)],
+    "rmat spaces swapped": [("rmat", 2, 1, 1.0, 2.0), ("vec", 1, 1.0), ("vec", 2, 3.0)],
+    "AN-3 right side": [("covec", 2, 2.0), ("rmat", 1, 2, 1.0, 2.0), ("vec", 1, 1.0)],
+    "rtt": [("rmat", 1, 2, 1.0, 2.0), ("T", 1, 1.0), ("T", 2, 2.0)],
+    "eq:bb": [
+        ("rmat", 1, 2, 1.0, 3.0), ("b", 1, 1.0), ("rmat", 2, 1, 3.0, -1.0), ("b", 2, 3.0)
+    ],
+}
+
+
+@st.composite
+def products(draw):
+    """A valid factor product, built in application order (right to left)."""
+    momenta = st.sampled_from(GRID)
+    legs = {1: set(), 2: set()}  # per space: which of "open", "in" it has
+    applied = []
+    creations = 0
+    for _ in range(draw(st.integers(1, 4))):
+        choices = []
+        for sp in (1, 2):
+            open_, closed = "open" in legs[sp], "in" in legs[sp]
+            if not legs[sp]:
+                choices.append(("vec", sp))
+            if creations < 2 and (open_ or not closed):
+                choices.append(("covec", sp))
+            if open_ or not closed:
+                choices += [("num", sp), ("T", sp), ("b", sp)]
+        if all("open" in legs[sp] or "in" not in legs[sp] for sp in (1, 2)):
+            choices += [("rmat", 1, 2), ("rmat", 2, 1)]
+        if not choices:  # both spaces closed by creation rows
+            break
+        choice = draw(st.sampled_from(choices))
+        kind = choice[0]
+        if kind == "rmat":
+            applied.append(choice + (draw(momenta), draw(momenta)))
+            for sp in choice[1:]:
+                legs[sp] |= {"open"} if legs[sp] else {"open", "in"}
+            continue
+        sp = choice[1]
+        applied.append((kind, sp) if kind == "num" else (kind, sp, draw(momenta)))
+        if kind == "vec":
+            legs[sp].add("open")
+        elif kind == "covec":
+            creations += 1
+            if "open" in legs[sp]:
+                legs[sp].discard("open")
+            else:
+                legs[sp].add("in")
+        elif "open" not in legs[sp]:
+            legs[sp] |= {"open", "in"}
+    return applied[::-1]
+
+
+class TestObjectArrayOracle:
+    """``evaluate`` keeps only nonzero entries; the dense evaluator keeps all."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("name", list(PRODUCTS))
+    def test_fixed_products(self, oracle_ctx, N, name):
+        ctx = oracle_ctx[N]
+        assert _oracle_deviation(ctx, PRODUCTS[name], _mixed_state(ctx.space)) <= 1e-14
+
+    def test_zero_state_gives_no_entries(self, oracle_ctx):
+        ctx = oracle_ctx[2]
+        got = evaluate([_factor(ctx, f) for f in PRODUCTS["rtt"]], FockState(), 2)
+        assert got.entries == {}
+
+    @given(
+        N=st.sampled_from([2, 3]),
+        specs=products(),
+        words=st.lists(
+            st.lists(
+                st.tuples(st.integers(0, len(GRID) - 1), st.integers(0, 2)), max_size=2
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        amps=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=3, max_size=3),
+    )
+    def test_drawn_products(self, oracle_ctx, N, specs, words, amps):
+        ctx = oracle_ctx[N]
+        canonical = {tuple(sorted((g, c % N) for g, c in w)) for w in words}
+        state = FockState(dict(zip(sorted(canonical), amps)))
+        assert _oracle_deviation(ctx, specs, state) <= 1e-14
