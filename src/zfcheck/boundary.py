@@ -19,10 +19,12 @@ Every relation is exposed as a per-sample residual function (state ->
 float), which lets a caller pick sample sectors relation by relation;
 ``worst_over`` aggregates one over a fixed sample list.
 
-Component applications of b(k) reuse the vertex context's cached per-word
-matrices; on top of that, a small memo keyed by the state's amplitude map
-avoids recomputing all N components when a relation evaluator asks for the
-same state once per color.
+Each generator sends one batch of aux vectors through b: the lowered states
+[a_j(-k) s]_j form one vector for at and alpha, and the one-hot vectors of s
+give the columns of b(-k) s for at† and alpha†.  On top of the vertex
+context's cached per-word matrices, a small memo keyed by the state's
+amplitude map avoids recomputing all N components when a relation evaluator
+asks for the same state once per color.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ from typing import Callable
 
 from .fock import FockState
 from .relations import (
-    CoVec,
-    OpMat,
-    RMat,
-    Vec,
-    delta_bridge,
-    identity_residual,
-    states_bridge,
+    CoVec, OpMat, RMat, Vec, delta_bridge, identity_residual, one_hot, states_bridge
 )
 from .rmatrix import eval_r, perm_conj
 from .vertex import VertexContext, b_involution_evaluator
@@ -90,41 +86,38 @@ class BoundaryContext:
 
     # -- generators ------------------------------------------------------------
 
-    def _a_tilde_all(self, k: float, state: FockState) -> tuple[FockState, ...]:
-        def build() -> tuple[FockState, ...]:
-            sp = self.space
-            N = self.N
-            plain = [sp.apply_annihilation(i, k, state) for i in range(N)]
-            dressed = [
-                self.vertex.apply_b(k, sp.apply_annihilation(j, -k, state))
-                for j in range(N)
-            ]
-            out = []
-            for i in range(N):
-                terms = [(0.5 + 0j, plain[i])]
-                terms.extend((0.5 + 0j, dressed[j][i, j]) for j in range(N))
-                out.append(FockState.combine(terms).pruned(sp.prune))
-            return tuple(out)
+    def _alpha_all(self, k: float, state: FockState) -> tuple[FockState, ...]:
+        """alpha_i(k) s = sum_j b_ij(k) a_j(-k) s for every color i."""
+        lowered = [self.space.apply_annihilation(j, -k, state) for j in range(self.N)]
+        return tuple(self.vertex.apply_b(k, [lowered])[0])
 
-        return self._memoized("at", k, state, build)
+    def _alpha_dag_all(self, k: float, state: FockState) -> tuple[FockState, ...]:
+        """alpha†_i(k) s = sum_j a†_j(-k) b_ji(-k) s for every color i."""
+        sp = self.space
+        return tuple(
+            FockState.combine(
+                (1.0 + 0j, sp.apply_creation(j, -k, s)) for j, s in enumerate(column) if s.amps
+            ).pruned(sp.prune)
+            for column in self.vertex.apply_b(-k, one_hot(state, self.N))
+        )
+
+    def _halved(self, tag: str, plain, dressed_all, k: float, state: FockState):
+        """Components i of 1/2 (plain_i(k) + dressed_i(k)) s, memoized."""
+
+        def build() -> tuple[FockState, ...]:
+            return tuple(
+                FockState.combine([(0.5 + 0j, plain(i, k, state)), (0.5 + 0j, dressed)])
+                .pruned(self.space.prune)
+                for i, dressed in enumerate(dressed_all(k, state))
+            )
+
+        return self._memoized(tag, k, state, build)
+
+    def _a_tilde_all(self, k: float, state: FockState) -> tuple[FockState, ...]:
+        return self._halved("at", self.space.apply_annihilation, self._alpha_all, k, state)
 
     def _a_tilde_dagger_all(self, k: float, state: FockState) -> tuple[FockState, ...]:
-        def build() -> tuple[FockState, ...]:
-            sp = self.space
-            N = self.N
-            plain = [sp.apply_creation(i, k, state) for i in range(N)]
-            dressed = self.vertex.apply_b(-k, state)
-            out = []
-            for i in range(N):
-                terms = [(0.5 + 0j, plain[i])]
-                terms.extend(
-                    (0.5 + 0j, sp.apply_creation(j, -k, dressed[j, i]))
-                    for j in range(N)
-                )
-                out.append(FockState.combine(terms).pruned(sp.prune))
-            return tuple(out)
-
-        return self._memoized("atdag", k, state, build)
+        return self._halved("atdag", self.space.apply_creation, self._alpha_dag_all, k, state)
 
     def apply_a_tilde(self, i: int, k: float, state: FockState) -> FockState:
         """Halved annihilation-type boundary generator component i at momentum k."""
@@ -152,41 +145,16 @@ class BoundaryContext:
     # rho_B images of the bulk generators: alpha = b a', alpha† = a'† b'.
 
     def alpha_vec(self, space_label: int, k: float) -> Vec:
-        def op(c: int, s: FockState) -> FockState:
-            def build() -> tuple[FockState, ...]:
-                ann = [
-                    self.space.apply_annihilation(j, -k, s) for j in range(self.N)
-                ]
-                dressed = [self.vertex.apply_b(k, ann[j]) for j in range(self.N)]
-                return tuple(
-                    FockState.combine(
-                        (1.0 + 0j, dressed[j][i, j]) for j in range(self.N)
-                    ).pruned(self.space.prune)
-                    for i in range(self.N)
-                )
-
-            return self._memoized("alpha", k, s, build)[c]
-
-        return Vec(space_label, op)
+        return Vec(
+            space_label,
+            lambda c, s: self._memoized("alpha", k, s, lambda: self._alpha_all(k, s))[c],
+        )
 
     def alpha_dag_covec(self, space_label: int, k: float) -> CoVec:
-        def op(c: int, s: FockState) -> FockState:
-            def build() -> tuple[FockState, ...]:
-                dressed = self.vertex.apply_b(-k, s)
-                return tuple(
-                    FockState.combine(
-                        (
-                            1.0 + 0j,
-                            self.space.apply_creation(j, -k, dressed[j, i]),
-                        )
-                        for j in range(self.N)
-                    ).pruned(self.space.prune)
-                    for i in range(self.N)
-                )
-
-            return self._memoized("alphadag", k, s, build)[c]
-
-        return CoVec(space_label, op)
+        return CoVec(
+            space_label,
+            lambda c, s: self._memoized("alphadag", k, s, lambda: self._alpha_dag_all(k, s))[c],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +189,7 @@ def boundary_relation_evaluators(
         if k1 == k2:
             rhs.append((0.5, delta_bridge(1, 2, N, s)))
         if k1 == -k2:
-            rhs.append((0.5, states_bridge(1, 2, ctx.vertex.apply_b(k1, s))))
+            rhs.append((0.5, states_bridge(1, 2, ctx.vertex.apply_b(k1, one_hot(s, N)))))
         return identity_residual([(1.0, [at1, atdag2])], rhs, s, N)
 
     return {

@@ -16,7 +16,7 @@ import numpy as np
 
 from .boundary import BoundaryContext, ResidualFn
 from .fock import FockState
-from .relations import NumMat, identity_residual, states_bridge
+from .relations import NumMat, identity_residual, one_hot, states_bridge
 from .rmatrix import Residual, eval_b
 
 
@@ -35,6 +35,8 @@ def apply_H(ctx: BoundaryContext, n: int, state: FockState) -> FockState:
     """Apply sum over grid k, colors i of k^n at†_i(k) at_i(k)."""
     if n < 0:
         raise ValueError(f"hierarchy order must be nonnegative, got {n}")
+    if not state.amps:
+        return FockState()
     terms: list[tuple[complex, FockState]] = []
     for k in ctx.grid:
         weight = complex(k**n)
@@ -101,12 +103,11 @@ def integral_of_motion_evaluator(
     """Residual of the entrywise commutator [H(n), b(k)]."""
 
     def fn(s: FockState) -> float:
-        hs = apply_H(ctx, n, s)
-        h_of_b = np.empty((ctx.N, ctx.N), dtype=object)
-        for idx, entry in np.ndenumerate(ctx.vertex.apply_b(k, s)):
-            h_of_b[idx] = apply_H(ctx, n, entry)
+        b_of_s = ctx.vertex.apply_b(k, one_hot(s, ctx.N))
+        h_of_b = [[apply_H(ctx, n, entry) for entry in column] for column in b_of_s]
+        b_of_hs = ctx.vertex.apply_b(k, one_hot(apply_H(ctx, n, s), ctx.N))
         lhs = [(1.0, states_bridge(1, 1, h_of_b))]
-        rhs = [(1.0, states_bridge(1, 1, ctx.vertex.apply_b(k, hs)))]
+        rhs = [(1.0, states_bridge(1, 1, b_of_hs))]
         return identity_residual(lhs, rhs, s, ctx.N)
 
     return fn
@@ -137,13 +138,13 @@ def check_symmetry_breaking(
     broken: set[tuple[int, int]] = set()
     expectations: dict = {}
     for k in ctx.grid:
-        got = ctx.vertex.apply_b(k, vac)
+        got = ctx.vertex.apply_b(k, one_hot(vac, ctx.N))
         lhs = [(1.0, states_bridge(1, 1, got))]
         rhs = [(1.0, [NumMat(1, eval_b(ctx.vertex.reflection, k))])]
         worst = max(worst, identity_residual(lhs, rhs, vac, ctx.N))
         for i in range(ctx.N):
             for j in range(ctx.N):
-                expect = got[i, j].amps.get((), 0j)
+                expect = got[j][i].amps.get((), 0j)
                 expectations[(i, j, k)] = expect
                 if abs(expect) > expectation_tol:
                     broken.add((i, j))

@@ -7,7 +7,8 @@ concrete Fock state.  A factor is one of
 * ``Vec``     -- an annihilation-type column of operators, sum_c op(c) e_c;
 * ``CoVec``   -- a creation-type row of operators, sum_c op(c) e†_c;
 * ``OpMat``   -- an N x N matrix of operators acting in one space (a vertex
-                 operator or a dressed reflection operator);
+                 operator or a dressed reflection operator), given by its
+                 action on a batch of aux vectors;
 * ``NumMat``  -- an N x N scalar matrix in one space;
 * ``RMat``    -- an N^2 x N^2 scalar matrix coupling an ordered pair of
                  spaces (an exchange-matrix value).
@@ -25,13 +26,15 @@ A tensor holds only its nonzero entries, a map from leg-index tuple to
 state; an absent index is the zero state.  Every factor is linear, so it
 maps the zero state to the zero state, and the evaluator relies on that: it
 applies operators and scalar matrix columns only to the entries present, so
-operators are never called on an empty state, and a scalar matrix costs
-only its nonzero entries (the rational R has at most 2 of N^2 per column).
+no operator sees an empty state or an aux vector without one nonzero entry,
+and a scalar matrix costs only its nonzero entries (the rational R has at
+most 2 of N^2 per column).  An ``OpMat`` gets every entry in one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -39,7 +42,16 @@ import numpy as np
 from .fock import FockState
 
 ColorOp = Callable[[int, FockState], FockState]
-MatrixOp = Callable[[FockState], np.ndarray]  # -> (N, N) object array of FockState
+# An aux vector holds one state per aux column l.  A matrix operator maps a
+# batch of them to their images, out_i = sum_l M_il s_l for each vector.
+AuxVec = Sequence[FockState]
+MatrixOp = Callable[[Sequence[AuxVec]], list[list[FockState]]]
+
+
+def one_hot(state: FockState, N: int) -> list[list[FockState]]:
+    """The N aux vectors e_l (x) state; their images are the columns of M state."""
+    zero = FockState()
+    return [[state if c == l else zero for c in range(N)] for l in range(N)]
 
 
 @dataclass(frozen=True)
@@ -60,14 +72,19 @@ class OpMat:
     op: MatrixOp
 
 
+class _ScalarMatrix:
+    mat: np.ndarray
+    columns = cached_property(lambda self: _columns(self.mat))  # built once per factor
+
+
 @dataclass(frozen=True)
-class NumMat:
+class NumMat(_ScalarMatrix):
     space: int
     mat: np.ndarray
 
 
 @dataclass(frozen=True)
-class RMat:
+class RMat(_ScalarMatrix):
     space_a: int
     space_b: int
     mat: np.ndarray
@@ -180,43 +197,51 @@ class _Accumulator:
         del self.labels[p]
 
     def apply_nummat(self, f: NumMat) -> None:
-        self._apply_matrix(f.space, columns=_columns(f.mat), op=None)
+        self._apply_matrix(f.space, f.columns)
 
     def apply_opmat(self, f: OpMat) -> None:
-        self._apply_matrix(f.space, columns=None, op=f.op)
+        """One seam call on the whole batch of aux vectors.
 
-    def _apply_matrix(self, space: int, columns, op) -> None:
-        """Apply an operator matrix ``op`` or a scalar one, given by its ``columns``."""
+        A fresh space takes each entry as its N one-hot vectors; in an open
+        space the entries that differ only in its index form one vector.
+        The vector keyed (head, tail) lands at the entries head + (row,) + tail.
+        """
         N = self.N
+        p = self._axis_of_open(f.space)
+        groups: dict[tuple[Index, Index], AuxVec] = {}
+        if p is None:
+            for idx, s in self.entries.items():
+                groups.update((((), (c,) + idx), v) for c, v in enumerate(one_hot(s, N)))
+            self.labels[0:0] = [("open", f.space), ("in", f.space)]
+        else:
+            for idx, e in self.entries.items():
+                groups.setdefault((idx[:p], idx[p + 1 :]), [FockState()] * N)[idx[p]] = e
+        images = f.op(list(groups.values())) if groups else []
+        self.entries = {
+            head + (r,) + tail: s
+            for (head, tail), image in zip(groups, images)
+            for r, s in enumerate(image)
+            if s.amps
+        }
+
+    def _apply_matrix(self, space: int, columns) -> None:
+        """Apply a scalar matrix, given by its nonzero ``columns``."""
         p = self._axis_of_open(space)
         if p is None:
             # Fresh space: the column leg dangles, the row leg opens.
-            out: dict[Index, FockState] = {}
-            for idx, s in self.entries.items():
-                if op is not None:
-                    w = op(s)
-                    for r in range(N):
-                        for c in range(N):
-                            if w[r, c].amps:
-                                out[(r, c) + idx] = w[r, c]
-                else:
-                    for c, col in enumerate(columns):
-                        for r, coeff in col:
-                            out[(r, c) + idx] = s.scaled(coeff)
-            self.entries = out
+            self.entries = {
+                (r, c) + idx: s.scaled(coeff)
+                for idx, s in self.entries.items()
+                for c, col in enumerate(columns)
+                for r, coeff in col
+            }
             self.labels[0:0] = [("open", space), ("in", space)]
             return
         contribs: dict[Index, list[tuple[complex, FockState]]] = {}
         for idx, e in self.entries.items():
-            c, head, tail = idx[p], idx[:p], idx[p + 1 :]
-            if op is not None:
-                w = op(e)
-                for r in range(N):
-                    if w[r, c].amps:
-                        contribs.setdefault(head + (r,) + tail, []).append((1.0, w[r, c]))
-            else:
-                for r, coeff in columns[c]:
-                    contribs.setdefault(head + (r,) + tail, []).append((coeff, e))
+            head, tail = idx[:p], idx[p + 1 :]
+            for r, coeff in columns[idx[p]]:
+                contribs.setdefault(head + (r,) + tail, []).append((coeff, e))
         self.entries = _summed(contribs)
 
     def apply_rmat(self, f: RMat) -> None:
@@ -225,12 +250,11 @@ class _Accumulator:
         # applied first: its column leg dangles, its row leg opens.
         for space in (f.space_a, f.space_b):
             if self._axis_of_open(space) is None:
-                identity = [[(c, 1.0 + 0j)] for c in range(N)]
-                self._apply_matrix(space, columns=identity, op=None)
+                self._apply_matrix(space, [[(c, 1.0 + 0j)] for c in range(N)])
         pa = self._axis_of_open(f.space_a)
         pb = self._axis_of_open(f.space_b)
         assert pa is not None and pb is not None and pa != pb
-        columns = _columns(f.mat)
+        columns = f.columns
         contribs: dict[Index, list[tuple[complex, FockState]]] = {}
         for idx, e in self.entries.items():
             for row, coeff in columns[idx[pa] * N + idx[pb]]:
@@ -291,25 +315,25 @@ def delta_bridge(
     space_out: int, space_in: int, N: int, state: FockState
 ) -> LabeledTensor:
     """The tensor with entries delta_{ij} * state on legs (out_a, in_b)."""
-    data = np.empty((N, N), dtype=object)
-    zero = FockState()
-    for i in range(N):
-        for j in range(N):
-            data[i, j] = state if i == j else zero
-    return states_bridge(space_out, space_in, data)
+    return states_bridge(space_out, space_in, one_hot(state, N))
 
 
 def states_bridge(
-    space_out: int, space_in: int, entries: np.ndarray
+    space_out: int, space_in: int, columns: Sequence[AuxVec]
 ) -> LabeledTensor:
-    """A tensor built from an (N, N) object array of already-applied states."""
-    axes_raw = [("out", space_out), ("in", space_in)]
-    order = sorted(range(2), key=lambda t: (axes_raw[t][1], axes_raw[t][0] != "out"))
+    """A tensor on legs (out_a, in_b) from already-applied states.
+
+    Entry (i, l) is ``columns[l][i]``, so the images of the ``one_hot``
+    vectors of a state under a matrix operator give that operator's tensor.
+    """
+    flip = space_in < space_out  # axes sort by space, "out" first on a tie
+    axes = (("out", space_out), ("in", space_in))
     return LabeledTensor(
-        tuple(axes_raw[i] for i in order),
+        axes[::-1] if flip else axes,
         {
-            tuple(idx[i] for i in order): s
-            for idx, s in np.ndenumerate(entries)
+            (l, i) if flip else (i, l): s
+            for l, column in enumerate(columns)
+            for i, s in enumerate(column)
             if s.amps
         },
     )

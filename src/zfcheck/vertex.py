@@ -8,17 +8,17 @@ colors alone, through the chain matrix
 
     C(k0; k_1..k_n) = R_01(k0, k_1) R_02(k0, k_2) ... R_0n(k0, k_n)
 
-living on the (n+1)-leg space (aux leg 0, then one leg per letter).  Entry
-(i, l) of the (N, N) object array of states that T returns, as an ``OpMat``
-value, is the contraction of C against the aux pair (i, l) and the word's
-colors.  The inverse uses the reversed product of unitarity inverses,
-R_0j(k0, k_j)^-1 = P R(k_j, k0) P, lifted to the same legs.  b(k) composes
-the three maps T(k), B(k), T(-k)^-1 on the aux leg, so each word again picks
-up a single cached matrix.
+living on the (n+1)-leg space (aux leg 0, then one leg per letter).  T acts
+on aux vectors (s_l), one state per aux column; row i of the image is
+sum_l C_il s_l, C contracted against the word's colors.  The one-hot vectors
+e_l (x) s give the columns of T s.  The inverse uses the reversed product of
+unitarity inverses, R_0j(k0, k_j)^-1 = P R(k_j, k0) P, lifted to the same
+legs.  b(k) composes the three maps T(k), B(k), T(-k)^-1 on the aux leg, so
+each word again picks up a single cached matrix.
 
 Chain matrices depend only on (k0, momentum tuple), never on colors, and are
-cached per context.  The words of a state that share a momentum tuple share
-that matrix, so a state is contracted block by block, one numpy product per
+cached per context.  The words of a batch that share a momentum tuple share
+that matrix, so a batch is contracted block by block, one numpy product per
 momentum tuple.  Everything here is pure: states in, states out.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NotWhitelistedError
 from .fock import FockSpace, FockState, Word
-from .relations import CoVec, NumMat, OpMat, RMat, Vec, identity_residual
+from .relations import AuxVec, CoVec, NumMat, OpMat, RMat, Vec, identity_residual
 from .rmatrix import (
     Residual,
     ReflectionMatrixSpec,
@@ -69,8 +69,8 @@ class VertexContext:
         self._chains: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
         self._chains_inv: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
         self._bmats: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
-        # Per word length n, all color tuples indexed by their base-N code.
-        self._colors: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # Per momentum tuple, its words in base-N color-code order, and back.
+        self._words: dict[tuple[int, ...], tuple[tuple[Word, ...], dict[Word, int]]] = {}
 
     # -- cached matrices ------------------------------------------------------
 
@@ -120,54 +120,56 @@ class VertexContext:
 
     # -- closed-form applications ---------------------------------------------
 
-    def _color_code(self, colors: Sequence[int]) -> int:
-        code = 0
-        for c in colors:
-            code = code * self.N + c
-        return code
+    def _word_table(self, gs: tuple[int, ...]) -> tuple[tuple[Word, ...], dict[Word, int]]:
+        table = self._words.get(gs)
+        if table is None:
+            words = tuple(tuple(zip(gs, cs)) for cs in product(range(self.N), repeat=len(gs)))
+            table = self._words[gs] = (words, {w: code for code, w in enumerate(words)})
+        return table
 
-    def _apply_matrix_map(
-        self, matrix_of: Callable[[tuple[int, ...]], np.ndarray], state: FockState
-    ) -> np.ndarray:
-        """Contract a per-momentum-tuple (aux, colors) matrix against a state.
+    def _contract(
+        self, matrix_of: Callable[[tuple[int, ...]], np.ndarray], vecs: Sequence[AuxVec]
+    ) -> list[list[FockState]]:
+        """Row i of each image is sum_l M_il s_l, for a per-momentum-tuple matrix M.
 
-        The words sharing a momentum tuple form one block.  Its matrix, read
-        as (aux row and colors, aux column, colors), meets the block's
-        amplitude vector in one matrix-vector product.  Output words are
-        decoded from the color table of their length and pruned at
-        ``space.prune``.
+        The words sharing a momentum tuple form one block.  Its amplitudes
+        over the whole batch fill X, of shape (aux and colors, batch) in the
+        matrix's layout, and meet it in one product.  Output words come from
+        the block's word table and are pruned at ``space.prune``.
         """
         N = self.N
-        blocks: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-        for w, amp in state.amps.items():
-            blocks.setdefault(tuple(g for g, _ in w), {})[tuple(c for _, c in w)] = amp
-        acc: list[list[dict[Word, complex]]] = [[{} for _ in range(N)] for _ in range(N)]
-        for gs, amps in blocks.items():
-            colors = self._colors.get(len(gs))
-            if colors is None:
-                colors = self._colors[len(gs)] = tuple(product(range(N), repeat=len(gs)))
-            dimc = len(colors)
-            mat = matrix_of(gs).reshape(N * dimc, N, dimc)
-            x = np.zeros(dimc, dtype=complex)
-            for cs, amp in amps.items():
-                x[self._color_code(cs)] = amp
-            out = mat @ x
-            rows, cols = np.nonzero(np.abs(out) > self.space.prune)
-            for row, l, v in zip(rows.tolist(), cols.tolist(), out[rows, cols].tolist()):
+        # Per momentum tuple: its word table, then the row of X, the batch
+        # column and the value of each of its amplitudes.
+        blocks: dict[tuple[int, ...], tuple] = {}
+        for b, vec in enumerate(vecs):
+            for l, s in enumerate(vec):
+                for w, amp in s.amps.items():
+                    gs = tuple(g for g, _ in w)
+                    block = blocks.get(gs)
+                    if block is None:
+                        block = blocks[gs] = (*self._word_table(gs), [], [], [])
+                    block[2].append(l * len(block[0]) + block[1][w])
+                    block[3].append(b)
+                    block[4].append(amp)
+        acc: list[list[dict[Word, complex]]] = [[{} for _ in range(N)] for _ in vecs]
+        for gs, (words, _, rows, cols, amps) in blocks.items():
+            dimc = len(words)
+            x = np.zeros((N * dimc, len(vecs)), dtype=complex)
+            x[rows, cols] = amps
+            out = matrix_of(gs) @ x
+            hit_rows, hit_cols = np.nonzero(np.abs(out) > self.space.prune)
+            values = out[hit_rows, hit_cols].tolist()
+            for row, b, v in zip(hit_rows.tolist(), hit_cols.tolist(), values):
                 i, rem = divmod(row, dimc)
-                acc[i][l][tuple(zip(gs, colors[rem]))] = v
-        data = np.empty((N, N), dtype=object)
-        for i in range(N):
-            for l in range(N):
-                data[i, l] = FockState(acc[i][l])
-        return data
+                acc[b][i][words[rem]] = v
+        return [[FockState(amps) for amps in image] for image in acc]
 
-    def apply_T(self, k0: float, state: FockState) -> np.ndarray:
-        """T(k0) applied to a state; acts on colors only, word by word."""
-        return self._apply_matrix_map(lambda gs: self.chain(k0, gs), state)
+    def apply_T(self, k0: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
+        """T(k0) on a batch of aux vectors; acts on colors only, word by word."""
+        return self._contract(lambda gs: self.chain(k0, gs), vecs)
 
-    def apply_T_inverse(self, k0: float, state: FockState) -> np.ndarray:
-        return self._apply_matrix_map(lambda gs: self.chain_inv(k0, gs), state)
+    def apply_T_inverse(self, k0: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
+        return self._contract(lambda gs: self.chain_inv(k0, gs), vecs)
 
     def b_allowed(self) -> bool:
         return self.whitelist.ok
@@ -186,26 +188,28 @@ class VertexContext:
             f"gate ({detail}); refusing to build b(k)"
         )
 
-    def apply_b(self, k: float, state: FockState, force: bool = False) -> np.ndarray:
-        """b(k) applied to a state.  Requires k (hence -k) on the grid.
+    def apply_b(
+        self, k: float, vecs: Sequence[AuxVec], force: bool = False
+    ) -> list[list[FockState]]:
+        """b(k) on a batch of aux vectors.  Requires k (hence -k) on the grid.
 
         ``force`` bypasses the whitelist gate; that exists for negative
         controls and nothing else.
         """
         self.grid.index_of(k)
         self._require_b(force)
-        return self._apply_matrix_map(lambda gs: self.b_matrix(k, gs), state)
+        return self._contract(lambda gs: self.b_matrix(k, gs), vecs)
 
     # -- factor builders for the relation evaluator -------------------------------
 
     def t_opmat(self, space_label: int, k0: float) -> OpMat:
-        return OpMat(space_label, lambda s: self.apply_T(k0, s))
+        return OpMat(space_label, lambda vecs: self.apply_T(k0, vecs))
 
     def t_inverse_opmat(self, space_label: int, k0: float) -> OpMat:
-        return OpMat(space_label, lambda s: self.apply_T_inverse(k0, s))
+        return OpMat(space_label, lambda vecs: self.apply_T_inverse(k0, vecs))
 
     def b_opmat(self, space_label: int, k: float, force: bool = False) -> OpMat:
-        return OpMat(space_label, lambda s: self.apply_b(k, s, force=force))
+        return OpMat(space_label, lambda vecs: self.apply_b(k, vecs, force=force))
 
     def a_vec(self, space_label: int, k: float) -> Vec:
         return Vec(space_label, lambda c, s: self.space.apply_annihilation(c, k, s))

@@ -246,6 +246,22 @@ def word_matrix_map_oracle(ctx, matrix_of, state: FockState) -> np.ndarray:
     return data
 
 
+def aux_entries(op, state: FockState, N: int) -> np.ndarray:
+    """The (N, N) object array of an aux-matrix operator on one state.
+
+    ``op`` maps a batch of aux vectors to their images, as
+    ``VertexContext.apply_T`` does at a fixed momentum.  Entry (i, l) is row
+    i of the image of the one-hot vector that holds ``state`` in column l.
+    """
+    zero = FockState()
+    images = op([[state if c == l else zero for c in range(N)] for l in range(N)])
+    out = np.empty((N, N), dtype=object)
+    for l, image in enumerate(images):
+        for i, s in enumerate(image):
+            out[i, l] = s
+    return out
+
+
 def scalar_times_state(mat: np.ndarray, state: FockState) -> np.ndarray:
     """The (N, N) array of states with entries mat[i, l] * state."""
     out = np.empty(mat.shape, dtype=object)
@@ -403,7 +419,7 @@ class _ObjectArrayAccumulator:
             out = _fresh((N, N) + old.shape)
             for idx in _indices(old.shape):
                 if op is not None:
-                    w = op(old[idx]) if old[idx].amps else None
+                    w = aux_entries(op, old[idx], N) if old[idx].amps else None
                     for r in range(N):
                         for c in range(N):
                             out[(r, c) + idx] = FockState() if w is None else w[r, c]
@@ -422,7 +438,7 @@ class _ObjectArrayAccumulator:
                 full = idx[:p] + (c,) + idx[p:]
                 entries.append(old[full])
             if op is not None:
-                applied = [(c, op(e)) for c, e in enumerate(entries) if e.amps]
+                applied = [(c, aux_entries(op, e, N)) for c, e in enumerate(entries) if e.amps]
                 for r in range(N):
                     full = idx[:p] + (r,) + idx[p:]
                     out[full] = FockState.combine((1.0, m[r, c]) for c, m in applied)

@@ -8,11 +8,12 @@ sites so a reader can audit the gate without chasing constants.
 
 import itertools
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from oracles import dense_T_oracle, max_entry_deviation
+from oracles import aux_entries, dense_T_oracle, max_entry_deviation
 from zfcheck.boundary import (
     BoundaryContext,
     boundary_relation_evaluators,
@@ -211,7 +212,7 @@ def test_vertex_operator(spaces):
             words = [()] if n == 0 else space.canonical_words(n)
             for w in words:
                 s = space.basis_state(w)
-                got = ctx.apply_T(k0, s)
+                got = aux_entries(partial(ctx.apply_T, k0), s, ctx.N)
                 want = dense_T_oracle(space, k0, s)
                 oracle = max(oracle, max_entry_deviation(got, want))
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GRID, random_state
 from zfcheck.boundary import BoundaryContext
-from zfcheck.fock import particle_number
+from zfcheck.fock import FockState, particle_number
 from zfcheck.harness import RELATIONS
 from zfcheck.hierarchy import (
     HierarchyOperator,
@@ -34,6 +34,14 @@ class TestApplyH:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_vacuum_annihilated(self, bctx, n):
         assert apply_H(bctx, n, bctx.space.vacuum()).maxamp() == 0.0
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_zero_state_makes_no_generator_call(self, bctx, monkeypatch, n):
+        calls = []
+        for name in ("apply_a_tilde", "apply_a_tilde_dagger"):
+            monkeypatch.setattr(bctx, name, lambda *args: calls.append(args))
+        assert not apply_H(bctx, n, FockState()).amps
+        assert not calls
 
     def test_negative_order_rejected(self, bctx):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -1,9 +1,10 @@
 """Mutation checks: a defect in a seam's output must turn its tags to FAIL.
 
 Each mutant injects one named, non-uniform defect at a public seam: at the
-vertex layer (``VertexContext.apply_T``, ``apply_T_inverse``, ``apply_b``)
-it leaks a little of the input state into one off-diagonal aux entry, or
-rescales one diagonal entry; at the Fock layer
+vertex layer (``VertexContext.apply_T``, ``apply_T_inverse``, ``apply_b``,
+which map aux vectors s to images with rows sum_l M_il s_l) row 0 gains a
+little of column 1's input, a leak into the off-diagonal entry (0, 1), or
+0.001 M_00 s_0, a rescale of the diagonal entry (0, 0); at the Fock layer
 (``FockSpace.apply_creation``, ``apply_annihilation``) and at the boundary
 factor builders (``BoundaryContext.at_vec``, ``atdag_covec``) it rescales
 the output of one color at one momentum; in ``hierarchy.apply_H`` it
@@ -23,19 +24,25 @@ from zfcheck.harness import RunConfig, run_suites
 from zfcheck.vertex import VertexContext
 
 
-def _leak(entries, state):
-    entries[0, 1] = entries[0, 1] + state.scaled(1e-3)
+def _leak(apply, vecs, images):
+    """Row 0 of each image gains 1e-3 times the vector's column-1 state."""
+    for vec, image in zip(vecs, images):
+        image[0] = image[0] + vec[1].scaled(1e-3)
 
 
-def _scale(entries, state):
-    entries[0, 0] = entries[0, 0].scaled(1.001)
+def _scale(apply, vecs, images):
+    """Row 0 of each image gains 0.001 M_00 s_0: entry (0, 0) is 1.001 times too large."""
+    zero = FockState()
+    col0 = apply([[vec[0]] + [zero] * (len(vec) - 1) for vec in vecs])
+    for image, extra in zip(images, col0):
+        image[0] = image[0] + extra[0].scaled(1e-3)
 
 
 def _mutated(original, defect):
-    def method(self, k, state, *args, **kwargs):
-        out = original(self, k, state, *args, **kwargs)
-        defect(out, state)
-        return out
+    def method(self, k, vecs, *args, **kwargs):
+        images = original(self, k, vecs, *args, **kwargs)
+        defect(lambda batch: original(self, k, batch, *args, **kwargs), vecs, images)
+        return images
 
     return method
 

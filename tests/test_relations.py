@@ -97,12 +97,11 @@ class TestSingleFactors:
         s = random_state(rng, space, 2)
         mat = np.array([[0.5, -1.0j], [2.0, 0.1]], dtype=complex)
 
-        def op(state):
-            out = np.empty((2, 2), dtype=object)
-            for r in range(2):
-                for c in range(2):
-                    out[r, c] = state.scaled(mat[r, c])
-            return out
+        def op(vecs):
+            return [
+                [FockState.combine((mat[r, c], vec[c]) for c in range(2)) for r in range(2)]
+                for vec in vecs
+            ]
 
         via_op = evaluate([OpMat(1, op), Vec(1, ann(space, -1.0))], s, space.N)
         via_num = evaluate([NumMat(1, mat), Vec(1, ann(space, -1.0))], s, space.N)
@@ -204,6 +203,18 @@ class TestRMatOrientation:
                 assert diff(at(lt, ra, rb), direct) < 1e-14
 
 
+class TestColumnTables:
+    def test_built_once_per_factor(self, space, rng, monkeypatch):
+        built = []
+        columns = relations._columns
+        monkeypatch.setattr(relations, "_columns", lambda mat: built.append(1) or columns(mat))
+        num = NumMat(1, np.array([[0.5, 0.0], [2.0, 1.0j]], dtype=complex))
+        rmat = RMat(1, 2, eval_r(space.r, 1.0, 3.0))
+        for _ in range(3):
+            evaluate([num, rmat, Vec(2, ann(space, 1.0))], random_state(rng, space, 2), space.N)
+        assert len(built) == 2
+
+
 class TestBridges:
     def test_delta_bridge_entries(self, space):
         s = space.basis_state(((0, 1),))
@@ -220,13 +231,12 @@ class TestBridges:
         assert lt.axes == (("in", 1), ("out", 2))
 
     def test_states_bridge_respects_entry_orientation(self, space, rng):
-        entries = np.empty((2, 2), dtype=object)
         states = {}
         for i in range(2):
             for j in range(2):
                 states[i, j] = space.basis_state(((i, j),)).scaled(1.0 + i + 2 * j)
-                entries[i, j] = states[i, j]
-        lt = states_bridge(2, 1, entries)
+        # columns[j][i] is entry (i, j).
+        lt = states_bridge(2, 1, [[states[i, j] for i in range(2)] for j in range(2)])
         assert lt.axes == (("in", 1), ("out", 2))
         # entries are indexed [out, in]; the sorted tensor transposes them.
         for i in range(2):
@@ -236,13 +246,11 @@ class TestBridges:
     def test_states_bridge_matches_evaluated_product(self, space, rng):
         s = random_state(rng, space, 1)
         N = space.N
-        entries = np.empty((N, N), dtype=object)
-        for i in range(N):
-            for j in range(N):
-                entries[i, j] = space.apply_annihilation(
-                    i, 1.0, space.apply_creation(j, 2.0, s)
-                )
-        via_bridge = states_bridge(1, 2, entries)
+        columns = [
+            [space.apply_annihilation(i, 1.0, space.apply_creation(j, 2.0, s)) for i in range(N)]
+            for j in range(N)
+        ]
+        via_bridge = states_bridge(1, 2, columns)
         via_eval = evaluate(
             [Vec(1, ann(space, 1.0)), CoVec(2, dag(space, 2.0))], s, N
         )
@@ -345,9 +353,15 @@ class TestZeroStateContract:
         empty_calls = []
         zero_residuals = []
 
+        def is_zero(arg):
+            # A state, or an OpMat's batch of aux vectors (one state per column).
+            if isinstance(arg, FockState):
+                return not arg.amps
+            return not arg or any(not any(s.amps for s in vec) for vec in arg)
+
         def spied(op):
             def call(*args):
-                if not args[-1].amps:
+                if is_zero(args[-1]):
                     empty_calls.append(op)
                 return op(*args)
 

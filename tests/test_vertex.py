@@ -1,5 +1,7 @@
 """Vertex operator closed form vs the push-through recursion, plus b(k)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import GRID, random_state
 from oracles import (
+    aux_entries,
     dense_T_oracle,
     dense_operator_matrix,
     max_entry_deviation,
@@ -14,9 +17,9 @@ from oracles import (
     word_matrix_map_oracle,
 )
 from zfcheck.errors import GridDomainError, NotWhitelistedError
-from zfcheck.fock import FockSpace, FockState, SpectralGrid
-from zfcheck.harness import RELATIONS, build_reflection, config_from_dict
-from zfcheck.relations import NumMat, identity_residual
+from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal
+from zfcheck.harness import RELATIONS, RunConfig, build_reflection, config_from_dict, run_suites
+from zfcheck.relations import NumMat, identity_residual, one_hot
 from zfcheck.rmatrix import (
     constant_diagonal_b,
     eval_b,
@@ -66,7 +69,7 @@ class TestOneParticle:
         mat = eval_r(space.r, k0, k)
         vac = space.vacuum()
         for c in range(N):
-            got = vctx.apply_T(k0, space.apply_creation(c, k, vac))
+            got = aux_entries(partial(vctx.apply_T, k0), space.apply_creation(c, k, vac), N)
             for i in range(N):
                 for l in range(N):
                     want = sum(
@@ -88,14 +91,14 @@ class TestDenseOracle:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_apply_T_matches_recursion(self, vctx, rng, k0, n):
         s = random_state(rng, vctx.space, n)
-        got = vctx.apply_T(k0, s)
+        got = aux_entries(partial(vctx.apply_T, k0), s, vctx.N)
         want = dense_T_oracle(vctx.space, k0, s)
         assert max_entry_deviation(got, want) < 1e-12
 
     def test_apply_T_matches_recursion_on_repeated_momenta(self, vctx):
         space = vctx.space
         s = space.basis_state(((2, 0), (2, 1), (4, 1)))
-        got = vctx.apply_T(-1.3, s)
+        got = aux_entries(partial(vctx.apply_T, -1.3), s, vctx.N)
         want = dense_T_oracle(space, -1.3, s)
         assert max_entry_deviation(got, want) < 1e-12
 
@@ -131,7 +134,7 @@ def _block_deviation(ctx: VertexContext, state: FockState) -> float:
     """Largest gap between the block contraction and the word-by-word oracle."""
     worst = 0.0
     for op, matrix, k in MAPS:
-        got = getattr(ctx, op)(k, state)
+        got = aux_entries(partial(getattr(ctx, op), k), state, ctx.N)
         want = word_matrix_map_oracle(ctx, lambda gs: getattr(ctx, matrix)(k, gs), state)
         worst = max(worst, max_entry_deviation(got, want))
     return worst
@@ -181,6 +184,81 @@ class TestBlockContraction:
         assert _block_deviation(ctx, state) <= 1e-13
 
 
+class TestLinearity:
+    """A batch of multi-column aux vectors against sums of one-hot images."""
+
+    @given(
+        N=st.sampled_from([2, 3]),
+        columns=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 3), st.integers(0, 10**6), st.complex_numbers(max_magnitude=2.0)
+                ),
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+    )
+    def test_vector_image_is_sum_of_one_hot_images(self, block_ctx, N, columns):
+        # Each drawn column is a few (sector, word pick, amplitude) triples;
+        # consecutive runs of N columns make one aux vector.
+        ctx = block_ctx[N]
+        sectors = [ctx.space.canonical_words(n) for n in range(4)]
+
+        def word(n, pick):
+            return ctx.space.basis_state(sectors[n][pick % len(sectors[n])])
+
+        states = [FockState.combine((a, word(n, pick)) for n, pick, a in col) for col in columns]
+        states += [FockState()] * (-len(states) % N)
+        vecs = [states[v : v + N] for v in range(0, len(states), N)]
+        zero = FockState()
+        for op, _, k in MAPS:
+            apply = getattr(ctx, op)
+            images = apply(k, vecs)
+            assert len(images) == len(vecs)
+            for vec, image in zip(vecs, images):
+                one_hots = [
+                    apply(k, [[s if c == l else zero for c in range(N)]])[0]
+                    for l, s in enumerate(vec)
+                ]
+                for i in range(N):
+                    want = FockState.combine((1.0, oh[i]) for oh in one_hots)
+                    assert states_equal(image[i], want, tol=0.0)[1] <= 1e-13, (op, i)
+
+
+class TestSeamCoverage:
+    def test_every_contraction_goes_through_a_seam(self, monkeypatch):
+        # The vertex mutants patch apply_T, apply_T_inverse and apply_b; a
+        # contraction that bypassed them would hide from those mutants.
+        depth = [0]
+        seen = []  # the seam depth of each contraction
+        contract = VertexContext._contract
+
+        def spied_contract(self, *args):
+            seen.append(depth[0])
+            return contract(self, *args)
+
+        def seam(original):
+            def method(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            return method
+
+        monkeypatch.setattr(VertexContext, "_contract", spied_contract)
+        for name in ("apply_T", "apply_T_inverse", "apply_b"):
+            monkeypatch.setattr(VertexContext, name, seam(getattr(VertexContext, name)))
+        report = run_suites(RunConfig())
+        assert report.counts["pass"] > 0 and not report.failed
+        assert seen, "no contraction ran"
+        bypassed = seen.count(0)
+        assert not bypassed, f"{bypassed} contractions bypassed the three apply_* seams"
+
+
 class TestInverse:
     @pytest.mark.parametrize("k0", AUX_MOMENTA)
     def test_roundtrip_is_identity(self, vctx, rng, k0):
@@ -193,10 +271,10 @@ class TestInverse:
         # The sector matrix of T(k0)^-1 must be the literal matrix inverse.
         k0 = 1.7
         fwd, _ = dense_operator_matrix(
-            vctx.space, n, lambda s: vctx.apply_T(k0, s)
+            vctx.space, n, lambda s: aux_entries(partial(vctx.apply_T, k0), s, vctx.N)
         )
         bwd, _ = dense_operator_matrix(
-            vctx.space, n, lambda s: vctx.apply_T_inverse(k0, s)
+            vctx.space, n, lambda s: aux_entries(partial(vctx.apply_T_inverse, k0), s, vctx.N)
         )
         assert np.max(np.abs(bwd - np.linalg.inv(fwd))) < 1e-11
 
@@ -205,7 +283,7 @@ class TestInverse:
         k0 = 1e9
         for n in (1, 2):
             s = random_state(rng, vctx.space, n)
-            got = vctx.apply_T(k0, s)
+            got = aux_entries(partial(vctx.apply_T, k0), s, vctx.N)
             want = scalar_times_state(np.eye(vctx.N), s)
             assert max_entry_deviation(got, want) < 1e-8
 
@@ -289,7 +367,7 @@ class TestWhitelistGate:
     def test_failed_family_blocks_b(self, vctx_bad):
         assert not vctx_bad.b_allowed()
         with pytest.raises(NotWhitelistedError, match="whitelist"):
-            vctx_bad.apply_b(1.0, vctx_bad.space.vacuum())
+            vctx_bad.apply_b(1.0, one_hot(vctx_bad.space.vacuum(), vctx_bad.N))
 
     @pytest.mark.parametrize(
         "refl,ok",
@@ -327,7 +405,7 @@ class TestWhitelistGate:
 
     def test_off_grid_momentum_rejected(self, vctx):
         with pytest.raises(GridDomainError):
-            vctx.apply_b(0.5, vctx.space.vacuum())
+            vctx.apply_b(0.5, one_hot(vctx.space.vacuum(), vctx.N))
 
     def test_dimension_mismatch_rejected(self, space):
         with pytest.raises(ValueError, match="dimension"):
