@@ -17,25 +17,31 @@ algebra whose average with the identity reproduces the halved generators.
 
 Every relation is exposed as a per-sample residual function (state ->
 float), which lets a caller pick sample sectors relation by relation;
-``worst_over`` aggregates one over a fixed sample list.
+``rmatrix.worst_over`` aggregates one over a fixed sample list.  The
+exchange relations are the two families of ``relations``: the bulk triple
+(``exchange_triple``) of at, at† (BNl-1..3) and of alpha, alpha† (rhoB-aa,
+adad, aad), and the triple with b (``b_exchange_triple``: BNl-4, BNl-5,
+eq:bb).
 
 Each generator sends one batch of aux vectors through b: the lowered states
 [a_j(-k) s]_j form one vector for at and alpha, and the one-hot vectors of s
-give the columns of b(-k) s for at† and alpha†.  On top of the vertex
-context's cached per-word matrices, a small memo keyed by the state's
-amplitude map avoids recomputing all N components when a relation evaluator
-asks for the same state once per color.
+give the columns of b(-k) s for at† and alpha†.  The evaluator and
+``apply_H`` ask for one color at a time, so on top of the vertex context's
+cached per-word matrices a small memo, keyed by generator, momentum and the
+state's amplitude map, keeps all N components of each application.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
+from .errors import NotWhitelistedError
 from .fock import FockState
 from .relations import (
-    CoVec, OpMat, RMat, Vec, delta_bridge, identity_residual, one_hot, states_bridge
+    CoVec, Vec, b_exchange_triple, delta_term, exchange_triple, identity_residual, one_hot
 )
-from .rmatrix import eval_r, perm_conj
+from .rmatrix import check_b_unitarity
 from .vertex import VertexContext, b_involution_evaluator
 
 ResidualFn = Callable[[FockState], float]
@@ -57,13 +63,9 @@ class BoundaryContext:
         # this is exactly B(k) B(-k) = I conjugated by invertible chains.
         worst = 0.0
         if vertex.b_allowed():
-            from .rmatrix import check_b_unitarity
-
             for k in self.grid:
                 worst = max(worst, check_b_unitarity(vertex.reflection, k).value)
             if worst >= involution_tol:
-                from .errors import NotWhitelistedError
-
                 raise NotWhitelistedError(
                     f"b(k)b(-k)=id fails at matrix level: residual {worst:.3e}"
                 )
@@ -139,9 +141,6 @@ class BoundaryContext:
     def atdag_covec(self, space_label: int, k: float) -> CoVec:
         return CoVec(space_label, lambda c, s: self._a_tilde_dagger_all(k, s)[c])
 
-    def b_opmat(self, space_label: int, k: float) -> OpMat:
-        return self.vertex.b_opmat(space_label, k)
-
     # rho_B images of the bulk generators: alpha = b a', alpha† = a'† b'.
 
     def alpha_vec(self, space_label: int, k: float) -> Vec:
@@ -166,51 +165,24 @@ def boundary_relation_evaluators(
 ) -> dict[str, ResidualFn]:
     """Residual functions for the seven boundary-algebra relations at (k1, k2).
 
-    The mixed relation BNl-3 only sees its contact channels when the momenta
-    collide: a halved delta bridge at k1 == k2, a halved b-mediated bridge at
-    k1 == -k2.  A zero-free grid never fires both at once.
+    BNl-1..3 are the bulk exchange triple of at and at†, BNl-4, BNl-5 and
+    eq:bb the exchange triple with b.  The mixed relation BNl-3 only sees its
+    contact channels when the momenta collide: a halved delta at k1 == k2, a
+    halved b(k1) bridging the two spaces at k1 == -k2.  A zero-free grid
+    never fires both at once.
     """
-    N = ctx.N
-    r = ctx.space.r
-    at1 = ctx.at_vec(1, k1)
-    at2 = ctx.at_vec(2, k2)
-    atdag1 = ctx.atdag_covec(1, k1)
-    atdag2 = ctx.atdag_covec(2, k2)
-    b1 = ctx.b_opmat(1, k1)
-    b2 = ctx.b_opmat(2, k2)
-    r_12 = RMat(1, 2, eval_r(r, k1, k2))
-    r_21 = RMat(1, 2, perm_conj(eval_r(r, k2, k1), N))
-    rp_12 = RMat(1, 2, eval_r(r, k1, -k2))
-    rp_21 = RMat(1, 2, perm_conj(eval_r(r, k2, -k1), N))
-    rbar_21 = RMat(1, 2, perm_conj(eval_r(r, -k2, -k1), N))
-
-    def bnl3(s: FockState) -> float:
-        rhs = [(1.0, [atdag2, r_12, at1])]
-        if k1 == k2:
-            rhs.append((0.5, delta_bridge(1, 2, N, s)))
-        if k1 == -k2:
-            rhs.append((0.5, states_bridge(1, 2, ctx.vertex.apply_b(k1, one_hot(s, N)))))
-        return identity_residual([(1.0, [at1, atdag2])], rhs, s, N)
-
-    return {
-        "BNl-1": lambda s: identity_residual(
-            [(1.0, [at1, at2])], [(1.0, [r_21, at2, at1])], s, N
-        ),
-        "BNl-2": lambda s: identity_residual(
-            [(1.0, [atdag1, atdag2])], [(1.0, [atdag2, atdag1, r_21])], s, N
-        ),
-        "BNl-3": bnl3,
-        "BNl-4": lambda s: identity_residual(
-            [(1.0, [at1, b2])], [(1.0, [r_21, b2, rp_12, at1])], s, N
-        ),
-        "BNl-5": lambda s: identity_residual(
-            [(1.0, [b1, atdag2])], [(1.0, [atdag2, r_12, b1, rp_21])], s, N
-        ),
-        "eq:bb": lambda s: identity_residual(
-            [(1.0, [r_12, b1, rp_21, b2])], [(1.0, [b2, rp_12, b1, rbar_21])], s, N
-        ),
-        "rbrb": b_involution_evaluator(ctx.vertex, k1),
-    }
+    r, b = ctx.space.r, ctx.vertex.b_opmat
+    contact = []
+    if k1 == k2:
+        contact.append(delta_term(ctx.N, 0.5))
+    if k1 == -k2:
+        contact.append((0.5, [replace(b(1, k1), space_in=2)]))
+    fns = (
+        *exchange_triple(r, k1, k2, ctx.at_vec, ctx.atdag_covec, contact),
+        *b_exchange_triple(r, k1, k2, ctx.at_vec, ctx.atdag_covec, b),
+    )
+    tags = ("BNl-1", "BNl-2", "BNl-3", "BNl-4", "BNl-5", "eq:bb")
+    return {**dict(zip(tags, fns)), "rbrb": b_involution_evaluator(ctx.vertex, k1)}
 
 
 def rho_evaluator(ctx: BoundaryContext, k: float) -> ResidualFn:
@@ -223,8 +195,8 @@ def rho_evaluator(ctx: BoundaryContext, k: float) -> ResidualFn:
     at_mk = ctx.at_vec(1, -k)
     atdag_k = ctx.atdag_covec(1, k)
     atdag_mk = ctx.atdag_covec(1, -k)
-    b_k = ctx.b_opmat(1, k)
-    b_mk = ctx.b_opmat(1, -k)
+    b_k = ctx.vertex.b_opmat(1, k)
+    b_mk = ctx.vertex.b_opmat(1, -k)
 
     def fn(s: FockState) -> float:
         vec_side = identity_residual([(1.0, [at_k])], [(1.0, [b_k, at_mk])], s, N)
@@ -249,25 +221,17 @@ def rho_B_evaluators(
     images.  The single-momentum facts (involution, coset) ignore k2.
     """
     N = ctx.N
-    r = ctx.space.r
-    al1 = ctx.alpha_vec(1, k1)
-    al2 = ctx.alpha_vec(2, k2)
-    aldag1 = ctx.alpha_dag_covec(1, k1)
-    aldag2 = ctx.alpha_dag_covec(2, k2)
-    r_12 = RMat(1, 2, eval_r(r, k1, k2))
-    r_21 = RMat(1, 2, perm_conj(eval_r(r, k2, k1), N))
+    contact = [delta_term(N)] if k1 == k2 else []
+    triple = exchange_triple(
+        ctx.space.r, k1, k2, ctx.alpha_vec, ctx.alpha_dag_covec, contact
+    )
     plain_a = ctx.vertex.a_vec(1, k1)
     plain_adag = ctx.vertex.adag_covec(1, k1)
     at1 = ctx.at_vec(1, k1)
     atdag1 = ctx.atdag_covec(1, k1)
-    b1 = ctx.b_opmat(1, k1)
+    al1, aldag1 = ctx.alpha_vec(1, k1), ctx.alpha_dag_covec(1, k1)
+    b1 = ctx.vertex.b_opmat(1, k1)
     al1_neg = ctx.alpha_vec(1, -k1)
-
-    def aad(s: FockState) -> float:
-        rhs = [(1.0, [aldag2, r_12, al1])]
-        if k1 == k2:
-            rhs.append((1.0, delta_bridge(1, 2, N, s)))
-        return identity_residual([(1.0, [al1, aldag2])], rhs, s, N)
 
     def coset(s: FockState) -> float:
         vec_side = identity_residual(
@@ -279,13 +243,7 @@ def rho_B_evaluators(
         return max(vec_side, covec_side)
 
     return {
-        "rhoB-aa": lambda s: identity_residual(
-            [(1.0, [al1, al2])], [(1.0, [r_21, al2, al1])], s, N
-        ),
-        "rhoB-adad": lambda s: identity_residual(
-            [(1.0, [aldag1, aldag2])], [(1.0, [aldag2, aldag1, r_21])], s, N
-        ),
-        "rhoB-aad": aad,
+        **dict(zip(("rhoB-aa", "rhoB-adad", "rhoB-aad"), triple)),
         "rhoB-involution": lambda s: identity_residual(
             [(1.0, [b1, al1_neg])], [(1.0, [plain_a])], s, N
         ),

@@ -444,36 +444,20 @@ def zf_relation_evaluators(space: FockSpace, k1: float, k2: float) -> dict:
     AN-2 : a†_1 a†_2 = a†_2 a†_1 R_21
     AN-3 : a_1 a†_2 = a†_2 R_12 a_1 + delta_12 [k1 == k2]
 
-    Subscripts are the two open color legs; R_21 is the leg-swapped
-    evaluation at (k2, k1).  Each function maps a state to the max-norm
-    deviation of the two sides applied to it.
+    Each function maps a state to the max-norm deviation of the two sides
+    applied to it (see ``relations.exchange_triple``).
     """
-    from .relations import CoVec, RMat, Vec, delta_bridge, identity_residual
-    from .rmatrix import perm_conj
+    from .relations import CoVec, Vec, delta_term, exchange_triple
 
-    N = space.N
-    a1 = Vec(1, lambda c, s: space.apply_annihilation(c, k1, s))
-    a2 = Vec(2, lambda c, s: space.apply_annihilation(c, k2, s))
-    adag1 = CoVec(1, lambda c, s: space.apply_creation(c, k1, s))
-    adag2 = CoVec(2, lambda c, s: space.apply_creation(c, k2, s))
-    r_12 = RMat(1, 2, eval_r(space.r, k1, k2))
-    r_21 = RMat(1, 2, perm_conj(eval_r(space.r, k2, k1), N))
-
-    def an3(s: FockState) -> float:
-        rhs = [(1.0, [adag2, r_12, a1])]
-        if k1 == k2:
-            rhs.append((1.0, delta_bridge(1, 2, N, s)))
-        return identity_residual([(1.0, [a1, adag2])], rhs, s, N)
-
-    return {
-        "AN-1": lambda s: identity_residual(
-            [(1.0, [a1, a2])], [(1.0, [r_21, a2, a1])], s, N
-        ),
-        "AN-2": lambda s: identity_residual(
-            [(1.0, [adag1, adag2])], [(1.0, [adag2, adag1, r_21])], s, N
-        ),
-        "AN-3": an3,
-    }
+    triple = exchange_triple(
+        space.r,
+        k1,
+        k2,
+        lambda sp, k: Vec(sp, lambda c, s: space.apply_annihilation(c, k, s)),
+        lambda sp, k: CoVec(sp, lambda c, s: space.apply_creation(c, k, s)),
+        [delta_term(space.N)] if k1 == k2 else [],
+    )
+    return dict(zip(("AN-1", "AN-2", "AN-3"), triple))
 
 
 def confluence_residual(

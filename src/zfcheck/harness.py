@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
 from types import ModuleType
@@ -68,12 +68,13 @@ __version__ = "0.1.0"
 
 SUITE_ORDER = ("rmatrix", "fock", "vertex", "boundary", "hierarchy")
 
-_REFLECTION_FAMILIES = (
-    "identity",
-    "constant-diagonal",
-    "k-dependent-diagonal",
-    "table",
-)
+# Per reflection family, the config keys it takes besides "family".
+_REFLECTION_KEYS = {
+    "identity": (),
+    "constant-diagonal": ("entries",),
+    "k-dependent-diagonal": ("c", "signs"),
+    "table": ("path",),
+}
 
 
 @dataclass(frozen=True)
@@ -155,12 +156,12 @@ def _parse_entry(x: object, where: str) -> complex:
 
 def _normalize_reflection(refl: dict) -> dict:
     out: dict = {"family": refl["family"]}
-    if "entries" in refl:
-        parsed = (_parse_entry(e, "reflection.entries") for e in refl["entries"])
-        out["entries"] = [[z.real, z.imag] for z in parsed]
-    for key in ("c", "signs", "path"):
+    for key in chain.from_iterable(_REFLECTION_KEYS.values()):
         if key in refl:
             out[key] = refl[key]
+    if "entries" in out:
+        parsed = (_parse_entry(e, "reflection.entries") for e in out["entries"])
+        out["entries"] = [[z.real, z.imag] for z in parsed]
     return out
 
 
@@ -169,17 +170,11 @@ def _validate_reflection(refl: object, N: int) -> dict:
     assert isinstance(refl, dict)
     family = refl.get("family")
     _require(
-        family in _REFLECTION_FAMILIES,
-        f"reflection.family must be one of {list(_REFLECTION_FAMILIES)}, "
+        isinstance(family, str) and family in _REFLECTION_KEYS,
+        f"reflection.family must be one of {list(_REFLECTION_KEYS)}, "
         f"got {family!r}",
     )
-    allowed = {
-        "identity": set(),
-        "constant-diagonal": {"entries"},
-        "k-dependent-diagonal": {"c", "signs"},
-        "table": {"path"},
-    }[family]
-    extra = sorted(set(refl) - allowed - {"family"})
+    extra = sorted(set(refl) - set(_REFLECTION_KEYS[family]) - {"family"})
     _require(not extra, f"reflection: unknown keys for family {family!r}: {extra}")
     if family == "constant-diagonal":
         entries = refl.get("entries")
@@ -205,19 +200,7 @@ def _validate_reflection(refl: object, N: int) -> dict:
     return dict(refl)
 
 
-_CONFIG_KEYS = (
-    "N",
-    "g",
-    "grid",
-    "n_max",
-    "reflection",
-    "suites",
-    "tolerance",
-    "seed",
-    "samples_per_sector",
-    "rmatrix_samples",
-    "prune",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def config_from_dict(data: object, base_dir: Path | None = None) -> RunConfig:

@@ -6,7 +6,9 @@ telescopes against its -k partner through the reflection-twisted identity),
 the even orders preserve particle number, commute with one another and with
 every reflection generator, and act on the dressed one-particle states
 at†(k) vacuum with eigenvalue k^n.  Every one of those statements is checked
-numerically here; none is assumed.
+numerically here; none is assumed.  The commutators are factor products of
+the charge (a ``StateOp``) with the generators and b, measured by
+``relations.identity_residual``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import numpy as np
 
 from .boundary import BoundaryContext, ResidualFn
 from .fock import FockState
-from .relations import NumMat, identity_residual, one_hot, states_bridge
-from .rmatrix import Residual, eval_b
+from .relations import StateOp, identity_residual, one_hot
+from .rmatrix import Residual
+from .vertex import check_b_vacuum
 
 
 @dataclass(frozen=True)
@@ -70,47 +73,27 @@ def eigenrelation_evaluator(ctx: BoundaryContext, n: int, k: float) -> ResidualF
     """
     ctx.grid.index_of(k)
     lam = complex(k**n) if n % 2 == 0 else 0j
-
-    def fn(s: FockState) -> float:
-        worst = 0.0
-        hs = apply_H(ctx, n, s)
-        for i in range(ctx.N):
-            raised = ctx.apply_a_tilde_dagger(i, k, s)
-            lhs = apply_H(ctx, n, raised) - ctx.apply_a_tilde_dagger(i, k, hs)
-            worst = max(worst, (lhs - raised.scaled(lam)).maxamp())
-            lowered = ctx.apply_a_tilde(i, k, s)
-            lhs = apply_H(ctx, n, lowered) - ctx.apply_a_tilde(i, k, hs)
-            worst = max(worst, (lhs - lowered.scaled(-lam)).maxamp())
-        return worst
-
-    return fn
+    h = StateOp(HierarchyOperator(n, ctx))
+    # [H(n), x] = eig x, for x = at† with eig = lam and x = at with eig = -lam.
+    sides = [
+        ([(1.0, [h, x]), (-1.0, [x, h])], [(eig, [x])])
+        for x, eig in ((ctx.atdag_covec(1, k), lam), (ctx.at_vec(1, k), -lam))
+    ]
+    return lambda s: max(identity_residual(lhs, rhs, s, ctx.N) for lhs, rhs in sides)
 
 
 def flow_commute_evaluator(ctx: BoundaryContext, n: int, m: int) -> ResidualFn:
     """Residual of H(n) H(m) s = H(m) H(n) s."""
-
-    def fn(s: FockState) -> float:
-        lhs = apply_H(ctx, n, apply_H(ctx, m, s))
-        rhs = apply_H(ctx, m, apply_H(ctx, n, s))
-        return (lhs - rhs).maxamp()
-
-    return fn
+    hn, hm = StateOp(HierarchyOperator(n, ctx)), StateOp(HierarchyOperator(m, ctx))
+    return lambda s: identity_residual([(1.0, [hn, hm])], [(1.0, [hm, hn])], s, ctx.N)
 
 
 def integral_of_motion_evaluator(
     ctx: BoundaryContext, n: int, k: float
 ) -> ResidualFn:
     """Residual of the entrywise commutator [H(n), b(k)]."""
-
-    def fn(s: FockState) -> float:
-        b_of_s = ctx.vertex.apply_b(k, one_hot(s, ctx.N))
-        h_of_b = [[apply_H(ctx, n, entry) for entry in column] for column in b_of_s]
-        b_of_hs = ctx.vertex.apply_b(k, one_hot(apply_H(ctx, n, s), ctx.N))
-        lhs = [(1.0, states_bridge(1, 1, h_of_b))]
-        rhs = [(1.0, states_bridge(1, 1, b_of_hs))]
-        return identity_residual(lhs, rhs, s, ctx.N)
-
-    return fn
+    h, b = StateOp(HierarchyOperator(n, ctx)), ctx.vertex.b_opmat(1, k)
+    return lambda s: identity_residual([(1.0, [h, b])], [(1.0, [b, h])], s, ctx.N)
 
 
 @dataclass(frozen=True)
@@ -138,10 +121,8 @@ def check_symmetry_breaking(
     broken: set[tuple[int, int]] = set()
     expectations: dict = {}
     for k in ctx.grid:
+        worst = max(worst, check_b_vacuum(ctx.vertex, k).value)
         got = ctx.vertex.apply_b(k, one_hot(vac, ctx.N))
-        lhs = [(1.0, states_bridge(1, 1, got))]
-        rhs = [(1.0, [NumMat(1, eval_b(ctx.vertex.reflection, k))])]
-        worst = max(worst, identity_residual(lhs, rhs, vac, ctx.N))
         for i in range(ctx.N):
             for j in range(ctx.N):
                 expect = got[j][i].amps.get((), 0j)

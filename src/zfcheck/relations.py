@@ -11,7 +11,14 @@ concrete Fock state.  A factor is one of
                  action on a batch of aux vectors;
 * ``NumMat``  -- an N x N scalar matrix in one space;
 * ``RMat``    -- an N^2 x N^2 scalar matrix coupling an ordered pair of
-                 spaces (an exchange-matrix value).
+                 spaces (an exchange-matrix value);
+* ``StateOp`` -- a color-blind operator (a charge H(n)), applied to every
+                 entry.
+
+On a fresh space an ``OpMat`` or ``NumMat`` may take ``space_in``: its rows
+open in ``space`` and its columns dangle in ``space_in``.  That is how a
+contact term bridges two spaces: the delta term is ``NumMat(1, I,
+space_in=2)``.
 
 Evaluating a product against a state yields a tensor of Fock states indexed
 by the exposed color legs: one "out" (row) leg per space whose last factor
@@ -29,6 +36,12 @@ applies operators and scalar matrix columns only to the entries present, so
 no operator sees an empty state or an aux vector without one nonzero entry,
 and a scalar matrix costs only its nonzero entries (the rational R has at
 most 2 of N^2 per column).  An ``OpMat`` gets every entry in one batch.
+
+Every state-level relation is measured by ``identity_residual`` on two sums
+of factor products.  The exchange relations come in two families, each
+written once here: ``exchange_triple`` (x x, x† x† and x x† with its contact
+terms) and ``b_exchange_triple`` (x b, b x† and b b); the layers instantiate
+them with their own generators.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from . import rmatrix
 from .fock import FockState
 
 ColorOp = Callable[[int, FockState], FockState]
@@ -70,6 +84,7 @@ class CoVec:
 class OpMat:
     space: int
     op: MatrixOp
+    space_in: int | None = None
 
 
 class _ScalarMatrix:
@@ -81,6 +96,7 @@ class _ScalarMatrix:
 class NumMat(_ScalarMatrix):
     space: int
     mat: np.ndarray
+    space_in: int | None = None
 
 
 @dataclass(frozen=True)
@@ -90,7 +106,12 @@ class RMat(_ScalarMatrix):
     mat: np.ndarray
 
 
-Factor = Union[Vec, CoVec, OpMat, NumMat, RMat]
+@dataclass(frozen=True)
+class StateOp:
+    op: Callable[[FockState], FockState]
+
+
+Factor = Union[Vec, CoVec, OpMat, NumMat, RMat, StateOp]
 
 Label = tuple[str, int]  # ("out" | "in" | "open", space)
 Index = tuple[int, ...]
@@ -162,6 +183,16 @@ class _Accumulator:
     def _has(self, kind: str, space: int) -> bool:
         return (kind, space) in self.labels
 
+    def _matrix_axis(self, space: int, space_in: int | None) -> int | None:
+        """The open axis of ``space``, or None for a fresh one, which then opens."""
+        p = self._axis_of_open(space)
+        if p is not None and space_in is not None:
+            raise ValueError(f"space_in needs a fresh space, but space {space} is open")
+        if p is None:
+            # The column leg dangles (in space_in if given), the row leg opens.
+            self.labels[0:0] = [("open", space), ("in", space if space_in is None else space_in)]
+        return p
+
     def _prepend(self, label: Label, op: ColorOp) -> None:
         out: dict[Index, FockState] = {}
         for idx, s in self.entries.items():
@@ -197,7 +228,11 @@ class _Accumulator:
         del self.labels[p]
 
     def apply_nummat(self, f: NumMat) -> None:
-        self._apply_matrix(f.space, f.columns)
+        self._apply_matrix(f.space, f.columns, f.space_in)
+
+    def apply_stateop(self, f: StateOp) -> None:
+        images = ((idx, f.op(s)) for idx, s in self.entries.items())
+        self.entries = {idx: s for idx, s in images if s.amps}
 
     def apply_opmat(self, f: OpMat) -> None:
         """One seam call on the whole batch of aux vectors.
@@ -207,12 +242,11 @@ class _Accumulator:
         The vector keyed (head, tail) lands at the entries head + (row,) + tail.
         """
         N = self.N
-        p = self._axis_of_open(f.space)
+        p = self._matrix_axis(f.space, f.space_in)
         groups: dict[tuple[Index, Index], AuxVec] = {}
         if p is None:
             for idx, s in self.entries.items():
                 groups.update((((), (c,) + idx), v) for c, v in enumerate(one_hot(s, N)))
-            self.labels[0:0] = [("open", f.space), ("in", f.space)]
         else:
             for idx, e in self.entries.items():
                 groups.setdefault((idx[:p], idx[p + 1 :]), [FockState()] * N)[idx[p]] = e
@@ -224,18 +258,16 @@ class _Accumulator:
             if s.amps
         }
 
-    def _apply_matrix(self, space: int, columns) -> None:
+    def _apply_matrix(self, space: int, columns, space_in: int | None = None) -> None:
         """Apply a scalar matrix, given by its nonzero ``columns``."""
-        p = self._axis_of_open(space)
+        p = self._matrix_axis(space, space_in)
         if p is None:
-            # Fresh space: the column leg dangles, the row leg opens.
             self.entries = {
-                (r, c) + idx: s.scaled(coeff)
+                (r, c) + idx: s if coeff == 1 else s.scaled(coeff)
                 for idx, s in self.entries.items()
                 for c, col in enumerate(columns)
                 for r, coeff in col
             }
-            self.labels[0:0] = [("open", space), ("in", space)]
             return
         contribs: dict[Index, list[tuple[complex, FockState]]] = {}
         for idx, e in self.entries.items():
@@ -291,52 +323,27 @@ def evaluate(factors: Sequence[Factor], state: FockState, N: int) -> LabeledTens
             acc.apply_nummat(f)
         elif isinstance(f, RMat):
             acc.apply_rmat(f)
+        elif isinstance(f, StateOp):
+            acc.apply_stateop(f)
         else:
             raise TypeError(f"unknown factor {f!r}")
     return acc.finish()
 
 
-Term = tuple[complex, Union[Sequence[Factor], LabeledTensor]]
+Term = tuple[complex, Sequence[Factor]]
+ResidualFn = Callable[[FockState], float]
 
 
 def evaluate_side(terms: Sequence[Term], state: FockState, N: int) -> LabeledTensor:
-    """Sum of factor products and prebuilt tensors, with common axes."""
+    """Sum of factor products, with common axes."""
     total: LabeledTensor | None = None
-    for coeff, item in terms:
-        lt = item if isinstance(item, LabeledTensor) else evaluate(item, state, N)
+    for coeff, factors in terms:
+        lt = evaluate(factors, state, N)
         lt = lt.scaled(coeff) if coeff != 1.0 else lt
         total = lt if total is None else total.add(lt)
     if total is None:
         raise ValueError("a side needs at least one term")
     return total
-
-
-def delta_bridge(
-    space_out: int, space_in: int, N: int, state: FockState
-) -> LabeledTensor:
-    """The tensor with entries delta_{ij} * state on legs (out_a, in_b)."""
-    return states_bridge(space_out, space_in, one_hot(state, N))
-
-
-def states_bridge(
-    space_out: int, space_in: int, columns: Sequence[AuxVec]
-) -> LabeledTensor:
-    """A tensor on legs (out_a, in_b) from already-applied states.
-
-    Entry (i, l) is ``columns[l][i]``, so the images of the ``one_hot``
-    vectors of a state under a matrix operator give that operator's tensor.
-    """
-    flip = space_in < space_out  # axes sort by space, "out" first on a tie
-    axes = (("out", space_out), ("in", space_in))
-    return LabeledTensor(
-        axes[::-1] if flip else axes,
-        {
-            (l, i) if flip else (i, l): s
-            for l, column in enumerate(columns)
-            for i, s in enumerate(column)
-            if s.amps
-        },
-    )
 
 
 def identity_residual(
@@ -346,3 +353,71 @@ def identity_residual(
     left = evaluate_side(lhs, state, N)
     right = evaluate_side(rhs, state, N)
     return left.sub(right).max_amp()
+
+
+# ---------------------------------------------------------------------------
+# The two exchange families.  ``ann(space, k)`` and ``cre(space, k)`` build a
+# generator's annihilation column and creation row, ``b(space, k)`` the
+# dressed reflection operator; spaces 1 and 2 carry k1 and k2.
+
+Builder = Callable[[int, float], Factor]
+
+
+def r_mat(r: rmatrix.RMatrixSpec, k1: float, k2: float, swap: bool = False) -> RMat:
+    """R_12 = R(k1, k2) on the spaces (1, 2); with ``swap``, R_21 = P R(k2, k1) P."""
+    return RMat(1, 2, rmatrix.r21(r, k2, k1) if swap else rmatrix.eval_r(r, k1, k2))
+
+
+def delta_term(N: int, coeff: complex = 1.0) -> Term:
+    """The contact term coeff delta_12: the identity matrix from space 2 into space 1."""
+    return (coeff, [NumMat(1, np.eye(N, dtype=complex), space_in=2)])
+
+
+def _identity(lhs: Sequence[Term], rhs: Sequence[Term], N: int) -> ResidualFn:
+    return lambda s: identity_residual(lhs, rhs, s, N)
+
+
+def exchange_triple(
+    r: rmatrix.RMatrixSpec, k1: float, k2: float, ann: Builder, cre: Builder,
+    contact: Sequence[Term],
+) -> tuple[ResidualFn, ResidualFn, ResidualFn]:
+    """The exchange identities of a generator x with itself:
+
+        x_1 x_2 = R_21 x_2 x_1
+        x†_1 x†_2 = x†_2 x†_1 R_21
+        x_1 x†_2 = x†_2 R_12 x_1 + contact
+
+    Subscripts are the two open color legs; R_21 is the leg-swapped
+    evaluation at (k2, k1).  ``contact`` holds the terms that colliding
+    momenta add, such as ``delta_term``.
+    """
+    x1, x2, xd1, xd2 = ann(1, k1), ann(2, k2), cre(1, k1), cre(2, k2)
+    r12, r21 = r_mat(r, k1, k2), r_mat(r, k1, k2, swap=True)
+    return (
+        _identity([(1.0, [x1, x2])], [(1.0, [r21, x2, x1])], r.N),
+        _identity([(1.0, [xd1, xd2])], [(1.0, [xd2, xd1, r21])], r.N),
+        _identity([(1.0, [x1, xd2])], [(1.0, [xd2, r12, x1]), *contact], r.N),
+    )
+
+
+def b_exchange_triple(
+    r: rmatrix.RMatrixSpec, k1: float, k2: float, ann: Builder, cre: Builder, b: Builder
+) -> tuple[ResidualFn, ResidualFn, ResidualFn]:
+    """The exchange identities of a generator with b, and of b with itself:
+
+        x_1 b_2 = R_21 b_2 R'_12 x_1
+        b_1 x†_2 = x†_2 R_12 b_1 R'_21
+        R_12 b_1 R'_21 b_2 = b_2 R'_12 b_1 Rbar_21
+
+    Primed and barred values are argument substitutions, e.g. R'_21 is the
+    leg-swapped evaluation at (k2, -k1) and Rbar_21 at (-k2, -k1).
+    """
+    x1, xd2, b1, b2 = ann(1, k1), cre(2, k2), b(1, k1), b(2, k2)
+    r12, r21 = r_mat(r, k1, k2), r_mat(r, k1, k2, swap=True)
+    rp12, rp21 = r_mat(r, k1, -k2), r_mat(r, -k1, k2, swap=True)
+    rbar21 = r_mat(r, -k1, -k2, swap=True)
+    return (
+        _identity([(1.0, [x1, b2])], [(1.0, [r21, b2, rp12, x1])], r.N),
+        _identity([(1.0, [b1, xd2])], [(1.0, [xd2, r12, b1, rp21])], r.N),
+        _identity([(1.0, [r12, b1, rp21, b2])], [(1.0, [b2, rp12, b1, rbar21])], r.N),
+    )

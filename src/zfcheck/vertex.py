@@ -24,6 +24,7 @@ momentum tuple.  Everything here is pure: states in, states out.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from typing import Callable, Sequence
 
@@ -31,7 +32,9 @@ import numpy as np
 
 from .errors import NotWhitelistedError
 from .fock import FockSpace, FockState, Word
-from .relations import AuxVec, CoVec, NumMat, OpMat, RMat, Vec, identity_residual
+from .relations import (
+    AuxVec, CoVec, NumMat, OpMat, Vec, b_exchange_triple, identity_residual, r_mat
+)
 from .rmatrix import (
     Residual,
     ReflectionMatrixSpec,
@@ -232,8 +235,7 @@ def t_relation_evaluators(
     T_0 a_1 = R_10 a_1 T_0.  Aux space is labeled 1, the particle space 2.
     """
     N = ctx.N
-    r01 = RMat(1, 2, eval_r(ctx.space.r, k0, k))
-    r10 = RMat(1, 2, perm_conj(eval_r(ctx.space.r, k, k0), N))
+    r01, r10 = r_mat(ctx.space.r, k0, k), r_mat(ctx.space.r, k0, k, swap=True)
     t1 = ctx.t_opmat(1, k0)
     dag = ctx.adag_covec(2, k)
     ann = ctx.a_vec(2, k)
@@ -250,7 +252,7 @@ def t_relation_evaluators(
 def rtt_evaluator(ctx: VertexContext, k1: float, k2: float) -> ResidualFn:
     """Residual function for R_12 T_1 T_2 = T_2 T_1 R_12."""
     N = ctx.N
-    r12 = RMat(1, 2, eval_r(ctx.space.r, k1, k2))
+    r12 = r_mat(ctx.space.r, k1, k2)
     t1 = ctx.t_opmat(1, k1)
     t2 = ctx.t_opmat(2, k2)
     return lambda s: identity_residual(
@@ -279,37 +281,11 @@ def b_involution_evaluator(
 def b_exchange_evaluators(
     ctx: VertexContext, k1: float, k2: float, force: bool = False
 ) -> dict[str, ResidualFn]:
-    """The three exchange identities between the bulk generators and b.
-
-    eq:ab  : a_1 b_2   = R_21 b_2 R'_12 a_1
-    eq:bad : b_1 a†_2  = a†_2 R_12 b_1 R'_21
-    eq:bb  : R_12 b_1 R'_21 b_2 = b_2 R'_12 b_1 Rbar_21
-
-    Primed and barred values are argument substitutions, e.g. R'_21 is the
-    leg-swapped evaluation at (k2, -k1) and Rbar_21 at (-k2, -k1).
-    """
-    N = ctx.N
-    r = ctx.space.r
-    a1 = ctx.a_vec(1, k1)
-    adag2 = ctx.adag_covec(2, k2)
-    b1 = ctx.b_opmat(1, k1, force=force)
-    b2 = ctx.b_opmat(2, k2, force=force)
-    r_12 = RMat(1, 2, eval_r(r, k1, k2))
-    r_21 = RMat(1, 2, perm_conj(eval_r(r, k2, k1), N))
-    rp_12 = RMat(1, 2, eval_r(r, k1, -k2))
-    rp_21 = RMat(1, 2, perm_conj(eval_r(r, k2, -k1), N))
-    rbar_21 = RMat(1, 2, perm_conj(eval_r(r, -k2, -k1), N))
-    return {
-        "eq:ab": lambda s: identity_residual(
-            [(1.0, [a1, b2])], [(1.0, [r_21, b2, rp_12, a1])], s, N
-        ),
-        "eq:bad": lambda s: identity_residual(
-            [(1.0, [b1, adag2])], [(1.0, [adag2, r_12, b1, rp_21])], s, N
-        ),
-        "eq:bb": lambda s: identity_residual(
-            [(1.0, [r_12, b1, rp_21, b2])], [(1.0, [b2, rp_12, b1, rbar_21])], s, N
-        ),
-    }
+    """eq:ab, eq:bad and eq:bb: the bulk generators and b (``relations.b_exchange_triple``)."""
+    triple = b_exchange_triple(
+        ctx.space.r, k1, k2, ctx.a_vec, ctx.adag_covec, partial(ctx.b_opmat, force=force)
+    )
+    return dict(zip(("eq:ab", "eq:bad", "eq:bb"), triple))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from zfcheck.fock import FockSpace, FockState, Word, states_equal
-from zfcheck.relations import CoVec, ColorOp, Factor, Label, NumMat, OpMat, RMat, Vec
+from zfcheck.relations import (
+    AuxVec, CoVec, ColorOp, Factor, Label, LabeledTensor, NumMat, OpMat, RMat, StateOp, Vec
+)
 from zfcheck.rmatrix import eval_r
 
 
@@ -299,6 +301,26 @@ def dense_operator_matrix(space: FockSpace, n: int, apply_aux) -> tuple[np.ndarr
     return out, words
 
 
+def states_bridge(space_out: int, space_in: int, columns: Sequence[AuxVec]) -> LabeledTensor:
+    """A tensor on legs (out ``space_out``, in ``space_in``) from already-applied states.
+
+    Entry (i, l) is ``columns[l][i]``, so the images of the one-hot vectors
+    of a state under a matrix operator give that operator's tensor: what a
+    bridge factor (``OpMat`` or ``NumMat`` with ``space_in``) must evaluate to.
+    """
+    flip = space_in < space_out  # axes sort by space, "out" first on a tie
+    axes = (("out", space_out), ("in", space_in))
+    return LabeledTensor(
+        axes[::-1] if flip else axes,
+        {
+            (l, i) if flip else (i, l): s
+            for l, column in enumerate(columns)
+            for i, s in enumerate(column)
+            if s.amps
+        },
+    )
+
+
 # -- the dense factor-product evaluator -----------------------------------------
 #
 # ``relations.evaluate`` as it was before tensors held only their nonzero
@@ -405,14 +427,23 @@ class _ObjectArrayAccumulator:
         del self.labels[p]
 
     def apply_nummat(self, f: NumMat) -> None:
-        self._apply_matrix(f.space, scalar=np.asarray(f.mat, dtype=complex), op=None)
+        self._apply_matrix(f.space, np.asarray(f.mat, dtype=complex), None, f.space_in)
 
     def apply_opmat(self, f: OpMat) -> None:
-        self._apply_matrix(f.space, scalar=None, op=f.op)
+        self._apply_matrix(f.space, None, f.op, f.space_in)
 
-    def _apply_matrix(self, space: int, scalar, op) -> None:
+    def apply_stateop(self, f: StateOp) -> None:
+        out = _fresh(self.data.shape)
+        for idx in _indices(self.data.shape):
+            s = self.data[idx]
+            out[idx] = f.op(s) if s.amps else FockState()
+        self.data = out
+
+    def _apply_matrix(self, space: int, scalar, op, space_in: int | None = None) -> None:
         N = self.N
         p = self._axis_of_open(space)
+        if p is not None and space_in is not None:
+            raise ValueError(f"space_in needs a fresh space, but space {space} is open")
         if p is None:
             # Fresh space: the column leg dangles, the row leg opens.
             old = self.data
@@ -428,7 +459,7 @@ class _ObjectArrayAccumulator:
                         for c in range(N):
                             out[(r, c) + idx] = old[idx].scaled(complex(scalar[r, c]))
             self.data = out
-            self.labels[0:0] = [("open", space), ("in", space)]
+            self.labels[0:0] = [("open", space), ("in", space if space_in is None else space_in)]
             return
         old = self.data
         out = _fresh(old.shape)
@@ -456,7 +487,7 @@ class _ObjectArrayAccumulator:
         # applied first: its column leg dangles, its row leg opens.
         for space in (f.space_a, f.space_b):
             if self._axis_of_open(space) is None:
-                self._apply_matrix(space, scalar=np.eye(N, dtype=complex), op=None)
+                self._apply_matrix(space, np.eye(N, dtype=complex), None)
         pa = self._axis_of_open(f.space_a)
         pb = self._axis_of_open(f.space_b)
         assert pa is not None and pb is not None and pa != pb
@@ -517,6 +548,8 @@ def object_array_evaluate(
             acc.apply_nummat(f)
         elif isinstance(f, RMat):
             acc.apply_rmat(f)
+        elif isinstance(f, StateOp):
+            acc.apply_stateop(f)
         else:
             raise TypeError(f"unknown factor {f!r}")
     return acc.finish()

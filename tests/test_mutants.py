@@ -10,9 +10,9 @@ factor builders (``BoundaryContext.at_vec``, ``atdag_covec``) it rescales
 the output of one color at one momentum; in ``hierarchy.apply_H`` it
 rescales the words of H(4) s that start with color 0.  A uniform rescale of
 every entry could cancel between the two sides of an identity; these cannot.
-The default config then runs under each mutant.  The set of tags each one
-turns to FAIL is pinned, and every tag listed below must FAIL under at
-least one of them, by a residual far above the tolerance.
+The default config then runs, all five suites, under each mutant.  The set
+of tags each one turns to FAIL is pinned, and every tag listed below must
+FAIL under at least one of them, by a residual far above the tolerance.
 """
 
 import pytest
@@ -86,29 +86,17 @@ def _h4_scaled(original):
     return apply_H
 
 
-# name: (owner, patched names, defect maker, suites that hold the tags it must break)
+# name: (owner, patched names, defect maker)
 MUTANTS = {
-    "T leaks into (0, 1)": (
-        VertexContext, ("apply_T",), lambda f: _mutated(f, _leak), ("vertex",)
-    ),
-    "T^-1 scales (0, 0)": (
-        VertexContext, ("apply_T_inverse",), lambda f: _mutated(f, _scale), ("vertex",)
-    ),
-    "b scales (0, 0)": (
-        VertexContext, ("apply_b",), lambda f: _mutated(f, _scale), ("vertex", "hierarchy")
-    ),
-    "a† scales color 0 at k=1": (
-        FockSpace, ("apply_creation",), _color_scaled, ("fock", "vertex")
-    ),
-    "a scales color 0 at k=1": (
-        FockSpace, ("apply_annihilation",), _color_scaled, ("fock", "vertex")
-    ),
+    "T leaks into (0, 1)": (VertexContext, ("apply_T",), lambda f: _mutated(f, _leak)),
+    "T^-1 scales (0, 0)": (VertexContext, ("apply_T_inverse",), lambda f: _mutated(f, _scale)),
+    "b scales (0, 0)": (VertexContext, ("apply_b",), lambda f: _mutated(f, _scale)),
+    "a† scales color 0 at k=1": (FockSpace, ("apply_creation",), _color_scaled),
+    "a scales color 0 at k=1": (FockSpace, ("apply_annihilation",), _color_scaled),
     "at and at† scale color 0 at k=1": (
-        BoundaryContext, ("at_vec", "atdag_covec"), _builder_scaled, ("boundary",)
+        BoundaryContext, ("at_vec", "atdag_covec"), _builder_scaled
     ),
-    "H(4) scales words starting with color 0": (
-        hierarchy, ("apply_H",), _h4_scaled, ("hierarchy",)
-    ),
+    "H(4) scales words starting with color 0": (hierarchy, ("apply_H",), _h4_scaled),
 }
 
 # Per mutant, every (suite, tag) that FAILs under it on the default config.
@@ -122,6 +110,18 @@ FAILS = {
     },
     "T^-1 scales (0, 0)": {("vertex", "T-inverse")},
     "b scales (0, 0)": {
+        ("boundary", "BNl-1"),
+        ("boundary", "BNl-2"),
+        ("boundary", "BNl-3"),
+        ("boundary", "BNl-4"),
+        ("boundary", "BNl-5"),
+        ("boundary", "eq:bb"),
+        ("boundary", "rbrb"),
+        ("boundary", "rho"),
+        ("boundary", "rhoB-aa"),
+        ("boundary", "rhoB-aad"),
+        ("boundary", "rhoB-adad"),
+        ("boundary", "rhoB-involution"),
         ("hierarchy", "H-commute"),
         ("hierarchy", "H-eigen"),
         ("hierarchy", "H-iom"),
@@ -134,14 +134,27 @@ FAILS = {
         ("vertex", "rbrb"),
     },
     "a† scales color 0 at k=1": {
+        ("boundary", "BNl-2"),
+        ("boundary", "BNl-3"),
+        ("boundary", "BNl-5"),
+        ("boundary", "rhoB-aad"),
+        ("boundary", "rhoB-adad"),
         ("fock", "AN-2"),
         ("fock", "AN-3"),
+        ("hierarchy", "H-eigen"),
+        ("hierarchy", "H-iom"),
         ("vertex", "defT-adag"),
         ("vertex", "eq:bad"),
     },
     "a scales color 0 at k=1": {
+        ("boundary", "BNl-1"),
+        ("boundary", "BNl-3"),
+        ("boundary", "BNl-4"),
+        ("boundary", "rhoB-aa"),
         ("fock", "AN-1"),
         ("fock", "AN-3"),
+        ("hierarchy", "H-eigen"),
+        ("hierarchy", "H-iom"),
         ("vertex", "defT-a"),
         ("vertex", "eq:ab"),
     },
@@ -168,18 +181,30 @@ TAGS = (
     ("vertex", "defT-a"),
     ("vertex", "TOmega"),
     ("vertex", "T-inverse"),
+    ("vertex", "rtt"),
     ("vertex", "b-vacuum"),
     ("vertex", "rbrb"),
+    ("vertex", "eq:ab"),
+    ("vertex", "eq:bad"),
+    ("vertex", "eq:bb"),
     ("hierarchy", "ssb"),
     ("boundary", "BNl-1"),
     ("boundary", "BNl-2"),
     ("boundary", "BNl-3"),
     ("boundary", "BNl-4"),
     ("boundary", "BNl-5"),
+    ("boundary", "eq:bb"),
+    ("boundary", "rbrb"),
     ("boundary", "coset"),
     ("boundary", "rho"),
+    ("boundary", "rhoB-aa"),
+    ("boundary", "rhoB-adad"),
+    ("boundary", "rhoB-aad"),
+    ("boundary", "rhoB-involution"),
+    ("hierarchy", "H-odd"),
     ("hierarchy", "H-commute"),
     ("hierarchy", "H-eigen"),
+    ("hierarchy", "H-iom"),
 )
 
 
@@ -187,11 +212,11 @@ TAGS = (
 def failures():
     """Per mutant, the largest FAIL residual of each (suite, tag)."""
     out = {}
-    for name, (owner, attrs, make, suites) in MUTANTS.items():
+    for name, (owner, attrs, make) in MUTANTS.items():
         with pytest.MonkeyPatch.context() as mp:
             for attr in attrs:
                 mp.setattr(owner, attr, make(getattr(owner, attr)))
-            report = run_suites(RunConfig(), suites=suites)
+            report = run_suites(RunConfig())
         worst: dict = {}
         for r in report.records:
             if r.status == "fail":

@@ -1,6 +1,7 @@
 """The factor-product evaluator, checked against explicit index loops."""
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,22 +9,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import GRID, random_state
-from oracles import object_array_evaluate
-from zfcheck import boundary, relations, vertex
+from oracles import object_array_evaluate, states_bridge
+from zfcheck import boundary, hierarchy, relations, vertex
+from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal
 from zfcheck.harness import RunConfig, run_suites
+from zfcheck.hierarchy import HierarchyOperator
 from zfcheck.relations import (
     CoVec,
     LabeledTensor,
     NumMat,
     OpMat,
     RMat,
+    StateOp,
     Vec,
-    delta_bridge,
+    delta_term,
     evaluate,
     evaluate_side,
     identity_residual,
-    states_bridge,
 )
 from zfcheck.rmatrix import eval_r, phase_diagonal_b, rational_r
 from zfcheck.vertex import VertexContext
@@ -44,6 +47,21 @@ def diff(state_a, state_b):
 def at(lt, *idx):
     """The entry of a tensor at one leg-index tuple; absent means zero."""
     return lt.entries.get(idx, FockState())
+
+
+def delta(space_out, space_in, N):
+    """The delta bridge factor: the identity matrix from ``space_in`` into ``space_out``."""
+    return NumMat(space_out, np.eye(N, dtype=complex), space_in=space_in)
+
+
+def momentum(space):
+    """Total momentum, each word times the sum of its letters' k: a color-blind operator."""
+
+    def op(s):
+        weighted = ((w, sum(space.grid.value(g) for g, _ in w) * a) for w, a in s.amps.items())
+        return FockState({w: a for w, a in weighted if a != 0})
+
+    return op
 
 
 class TestSingleFactors:
@@ -107,6 +125,16 @@ class TestSingleFactors:
         via_num = evaluate([NumMat(1, mat), Vec(1, ann(space, -1.0))], s, space.N)
         assert via_op.axes == via_num.axes
         assert via_op.sub(via_num).max_amp() < 1e-15
+
+    def test_stateop_maps_every_entry_and_drops_zero_images(self, space, rng):
+        s = random_state(rng, space, 1)
+        vac = space.vacuum()
+        op = momentum(space)
+        lt = evaluate([StateOp(op), CoVec(1, dag(space, 2.0))], s + vac, space.N)
+        assert lt.axes == (("in", 1),)
+        for c in range(space.N):
+            assert diff(at(lt, c), op(space.apply_creation(c, 2.0, s + vac))) == 0.0
+        assert evaluate([StateOp(op)], vac, space.N).entries == {}
 
     def test_rmat_on_two_fresh_spaces_materializes_entries(self, space, rng):
         s = random_state(rng, space, 1)
@@ -216,9 +244,11 @@ class TestColumnTables:
 
 
 class TestBridges:
+    """Bridge factors: a matrix whose rows open in one space and columns dangle in another."""
+
     def test_delta_bridge_entries(self, space):
         s = space.basis_state(((0, 1),))
-        lt = delta_bridge(1, 2, space.N, s)
+        lt = evaluate([delta(1, 2, space.N)], s, space.N)
         assert lt.axes == (("out", 1), ("in", 2))
         for i in range(space.N):
             for j in range(space.N):
@@ -227,7 +257,7 @@ class TestBridges:
 
     def test_delta_bridge_axis_sorting_when_spaces_swap(self, space):
         s = space.vacuum()
-        lt = delta_bridge(2, 1, space.N, s)
+        lt = evaluate([delta(2, 1, space.N)], s, space.N)
         assert lt.axes == (("in", 1), ("out", 2))
 
     def test_states_bridge_respects_entry_orientation(self, space, rng):
@@ -235,27 +265,48 @@ class TestBridges:
         for i in range(2):
             for j in range(2):
                 states[i, j] = space.basis_state(((i, j),)).scaled(1.0 + i + 2 * j)
-        # columns[j][i] is entry (i, j).
-        lt = states_bridge(2, 1, [[states[i, j] for i in range(2)] for j in range(2)])
+        # The image of the one-hot vector of column j is column j: entry (i, j).
+        columns = [[states[i, j] for i in range(2)] for j in range(2)]
+
+        def op(vecs):
+            return [columns[next(l for l, v in enumerate(vec) if v.amps)] for vec in vecs]
+
+        lt = evaluate([OpMat(2, op, space_in=1)], space.vacuum(), space.N)
         assert lt.axes == (("in", 1), ("out", 2))
         # entries are indexed [out, in]; the sorted tensor transposes them.
         for i in range(2):
             for j in range(2):
                 assert diff(at(lt, j, i), states[i, j]) == 0.0
+        assert lt.sub(states_bridge(2, 1, columns)).max_amp() == 0.0
 
     def test_states_bridge_matches_evaluated_product(self, space, rng):
         s = random_state(rng, space, 1)
         N = space.N
+
+        def a1_adag2(vecs):
+            """M_ij = a_i(1) a†_j(2), an operator matrix."""
+            return [
+                [
+                    FockState.combine(
+                        (1.0, space.apply_annihilation(i, 1.0, space.apply_creation(j, 2.0, e)))
+                        for j, e in enumerate(vec)
+                    )
+                    for i in range(N)
+                ]
+                for vec in vecs
+            ]
+
         columns = [
             [space.apply_annihilation(i, 1.0, space.apply_creation(j, 2.0, s)) for i in range(N)]
             for j in range(N)
         ]
-        via_bridge = states_bridge(1, 2, columns)
+        via_bridge = evaluate([OpMat(1, a1_adag2, space_in=2)], s, N)
         via_eval = evaluate(
             [Vec(1, ann(space, 1.0)), CoVec(2, dag(space, 2.0))], s, N
         )
-        assert via_bridge.axes == via_eval.axes
+        assert via_bridge.axes == via_eval.axes == states_bridge(1, 2, columns).axes
         assert via_bridge.sub(via_eval).max_amp() == 0.0
+        assert via_bridge.sub(states_bridge(1, 2, columns)).max_amp() == 0.0
 
 
 class TestSides:
@@ -285,15 +336,15 @@ class TestSides:
         )
         assert combined.sub(manual).max_amp() == 0.0
 
-    def test_prebuilt_tensor_terms_mix_with_factor_terms(self, space, rng):
+    def test_contact_terms_mix_with_factor_terms(self, space, rng):
         s = random_state(rng, space, 1)
-        lt = delta_bridge(1, 2, space.N, s)
-        side = [
-            (1.0, [Vec(1, ann(space, 1.0)), CoVec(2, dag(space, 1.0))]),
-            (0.5, lt),
-        ]
+        product = [Vec(1, ann(space, 1.0)), CoVec(2, dag(space, 1.0))]
+        side = [(1.0, product), delta_term(space.N, 0.5)]
         got = evaluate_side(side, s, space.N)
         assert got.axes == (("out", 1), ("in", 2))
+        columns = [[s.scaled(0.5 * (i == l)) for i in range(2)] for l in range(2)]
+        half_delta = states_bridge(1, 2, columns)
+        assert got.sub(evaluate(product, s, space.N).add(half_delta)).max_amp() == 0.0
 
     def test_empty_side_rejected(self, space):
         with pytest.raises(ValueError):
@@ -331,10 +382,17 @@ class TestErrorPaths:
 
     def test_axis_mismatch_on_add(self, space):
         s = space.vacuum()
-        a = delta_bridge(1, 2, space.N, s)
-        b = delta_bridge(1, 3, space.N, s)
+        a = evaluate([delta(1, 2, space.N)], s, space.N)
+        b = evaluate([delta(1, 3, space.N)], s, space.N)
         with pytest.raises(ValueError, match="axis mismatch"):
             a.add(b)
+
+    @pytest.mark.parametrize("kind", ["num", "op"])
+    def test_bridge_needs_a_fresh_space(self, space, kind):
+        eye = np.eye(space.N, dtype=complex)
+        bridge = delta(1, 2, space.N) if kind == "num" else OpMat(1, lambda vecs: vecs, space_in=2)
+        with pytest.raises(ValueError, match="fresh space"):
+            evaluate([bridge, NumMat(1, eye)], space.vacuum(), space.N)
 
 
 class TestScalarTensor:
@@ -349,7 +407,7 @@ class TestScalarTensor:
 class TestZeroStateContract:
     """Factors are linear, so the evaluator never hands them the zero state."""
 
-    def test_default_vertex_and_boundary_suites(self, monkeypatch):
+    def _check(self, monkeypatch, suites):
         empty_calls = []
         zero_residuals = []
 
@@ -371,7 +429,9 @@ class TestZeroStateContract:
 
         def spying_evaluate(factors, state, N):
             factors = [
-                replace(f, op=spied(f.op)) if isinstance(f, (Vec, CoVec, OpMat)) else f
+                replace(f, op=spied(f.op))
+                if isinstance(f, (Vec, CoVec, OpMat, StateOp))
+                else f
                 for f in factors
             ]
             return evaluate_orig(factors, state, N)
@@ -379,36 +439,52 @@ class TestZeroStateContract:
         residual_orig = relations.identity_residual
 
         def residual_also_on_zero(lhs, rhs, state, N):
-            # Prebuilt tensors belong to the given state; only pure factor
-            # products can be re-evaluated on the zero state.
-            if not any(isinstance(item, LabeledTensor) for _, item in [*lhs, *rhs]):
-                zero_residuals.append(residual_orig(lhs, rhs, FockState(), N))
+            # Every side is a pure factor product, contact terms included,
+            # so it evaluates on the zero state too.
+            zero_residuals.append(residual_orig(lhs, rhs, FockState(), N))
             return residual_orig(lhs, rhs, state, N)
 
         monkeypatch.setattr(relations, "evaluate", spying_evaluate)
-        for module in (relations, vertex, boundary):
+        for module in (relations, vertex, boundary, hierarchy):
             monkeypatch.setattr(module, "identity_residual", residual_also_on_zero)
-        report = run_suites(RunConfig(), suites=("vertex", "boundary"))
+        report = run_suites(RunConfig(), suites=suites)
 
         assert report.counts["pass"] > 0 and not report.failed
         assert not empty_calls, f"{len(empty_calls)} operator calls on the zero state"
         assert zero_residuals and set(zero_residuals) == {0.0}
 
+    def test_default_vertex_and_boundary_suites(self, monkeypatch):
+        self._check(monkeypatch, ("vertex", "boundary"))
+
+    def test_default_hierarchy_suite(self, monkeypatch):
+        self._check(monkeypatch, ("hierarchy",))
+
 
 # -- the sparse evaluator against the dense object-array oracle ---------------
 
+@lru_cache(maxsize=None)
+def _boundary(ctx):
+    return BoundaryContext(ctx)
+
+
 # A factor spec, in operator order: (kind, space, momentum) for "vec", "covec",
-# "T" and "b"; (kind, space) for "num"; ("rmat", space_a, space_b, k1, k2).
+# "T" and "b"; (kind, space) for "num"; ("rmat", space_a, space_b, k1, k2);
+# ("H", order) for a charge and ("P",) for the total momentum.  A trailing
+# space on "T", "b" or "num" is its ``space_in``: a bridge factor.
 def _factor(ctx, spec):
-    kind, space = spec[0], spec[1]
+    kind = spec[0]
+    if kind == "H":
+        return StateOp(HierarchyOperator(spec[1], _boundary(ctx)))
+    if kind == "P":
+        return StateOp(momentum(ctx.space))
+    space = spec[1]
     if kind == "vec":
         return ctx.a_vec(space, spec[2])
     if kind == "covec":
         return ctx.adag_covec(space, spec[2])
-    if kind == "T":
-        return ctx.t_opmat(space, spec[2])
-    if kind == "b":
-        return ctx.b_opmat(space, spec[2])
+    if kind in ("T", "b"):
+        build = ctx.t_opmat if kind == "T" else ctx.b_opmat
+        return replace(build(space, spec[2]), space_in=spec[3] if len(spec) > 3 else None)
     if kind == "num":
         # Some entries zero, so columns differ in their nonzero rows.
         N = ctx.N
@@ -419,7 +495,7 @@ def _factor(ctx, spec):
             ],
             dtype=complex,
         )
-        return NumMat(space, mat)
+        return NumMat(space, mat, space_in=spec[2] if len(spec) > 2 else None)
     return RMat(space, spec[2], eval_r(ctx.space.r, spec[3], spec[4]))
 
 
@@ -473,6 +549,12 @@ PRODUCTS = {
     "eq:bb": [
         ("rmat", 1, 2, 1.0, 3.0), ("b", 1, 1.0), ("rmat", 2, 1, 3.0, -1.0), ("b", 2, 3.0)
     ],
+    "num bridge": [("num", 1, 2)],
+    "b bridge swapped": [("b", 2, -1.0, 1)],
+    "covec on b bridge": [("covec", 1, -1.0), ("b", 1, 1.0, 2)],
+    "b then H": [("H", 2), ("b", 1, 2.0)],
+    "H then covec": [("covec", 1, 1.0), ("H", 2)],
+    "momentum between generators": [("covec", 2, 3.0), ("P",), ("vec", 1, -2.0)],
 }
 
 
@@ -493,12 +575,23 @@ def products(draw):
                 choices.append(("covec", sp))
             if open_ or not closed:
                 choices += [("num", sp), ("T", sp), ("b", sp)]
+            if not open_ and "in" not in legs[3 - sp]:
+                choices += [("bridge", sp)]
         if all("open" in legs[sp] or "in" not in legs[sp] for sp in (1, 2)):
             choices += [("rmat", 1, 2), ("rmat", 2, 1)]
-        if not choices:  # both spaces closed by creation rows
-            break
+        choices.append(("P",))  # a color-blind operator fits anywhere
         choice = draw(st.sampled_from(choices))
         kind = choice[0]
+        if kind == "P":
+            applied.append(choice)
+            continue
+        if kind == "bridge":
+            sp, kind = choice[1], draw(st.sampled_from(["num", "T", "b"]))
+            k = () if kind == "num" else (draw(momenta),)
+            applied.append((kind, sp, *k, 3 - sp))
+            legs[sp].add("open")
+            legs[3 - sp].add("in")
+            continue
         if kind == "rmat":
             applied.append(choice + (draw(momenta), draw(momenta)))
             for sp in choice[1:]:
