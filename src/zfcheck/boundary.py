@@ -23,23 +23,24 @@ exchange relations are the two families of ``relations``: the bulk triple
 adad, aad), and the triple with b (``b_exchange_triple``: BNl-4, BNl-5,
 eq:bb).
 
-Each generator sends one batch of aux vectors through b: the lowered states
-[a_j(-k) s]_j form one vector for at and alpha, and the one-hot vectors of s
-give the columns of b(-k) s for at† and alpha†.  The evaluator and
-``apply_H`` ask for one color at a time, so on top of the vertex context's
-cached per-word matrices a small memo, keyed by generator, momentum and the
-state's amplitude map, keeps all N components of each application.
+Every generator maps a batch of aux vectors, as T and b do, and sends the
+whole batch through b once: alpha(k) = b(k) a(-k) takes 1-vectors [s] to
+b(k) [a_j(-k) s]_j, alpha†(k) = a†(-k) b(-k) takes N-vectors (s_i) to the
+a†(-k) row of b(-k) (s_i), and at and at† are their halves with a(k) and
+a†(k).  On top of the vertex context's cached per-word matrices a small
+memo, keyed by generator, momentum and aux vector, keeps each image.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 from .errors import NotWhitelistedError
 from .fock import FockState
 from .relations import (
-    CoVec, Vec, b_exchange_triple, delta_term, exchange_triple, identity_residual, one_hot
+    AuxVec, CoVec, Vec, b_exchange_triple, delta_term, exchange_triple, identity_residual
 )
 from .rmatrix import check_b_unitarity
 from .vertex import VertexContext, b_involution_evaluator
@@ -50,7 +51,7 @@ _MEMO_LIMIT = 8192
 
 
 class BoundaryContext:
-    """A vertex context plus memoized component applications of at, at†, b rows."""
+    """A vertex context plus the memoized batch maps of at, at†, alpha and alpha†."""
 
     def __init__(self, vertex: VertexContext, involution_tol: float = 1e-11):
         self.vertex = vertex
@@ -71,88 +72,67 @@ class BoundaryContext:
                 )
         self.involution_residual = worst
 
-    # -- memo plumbing -------------------------------------------------------
+    def _memoized(self, tag: str, k: float, build, vecs: Sequence[AuxVec]) -> list[AuxVec]:
+        """The images of a batch; ``build`` maps the vectors not seen before in one call."""
+        memo = self._memo
+        keys = [(tag, float(k), tuple(tuple(sorted(s.amps.items())) for s in v)) for v in vecs]
+        todo = {key: v for key, v in zip(keys, vecs) if key not in memo}
+        fresh = dict(zip(todo, map(tuple, build(list(todo.values()))))) if todo else {}
+        out = [fresh[key] if key in fresh else memo[key] for key in keys]
+        if len(memo) + len(fresh) > _MEMO_LIMIT:
+            memo.clear()
+        memo.update(fresh)
+        return out
 
-    def _state_key(self, state: FockState) -> tuple:
-        return tuple(sorted(state.amps.items()))
+    def _alpha(self, k: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
+        """alpha(k) = b(k) a(-k): [s] -> [sum_j b_ij(k) a_j(-k) s]_i."""
+        return self.vertex.apply_b(k, self.space.annihilation_column(-k, vecs))
 
-    def _memoized(self, tag: str, k: float, state: FockState, build):
-        key = (tag, float(k), self._state_key(state))
-        hit = self._memo.get(key)
-        if hit is None:
-            if len(self._memo) >= _MEMO_LIMIT:
-                self._memo.clear()
-            hit = build()
-            self._memo[key] = hit
-        return hit
+    def _alpha_dag(self, k: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
+        """alpha†(k) = a†(-k) b(-k): (s_i) -> [sum_ij a†_j(-k) b_ji(-k) s_i]."""
+        return self.space.creation_row(-k, self.vertex.apply_b(-k, vecs))
 
-    # -- generators ------------------------------------------------------------
+    def _halved(self, plain, dressed) -> list[list[FockState]]:
+        """1/2 (plain + dressed), image by image and row by row."""
+        prune = self.space.prune
+        return [
+            [FockState.combine([(0.5 + 0j, p), (0.5 + 0j, d)]).pruned(prune) for p, d in pair]
+            for pair in map(zip, plain, dressed)
+        ]
 
-    def _alpha_all(self, k: float, state: FockState) -> tuple[FockState, ...]:
-        """alpha_i(k) s = sum_j b_ij(k) a_j(-k) s for every color i."""
-        lowered = [self.space.apply_annihilation(j, -k, state) for j in range(self.N)]
-        return tuple(self.vertex.apply_b(k, [lowered])[0])
-
-    def _alpha_dag_all(self, k: float, state: FockState) -> tuple[FockState, ...]:
-        """alpha†_i(k) s = sum_j a†_j(-k) b_ji(-k) s for every color i."""
-        sp = self.space
-        return tuple(
-            FockState.combine(
-                (1.0 + 0j, sp.apply_creation(j, -k, s)) for j, s in enumerate(column) if s.amps
-            ).pruned(sp.prune)
-            for column in self.vertex.apply_b(-k, one_hot(state, self.N))
-        )
-
-    def _halved(self, tag: str, plain, dressed_all, k: float, state: FockState):
-        """Components i of 1/2 (plain_i(k) + dressed_i(k)) s, memoized."""
-
-        def build() -> tuple[FockState, ...]:
-            return tuple(
-                FockState.combine([(0.5 + 0j, plain(i, k, state)), (0.5 + 0j, dressed)])
-                .pruned(self.space.prune)
-                for i, dressed in enumerate(dressed_all(k, state))
-            )
-
-        return self._memoized(tag, k, state, build)
-
-    def _a_tilde_all(self, k: float, state: FockState) -> tuple[FockState, ...]:
-        return self._halved("at", self.space.apply_annihilation, self._alpha_all, k, state)
-
-    def _a_tilde_dagger_all(self, k: float, state: FockState) -> tuple[FockState, ...]:
-        return self._halved("atdag", self.space.apply_creation, self._alpha_dag_all, k, state)
-
-    def apply_a_tilde(self, i: int, k: float, state: FockState) -> FockState:
-        """Halved annihilation-type boundary generator component i at momentum k."""
+    def apply_a_tilde(self, k: float, vecs: Sequence[AuxVec]) -> list[AuxVec]:
+        """at(k) = (a(k) + alpha(k)) / 2 on a batch of 1-vectors [s]: [at_i(k) s]_i."""
         self.grid.index_of(k)
-        self.space._check_color(i)
-        return self._a_tilde_all(k, state)[i]
+        return self._memoized("at", k, lambda todo: self._halved(
+            self.space.annihilation_column(k, todo), self._alpha(k, todo)
+        ), vecs)
 
-    def apply_a_tilde_dagger(self, i: int, k: float, state: FockState) -> FockState:
-        """Halved creation-type boundary generator; raises past the particle cap."""
+    def apply_a_tilde_dagger(self, k: float, vecs: Sequence[AuxVec]) -> list[AuxVec]:
+        """at†(k) = (a†(k) + alpha†(k)) / 2 on a batch of N-vectors (s_i).
+
+        The image of (s_i) is [sum_i at†_i(k) s_i].  Raises past the particle cap.
+        """
         self.grid.index_of(k)
-        self.space._check_color(i)
-        return self._a_tilde_dagger_all(k, state)[i]
+        return self._memoized("atdag", k, lambda todo: self._halved(
+            self.space.creation_row(k, todo), self._alpha_dag(k, todo)
+        ), vecs)
 
     # -- factor builders for the relation evaluator ------------------------------
 
     def at_vec(self, space_label: int, k: float) -> Vec:
-        return Vec(space_label, lambda c, s: self._a_tilde_all(k, s)[c])
+        return Vec(space_label, partial(self.apply_a_tilde, k))
 
     def atdag_covec(self, space_label: int, k: float) -> CoVec:
-        return CoVec(space_label, lambda c, s: self._a_tilde_dagger_all(k, s)[c])
+        return CoVec(space_label, partial(self.apply_a_tilde_dagger, k))
 
     # rho_B images of the bulk generators: alpha = b a', alpha† = a'† b'.
 
     def alpha_vec(self, space_label: int, k: float) -> Vec:
-        return Vec(
-            space_label,
-            lambda c, s: self._memoized("alpha", k, s, lambda: self._alpha_all(k, s))[c],
-        )
+        return Vec(space_label, partial(self._memoized, "alpha", k, partial(self._alpha, k)))
 
     def alpha_dag_covec(self, space_label: int, k: float) -> CoVec:
         return CoVec(
-            space_label,
-            lambda c, s: self._memoized("alphadag", k, s, lambda: self._alpha_dag_all(k, s))[c],
+            space_label, partial(self._memoized, "alphadag", k, partial(self._alpha_dag, k))
         )
 
 

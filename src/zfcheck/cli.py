@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, ZfcheckError
 from .harness import (
     SUITE_ORDER,
     RunConfig,
+    config_from_dict,
     emit_report,
     load_config,
     resolve_suites,
@@ -80,14 +80,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _verify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
-        cfg = replace(cfg, seed=args.seed)
-    if args.tol is not None:
-        if not 0 < args.tol < 1:
-            raise ConfigError(f"--tol must lie in (0, 1), got {args.tol}")
-        cfg = replace(cfg, tolerance=args.tol)
+    overrides = {"seed": args.seed, "tolerance": args.tol}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if overrides:
+        # The config's own validator checks the flags, with the ranges it applies to files.
+        cfg = config_from_dict({**cfg.to_dict(), **overrides})
     suites = resolve_suites(args.suite) if args.suite else None
 
     report = run_suites(cfg, suites=suites)

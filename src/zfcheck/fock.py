@@ -43,7 +43,8 @@ k1 = -k2.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping
+from functools import partial
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -173,6 +174,9 @@ class FockState:
             parts.append(f"{a:.3g}*{w}")
         more = "" if len(self.amps) <= 4 else f" +{len(self.amps) - 4} terms"
         return f"FockState({' + '.join(parts)}{more})"
+
+
+AuxVec = Sequence[FockState]  # one state per aux column
 
 
 def particle_number(state: FockState) -> int:
@@ -427,6 +431,23 @@ class FockSpace:
         self._ann_cache[key] = result
         return result
 
+    def annihilation_column(self, k: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
+        """The column a(k) on a batch of 1-vectors [s]: images [a_c(k) s]_c."""
+        colors, apply = range(self.N), self.apply_annihilation
+        return [[apply(c, k, s) for c in colors] for (s,) in vecs]
+
+    def creation_row(self, k: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
+        """The row a†(k) on a batch of N-vectors (s_c): images [sum_c a†_c(k) s_c]."""
+        out = []
+        for vec in vecs:
+            image = None
+            for c, s in enumerate(vec):
+                if s.amps:
+                    term = self.apply_creation(c, k, s)
+                    image = term if image is None else image + term
+            out.append([FockState() if image is None else image])
+        return out
+
     def _check_color(self, color: int) -> None:
         if not 0 <= color < self.N:
             raise GridDomainError(f"color {color} out of range for N = {self.N}")
@@ -453,8 +474,8 @@ def zf_relation_evaluators(space: FockSpace, k1: float, k2: float) -> dict:
         space.r,
         k1,
         k2,
-        lambda sp, k: Vec(sp, lambda c, s: space.apply_annihilation(c, k, s)),
-        lambda sp, k: CoVec(sp, lambda c, s: space.apply_creation(c, k, s)),
+        lambda sp, k: Vec(sp, partial(space.annihilation_column, k)),
+        lambda sp, k: CoVec(sp, partial(space.creation_row, k)),
         [delta_term(space.N)] if k1 == k2 else [],
     )
     return dict(zip(("AN-1", "AN-2", "AN-3"), triple))

@@ -35,7 +35,7 @@ class HierarchyOperator:
 
 
 def apply_H(ctx: BoundaryContext, n: int, state: FockState) -> FockState:
-    """Apply sum over grid k, colors i of k^n at†_i(k) at_i(k)."""
+    """Apply sum over grid k, colors i of k^n at†_i(k) at_i(k): the at† row on the at column."""
     if n < 0:
         raise ValueError(f"hierarchy order must be nonnegative, got {n}")
     if not state.amps:
@@ -43,13 +43,9 @@ def apply_H(ctx: BoundaryContext, n: int, state: FockState) -> FockState:
     terms: list[tuple[complex, FockState]] = []
     for k in ctx.grid:
         weight = complex(k**n)
-        if weight == 0:
-            continue
-        for i in range(ctx.N):
-            lowered = ctx.apply_a_tilde(i, k, state)
-            if lowered.is_zero():
-                continue
-            terms.append((weight, ctx.apply_a_tilde_dagger(i, k, lowered)))
+        if weight != 0:
+            (row,) = ctx.apply_a_tilde_dagger(k, ctx.apply_a_tilde(k, [[state]]))
+            terms.append((weight, row[0]))
     return FockState.combine(terms).pruned(ctx.space.prune)
 
 

@@ -4,11 +4,13 @@ Every identity this package checks has the same shape: a product of factors,
 each factor living in one or two labeled auxiliary color spaces, applied to a
 concrete Fock state.  A factor is one of
 
-* ``Vec``     -- an annihilation-type column of operators, sum_c op(c) e_c;
-* ``CoVec``   -- a creation-type row of operators, sum_c op(c) e†_c;
+* ``Vec``     -- an annihilation-type column of operators, sum_c x_c e_c,
+                 mapping 1-vectors [s] to N-vectors [x_c s]_c;
+* ``CoVec``   -- a creation-type row of operators, sum_c x†_c e†_c, mapping
+                 N-vectors (s_c) to 1-vectors [sum_c x†_c s_c];
 * ``OpMat``   -- an N x N matrix of operators acting in one space (a vertex
-                 operator or a dressed reflection operator), given by its
-                 action on a batch of aux vectors;
+                 operator or a dressed reflection operator), mapping
+                 N-vectors to N-vectors;
 * ``NumMat``  -- an N x N scalar matrix in one space;
 * ``RMat``    -- an N^2 x N^2 scalar matrix coupling an ordered pair of
                  spaces (an exchange-matrix value);
@@ -35,7 +37,8 @@ maps the zero state to the zero state, and the evaluator relies on that: it
 applies operators and scalar matrix columns only to the entries present, so
 no operator sees an empty state or an aux vector without one nonzero entry,
 and a scalar matrix costs only its nonzero entries (the rational R has at
-most 2 of N^2 per column).  An ``OpMat`` gets every entry in one batch.
+most 2 of N^2 per column).  An aux vector holds one state per color, and
+an operator factor maps every aux vector of a product in one call.
 
 Every state-level relation is measured by ``identity_residual`` on two sums
 of factor products.  The exchange relations come in two families, each
@@ -53,37 +56,39 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import rmatrix
-from .fock import FockState
+from .fock import AuxVec, FockState
 
-ColorOp = Callable[[int, FockState], FockState]
-# An aux vector holds one state per aux column l.  A matrix operator maps a
-# batch of them to their images, out_i = sum_l M_il s_l for each vector.
-AuxVec = Sequence[FockState]
-MatrixOp = Callable[[Sequence[AuxVec]], list[list[FockState]]]
+# An operator factor maps a batch of aux vectors to their images; for a
+# matrix, out_i = sum_l M_il s_l.
+BatchOp = Callable[[Sequence[AuxVec]], Sequence[AuxVec]]
 
 
 def one_hot(state: FockState, N: int) -> list[list[FockState]]:
     """The N aux vectors e_l (x) state; their images are the columns of M state."""
-    zero = FockState()
-    return [[state if c == l else zero for c in range(N)] for l in range(N)]
+    zero, vecs = FockState(), []
+    for l in range(N):  # a loop, not a comprehension: this runs once per entry
+        vec = [zero] * N
+        vec[l] = state
+        vecs.append(vec)
+    return vecs
 
 
 @dataclass(frozen=True)
 class Vec:
     space: int
-    op: ColorOp
+    op: BatchOp
 
 
 @dataclass(frozen=True)
 class CoVec:
     space: int
-    op: ColorOp
+    op: BatchOp
 
 
 @dataclass(frozen=True)
 class OpMat:
     space: int
-    op: MatrixOp
+    op: BatchOp
     space_in: int | None = None
 
 
@@ -158,12 +163,6 @@ def _columns(mat: np.ndarray) -> list[list[tuple[int, complex]]]:
     ]
 
 
-def _summed(
-    contribs: dict[Index, list[tuple[complex, FockState]]]
-) -> dict[Index, FockState]:
-    return {idx: FockState.combine(terms) for idx, terms in contribs.items()}
-
-
 class _Accumulator:
     """Mutable tensor-with-labels used while scanning a factor product."""
 
@@ -193,39 +192,60 @@ class _Accumulator:
             self.labels[0:0] = [("open", space), ("in", space if space_in is None else space_in)]
         return p
 
-    def _prepend(self, label: Label, op: ColorOp) -> None:
-        out: dict[Index, FockState] = {}
-        for idx, s in self.entries.items():
-            for v in range(self.N):
-                image = op(v, s)
-                if image.amps:
-                    out[(v,) + idx] = image
-        self.entries = out
-        self.labels.insert(0, label)
-
     # factor cases -----------------------------------------------------------
 
-    def apply_vec(self, f: Vec) -> None:
-        if self._axis_of_open(f.space) is not None or self._has("in", f.space):
-            raise ValueError(
-                f"annihilation-type factor must be rightmost in space {f.space}"
-            )
-        self._prepend(("open", f.space), f.op)
+    def apply_op(self, f: Vec | CoVec | OpMat) -> None:
+        """One call of an operator factor's batch map on every aux vector.
 
-    def apply_covec(self, f: CoVec) -> None:
-        p = self._axis_of_open(f.space)
-        if p is None:
-            if self._has("in", f.space):
-                raise ValueError(f"space {f.space} already closed by a creation row")
-            self._prepend(("in", f.space), f.op)
-            return
-        contribs: dict[Index, list[tuple[complex, FockState]]] = {}
-        for idx, e in self.entries.items():
-            image = f.op(idx[p], e)
-            if image.amps:
-                contribs.setdefault(idx[:p] + idx[p + 1 :], []).append((1.0, image))
-        self.entries = _summed(contribs)
-        del self.labels[p]
+        A ``Vec`` takes each entry as the 1-vector [s].  A ``CoVec`` or
+        ``OpMat`` takes each entry of a fresh space as its N one-hot vectors,
+        keyed (column,) + index, and the column leg dangles.  In the space's
+        open axis p the entries that differ only in index p form one vector,
+        keyed by the rest of the index.  Row r of the image of the vector
+        keyed t lands at t[:p] + (r,) + t[p:], p = 0 for a fresh space; the
+        1-vector a ``CoVec`` returns lands at t.
+        """
+        N, entries = self.N, self.entries
+        if isinstance(f, Vec):
+            if self._axis_of_open(f.space) is not None or self._has("in", f.space):
+                raise ValueError(
+                    f"annihilation-type factor must be rightmost in space {f.space}"
+                )
+            self.labels.insert(0, ("open", f.space))
+            p, keys, vecs = 0, list(entries), list(zip(entries.values()))
+        else:
+            if isinstance(f, OpMat):
+                p = self._matrix_axis(f.space, f.space_in)
+            elif (p := self._axis_of_open(f.space)) is None:
+                if self._has("in", f.space):
+                    raise ValueError(f"space {f.space} already closed by a creation row")
+                self.labels.insert(0, ("in", f.space))
+            if p is None:
+                p, keys, vecs = 0, [], []
+                for idx, s in entries.items():
+                    for c, vec in enumerate(one_hot(s, N)):
+                        keys.append((c,) + idx)
+                        vecs.append(vec)
+            else:
+                zero, groups = FockState(), {}
+                for idx, e in entries.items():
+                    groups.setdefault(idx[:p] + idx[p + 1 :], [zero] * N)[idx[p]] = e
+                keys, vecs = list(groups), list(groups.values())
+                if isinstance(f, CoVec):
+                    del self.labels[p]
+        out: dict[Index, FockState] = {}
+        images = f.op(vecs) if vecs else []
+        if isinstance(f, CoVec):
+            for t, (s,) in zip(keys, images):
+                if s.amps:
+                    out[t] = s
+        else:
+            for t, image in zip(keys, images):
+                head, tail = t[:p], t[p:]
+                for r, s in enumerate(image):
+                    if s.amps:
+                        out[head + (r,) + tail] = s
+        self.entries = out
 
     def apply_nummat(self, f: NumMat) -> None:
         self._apply_matrix(f.space, f.columns, f.space_in)
@@ -233,30 +253,6 @@ class _Accumulator:
     def apply_stateop(self, f: StateOp) -> None:
         images = ((idx, f.op(s)) for idx, s in self.entries.items())
         self.entries = {idx: s for idx, s in images if s.amps}
-
-    def apply_opmat(self, f: OpMat) -> None:
-        """One seam call on the whole batch of aux vectors.
-
-        A fresh space takes each entry as its N one-hot vectors; in an open
-        space the entries that differ only in its index form one vector.
-        The vector keyed (head, tail) lands at the entries head + (row,) + tail.
-        """
-        N = self.N
-        p = self._matrix_axis(f.space, f.space_in)
-        groups: dict[tuple[Index, Index], AuxVec] = {}
-        if p is None:
-            for idx, s in self.entries.items():
-                groups.update((((), (c,) + idx), v) for c, v in enumerate(one_hot(s, N)))
-        else:
-            for idx, e in self.entries.items():
-                groups.setdefault((idx[:p], idx[p + 1 :]), [FockState()] * N)[idx[p]] = e
-        images = f.op(list(groups.values())) if groups else []
-        self.entries = {
-            head + (r,) + tail: s
-            for (head, tail), image in zip(groups, images)
-            for r, s in enumerate(image)
-            if s.amps
-        }
 
     def _apply_matrix(self, space: int, columns, space_in: int | None = None) -> None:
         """Apply a scalar matrix, given by its nonzero ``columns``."""
@@ -274,7 +270,7 @@ class _Accumulator:
             head, tail = idx[:p], idx[p + 1 :]
             for r, coeff in columns[idx[p]]:
                 contribs.setdefault(head + (r,) + tail, []).append((coeff, e))
-        self.entries = _summed(contribs)
+        self.entries = {idx: FockState.combine(terms) for idx, terms in contribs.items()}
 
     def apply_rmat(self, f: RMat) -> None:
         N = self.N
@@ -293,7 +289,7 @@ class _Accumulator:
                 out = list(idx)
                 out[pa], out[pb] = divmod(row, N)
                 contribs.setdefault(tuple(out), []).append((coeff, e))
-        self.entries = _summed(contribs)
+        self.entries = {idx: FockState.combine(terms) for idx, terms in contribs.items()}
 
     # finish -----------------------------------------------------------------
 
@@ -313,12 +309,8 @@ def evaluate(factors: Sequence[Factor], state: FockState, N: int) -> LabeledTens
     """Apply a factor product (operator order, left to right) to a state."""
     acc = _Accumulator(state, N)
     for f in reversed(factors):
-        if isinstance(f, Vec):
-            acc.apply_vec(f)
-        elif isinstance(f, CoVec):
-            acc.apply_covec(f)
-        elif isinstance(f, OpMat):
-            acc.apply_opmat(f)
+        if isinstance(f, (Vec, CoVec, OpMat)):
+            acc.apply_op(f)
         elif isinstance(f, NumMat):
             acc.apply_nummat(f)
         elif isinstance(f, RMat):

@@ -215,10 +215,10 @@ class VertexContext:
         return OpMat(space_label, lambda vecs: self.apply_b(k, vecs, force=force))
 
     def a_vec(self, space_label: int, k: float) -> Vec:
-        return Vec(space_label, lambda c, s: self.space.apply_annihilation(c, k, s))
+        return Vec(space_label, partial(self.space.annihilation_column, k))
 
     def adag_covec(self, space_label: int, k: float) -> CoVec:
-        return CoVec(space_label, lambda c, s: self.space.apply_creation(c, k, s))
+        return CoVec(space_label, partial(self.space.creation_row, k))
 
 
 # ---------------------------------------------------------------------------

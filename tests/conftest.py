@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import FockSpace, FockState, SpectralGrid
+from zfcheck.relations import one_hot
 from zfcheck.rmatrix import identity_b, phase_diagonal_b, rational_r
 from zfcheck.vertex import VertexContext
 
@@ -111,3 +112,13 @@ def random_state(rng, space, n, terms=2):
         {w: complex(rng.standard_normal(), rng.standard_normal()) for w in words}
     )
     return s.scaled(1.0 / s.maxamp())
+
+
+def at_component(bctx, i, k, state):
+    """at_i(k) state: row i of the at(k) column on the 1-vector [state]."""
+    return bctx.apply_a_tilde(k, [[state]])[0][i]
+
+
+def atdag_component(bctx, i, k, state):
+    """at†_i(k) state: the at†(k) row on the one-hot vector of color i."""
+    return bctx.apply_a_tilde_dagger(k, [one_hot(state, bctx.N)[i]])[0][0]

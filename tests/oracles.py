@@ -15,7 +15,7 @@ import numpy as np
 
 from zfcheck.fock import FockSpace, FockState, Word, states_equal
 from zfcheck.relations import (
-    AuxVec, CoVec, ColorOp, Factor, Label, LabeledTensor, NumMat, OpMat, RMat, StateOp, Vec
+    AuxVec, CoVec, Factor, Label, LabeledTensor, NumMat, OpMat, RMat, StateOp, Vec, one_hot
 )
 from zfcheck.rmatrix import eval_r
 
@@ -390,39 +390,45 @@ class _ObjectArrayAccumulator:
     def _has(self, kind: str, space: int) -> bool:
         return (kind, space) in self.labels
 
-    def _prepend(self, label: Label, op: ColorOp) -> None:
-        N = self.N
-        out = _fresh((N,) + self.data.shape)
-        for idx in _indices(self.data.shape):
-            s = self.data[idx]
-            for v in range(N):
-                out[(v,) + idx] = op(v, s) if s.amps else FockState()
-        self.data = out
-        self.labels.insert(0, label)
-
     # factor cases -----------------------------------------------------------
+    # Operator factors are called once per aux vector, and only on vectors
+    # with a nonzero entry.
 
     def apply_vec(self, f: Vec) -> None:
         if self._axis_of_open(f.space) is not None or self._has("in", f.space):
             raise ValueError(
                 f"annihilation-type factor must be rightmost in space {f.space}"
             )
-        self._prepend(("open", f.space), f.op)
+        N = self.N
+        out = _fresh((N,) + self.data.shape)
+        for idx in _indices(self.data.shape):
+            s = self.data[idx]
+            image = f.op([[s]])[0] if s.amps else [FockState()] * N
+            for v in range(N):
+                out[(v,) + idx] = image[v]
+        self.data = out
+        self.labels.insert(0, ("open", f.space))
 
     def apply_covec(self, f: CoVec) -> None:
+        N = self.N
         p = self._axis_of_open(f.space)
         if p is None:
             if self._has("in", f.space):
                 raise ValueError(f"space {f.space} already closed by a creation row")
-            self._prepend(("in", f.space), f.op)
+            out = _fresh((N,) + self.data.shape)
+            for idx in _indices(self.data.shape):
+                s = self.data[idx]
+                for l, vec in enumerate(one_hot(s, N)):
+                    out[(l,) + idx] = f.op([vec])[0][0] if s.amps else FockState()
+            self.data = out
+            self.labels.insert(0, ("in", f.space))
             return
-        N = self.N
         old = self.data
         shape = old.shape[:p] + old.shape[p + 1 :]
         out = _fresh(shape)
         for idx in _indices(shape):
-            entries = ((l, old[idx[:p] + (l,) + idx[p:]]) for l in range(N))
-            out[idx] = FockState.combine((1.0, f.op(l, e)) for l, e in entries if e.amps)
+            vec = [old[idx[:p] + (l,) + idx[p:]] for l in range(N)]
+            out[idx] = f.op([vec])[0][0] if any(e.amps for e in vec) else FockState()
         self.data = out
         del self.labels[p]
 

@@ -13,6 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import atdag_component
 from oracles import aux_entries, dense_T_oracle, max_entry_deviation
 from zfcheck.boundary import (
     BoundaryContext,
@@ -285,7 +286,7 @@ def test_conserved_charges(spaces):
     eigen = 0.0
     for k in (1.0, 2.0, 3.0):
         for i in range(2):
-            dressed = ctx.apply_a_tilde_dagger(i, k, space.vacuum())
+            dressed = atdag_component(ctx, i, k, space.vacuum())
             image = apply_H(ctx, 2, dressed)
             eigen = max(eigen, (image - dressed.scaled(k**2)).maxamp())
 

@@ -1,9 +1,14 @@
-"""Boundary generators: exact small-sector values, the seven-relation algebra,
-the reflection-twisted identity, and the substitution automorphism."""
+"""Boundary generators: exact small-sector values, the batch form, the
+seven-relation algebra, the reflection-twisted identity, and the
+substitution automorphism."""
+
+from functools import partial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import GRID, at_component, atdag_component, random_state
 from zfcheck.boundary import (
     BoundaryContext,
     boundary_relation_evaluators,
@@ -11,8 +16,10 @@ from zfcheck.boundary import (
     rho_evaluator,
 )
 from zfcheck.errors import GridDomainError, NotWhitelistedError
+from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal
 from zfcheck.harness import RELATIONS
-from zfcheck.rmatrix import constant_diagonal_b, eval_b, worst_over
+from zfcheck.relations import one_hot
+from zfcheck.rmatrix import constant_diagonal_b, eval_b, phase_diagonal_b, rational_r, worst_over
 from zfcheck.vertex import VertexContext
 
 PAIRS = ((1.0, 2.0), (1.0, 1.0), (2.0, -2.0), (-3.0, 1.0))
@@ -27,7 +34,7 @@ class TestGeneratorValues:
         vac = bctx.space.vacuum()
         for k in bctx.grid:
             for i in range(bctx.N):
-                assert amax(bctx.apply_a_tilde(i, k, vac)) == 0.0
+                assert amax(at_component(bctx, i, k, vac)) == 0.0
 
     def test_same_momentum_pairing_is_half_delta(self, bctx):
         # at_i(k) a†_j(k) vac = 1/2 delta_ij vac
@@ -36,7 +43,7 @@ class TestGeneratorValues:
         k = 2.0
         for i in range(bctx.N):
             for j in range(bctx.N):
-                got = bctx.apply_a_tilde(i, k, sp.apply_creation(j, k, vac))
+                got = at_component(bctx, i, k, sp.apply_creation(j, k, vac))
                 want = vac.scaled(0.5 if i == j else 0.0)
                 assert amax(got + want.scaled(-1.0)) < 1e-13
 
@@ -48,7 +55,7 @@ class TestGeneratorValues:
         bmat = eval_b(bctx.vertex.reflection, k)
         for i in range(bctx.N):
             for j in range(bctx.N):
-                got = bctx.apply_a_tilde(i, k, sp.apply_creation(j, -k, vac))
+                got = at_component(bctx, i, k, sp.apply_creation(j, -k, vac))
                 want = vac.scaled(0.5 * bmat[i, j])
                 assert amax(got + want.scaled(-1.0)) < 1e-13
 
@@ -58,7 +65,7 @@ class TestGeneratorValues:
         vac = sp.vacuum()
         k = 3.0
         for i in range(bctx_id.N):
-            got = bctx_id.apply_a_tilde_dagger(i, k, vac)
+            got = atdag_component(bctx_id, i, k, vac)
             want = (
                 sp.apply_creation(i, k, vac).scaled(0.5)
                 + sp.apply_creation(i, -k, vac).scaled(0.5)
@@ -71,7 +78,7 @@ class TestGeneratorValues:
         k = 2.0
         bmat = eval_b(bctx.vertex.reflection, -k)
         for i in range(bctx.N):
-            got = bctx.apply_a_tilde_dagger(i, k, vac)
+            got = atdag_component(bctx, i, k, vac)
             want = (
                 sp.apply_creation(i, k, vac).scaled(0.5)
                 + sp.apply_creation(i, -k, vac).scaled(0.5 * bmat[i, i])
@@ -80,13 +87,90 @@ class TestGeneratorValues:
 
     def test_off_grid_momentum_rejected(self, bctx):
         with pytest.raises(GridDomainError):
-            bctx.apply_a_tilde(0, 0.25, bctx.space.vacuum())
+            bctx.apply_a_tilde(0.25, [[bctx.space.vacuum()]])
 
     def test_component_memo_returns_identical_tuples(self, bctx, rng):
         s = random_state(rng, bctx.space, 1)
-        first = bctx._a_tilde_all(1.0, s)
-        second = bctx._a_tilde_all(1.0, s)
+        first = bctx.apply_a_tilde(1.0, [[s]])[0]
+        second = bctx.apply_a_tilde(1.0, [[s]])[0]
         assert first is second
+
+
+@pytest.fixture(scope="module")
+def batch_ctx():
+    """Per N, a boundary context with one particle of headroom over sector 2."""
+    out = {}
+    for N in (2, 3):
+        space = FockSpace(SpectralGrid(GRID), rational_r(N, 0.7), n_max=3)
+        signs = [(-1) ** c for c in range(N)]
+        out[N] = BoundaryContext(VertexContext(space, phase_diagonal_b(N, 1.0, signs)))
+    return out
+
+
+class TestBatchForm:
+    """Every generator maps a batch of aux vectors, as T and b do."""
+
+    @given(
+        N=st.sampled_from([2, 3]),
+        columns=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 2), st.integers(0, 10**6), st.complex_numbers(max_magnitude=2.0)
+                ),
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+        k=st.sampled_from(GRID),
+    )
+    def test_row_of_a_vector_is_sum_of_one_hot_rows(self, batch_ctx, N, columns, k):
+        # Each drawn column is a few (sector, word pick, amplitude) triples;
+        # consecutive runs of N columns make one aux vector.
+        ctx = batch_ctx[N]
+        sectors = [ctx.space.canonical_words(n) for n in range(3)]
+        states = [
+            FockState.combine(
+                (a, ctx.space.basis_state(sectors[n][pick % len(sectors[n])]))
+                for n, pick, a in col
+            )
+            for col in columns
+        ]
+        states += [FockState()] * (-len(states) % N)
+        vecs = [states[v : v + N] for v in range(0, len(states), N)]
+        rows = {
+            "at†": lambda batch: ctx.apply_a_tilde_dagger(k, batch),
+            "alpha†": ctx.alpha_dag_covec(1, k).op,
+        }
+        for name, row in rows.items():
+            images = row(vecs)
+            assert len(images) == len(vecs) and all(len(image) == 1 for image in images)
+            for vec, (image,) in zip(vecs, images):
+                one_hots = [row([one_hot(s, N)[l]])[0][0] for l, s in enumerate(vec) if s.amps]
+                want = FockState.combine((1.0, oh) for oh in one_hots)
+                assert states_equal(image, want, tol=0.0)[1] <= 1e-13, name
+
+    def test_columns_of_a_batch_match_single_calls(self, batch_ctx, rng):
+        ctx = batch_ctx[3]
+        states = [random_state(rng, ctx.space, n) for n in (1, 2, 2)]
+        for column in (partial(ctx.apply_a_tilde, 2.0), ctx.alpha_vec(1, -1.0).op):
+            images = column([[s] for s in states])
+            for s, image in zip(states, images):
+                (single,) = column([[s]])
+                assert len(image) == 3
+                assert all(states_equal(a, b, tol=0.0)[1] == 0.0 for a, b in zip(image, single))
+
+    def test_bnl3_sends_one_b_batch_per_generator_factor(self, vctx, rng, monkeypatch):
+        # BNl-3 at a generic pair holds four generator factors: at_1 and at†_2
+        # on each side.  A cold memo must still send each through b once.
+        calls = []
+        apply_b = vctx.apply_b
+        monkeypatch.setattr(
+            vctx, "apply_b", lambda k, vecs, **kw: calls.append(k) or apply_b(k, vecs, **kw)
+        )
+        fn = boundary_relation_evaluators(BoundaryContext(vctx), 1.0, 2.0)["BNl-3"]
+        assert fn(random_state(rng, vctx.space, 2)) < 1e-10
+        assert 0 < len(calls) <= 4, calls
 
 
 class TestSevenRelations:
@@ -205,7 +289,7 @@ class TestGates:
         ctx = BoundaryContext(vbad)
         assert ctx.involution_residual == 0.0
         with pytest.raises(NotWhitelistedError):
-            ctx.apply_a_tilde(0, 1.0, space.vacuum())
+            ctx.apply_a_tilde(1.0, [[space.vacuum()]])
 
     def test_matrix_involution_gate(self, space):
         # A family inside the whitelist tolerance band but outside the

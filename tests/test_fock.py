@@ -1,6 +1,7 @@
 """Fock states, canonicalization, ladder operators, and the bulk exchange algebra."""
 
 import math
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -344,8 +345,8 @@ class TestExchangeRelations:
 
         s = random_state(rng, space, 1)
         k = 2.0
-        a1 = Vec(1, lambda c, t: space.apply_annihilation(c, k, t))
-        adag2 = CoVec(2, lambda c, t: space.apply_creation(c, k, t))
+        a1 = Vec(1, partial(space.annihilation_column, k))
+        adag2 = CoVec(2, partial(space.creation_row, k))
         r12 = RMat(1, 2, eval_r(space.r, k, k))
         gap = identity_residual([(1.0, [a1, adag2])], [(1.0, [adag2, r12, a1])], s, 2)
         assert gap > 0.5

@@ -219,6 +219,23 @@ class TestSamplePlan:
             != build_sample_plan(cfg2, space).ybe_triples
         )
 
+    @pytest.mark.parametrize("seed", [2026, 0, 1, 7, 9, 10, 11])
+    def test_shuffle_schedules_take_different_first_steps(self, seed):
+        # Confluence compares the leftmost and rightmost rewrite schedules;
+        # if both transpose the same pair first, it compares a path with itself.
+        from zfcheck.fock import FockSpace, SpectralGrid
+        from zfcheck.rmatrix import rational_r
+
+        cfg = config_from_dict({"seed": seed})
+        space = FockSpace(SpectralGrid(cfg.grid), rational_r(cfg.N, cfg.g), cfg.n_max)
+        shuffles = build_sample_plan(cfg, space).shuffles
+        assert len(shuffles) == 4
+        for name, raw in shuffles:
+            (word,) = raw
+            left = FockSpace._first_inversion(word, from_right=False)
+            right = FockSpace._first_inversion(word, from_right=True)
+            assert left is not None and left != right, (name, word)
+
 
 class TestRunSuites:
     def test_default_small_run_is_green(self, small_report):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import GRID, random_state
+from conftest import GRID, atdag_component, random_state
 from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import FockState, particle_number
 from zfcheck.harness import RELATIONS
@@ -49,12 +49,12 @@ class TestApplyH:
 
     @pytest.mark.parametrize("k", [1.0, 2.0, -3.0])
     def test_quadratic_charge_eigenvalue_on_dressed_one_particle(self, bctx, k):
-        s = bctx.apply_a_tilde_dagger(0, k, bctx.space.vacuum())
+        s = atdag_component(bctx, 0, k, bctx.space.vacuum())
         got = apply_H(bctx, 2, s)
         assert (got - s.scaled(k**2)).maxamp() < 1e-12
 
     def test_zeroth_charge_counts_dressed_particles(self, bctx):
-        s = bctx.apply_a_tilde_dagger(1, 2.0, bctx.space.vacuum())
+        s = atdag_component(bctx, 1, 2.0, bctx.space.vacuum())
         got = apply_H(bctx, 0, s)
         assert (got - s).maxamp() < 1e-12
 

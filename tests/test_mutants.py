@@ -5,22 +5,30 @@ vertex layer (``VertexContext.apply_T``, ``apply_T_inverse``, ``apply_b``,
 which map aux vectors s to images with rows sum_l M_il s_l) row 0 gains a
 little of column 1's input, a leak into the off-diagonal entry (0, 1), or
 0.001 M_00 s_0, a rescale of the diagonal entry (0, 0); at the Fock layer
-(``FockSpace.apply_creation``, ``apply_annihilation``) and at the boundary
-factor builders (``BoundaryContext.at_vec``, ``atdag_covec``) it rescales
-the output of one color at one momentum; in ``hierarchy.apply_H`` it
-rescales the words of H(4) s that start with color 0.  A uniform rescale of
+(``FockSpace.apply_creation``, ``apply_annihilation``) it rescales the
+output of one color at one momentum; at the boundary factor builders
+(``BoundaryContext.at_vec``, ``atdag_covec``) the at column's component 0
+and the at† row's color-0 part come out too large at one momentum; in
+``hierarchy.apply_H`` it rescales the words of H(4) s that start with color
+0; and at the two matrix families a run builds (the ``rational_r`` and
+``build_reflection`` that ``harness`` calls) R(k1, k2) gains an entry odd
+under k1 <-> k2 and B(1) a rescaled diagonal entry.  A uniform rescale of
 every entry could cancel between the two sides of an identity; these cannot.
 The default config then runs, all five suites, under each mutant.  The set
-of tags each one turns to FAIL is pinned, and every tag listed below must
+of tags each one turns to FAIL is pinned, and every ``RELATIONS`` row must
 FAIL under at least one of them, by a residual far above the tolerance.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from zfcheck import hierarchy
+from zfcheck import harness, hierarchy
 from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import FockSpace, FockState
-from zfcheck.harness import RunConfig, run_suites
+from zfcheck.harness import RELATIONS, RunConfig, run_suites
+from zfcheck.relations import Vec
 from zfcheck.vertex import VertexContext
 
 
@@ -58,18 +66,57 @@ def _color_scaled(original):
 
 
 def _builder_scaled(original):
-    """The factor of color 0 at momentum 1 comes out 1.001 times too large."""
+    """At momentum 1, at's component 0 is 1.001 times too large; at† s gains 0.001 at†_0 s_0."""
 
     def method(self, space_label, k):
         factor = original(self, space_label, k)
+        if k != 1.0:
+            return factor
 
-        def op(color, state):
-            out = factor.op(color, state)
-            return out.scaled(1.001) if (color, k) == (0, 1.0) else out
+        def op(vecs):
+            images = factor.op(vecs)
+            if isinstance(factor, Vec):
+                return [[image[0].scaled(1.001), *image[1:]] for image in images]
+            zero = FockState()
+            col0 = factor.op([[vec[0]] + [zero] * (len(vec) - 1) for vec in vecs])
+            return [[image[0] + extra[0].scaled(1e-3)] for image, extra in zip(images, col0)]
 
         return type(factor)(space_label, op)
 
     return method
+
+
+def _r_skewed(original):
+    """R(k1, k2) gains 1e-3 (k1 - k2) at entry (0, 1): zero at k1 = k2, odd under the swap."""
+
+    def rational_r(N, g):
+        spec = original(N, g)
+
+        def evaluator(k1, k2):
+            mat = np.array(spec.evaluator(k1, k2), dtype=complex)
+            mat[0, 1] += 1e-3 * (k1 - k2)
+            return mat
+
+        return replace(spec, evaluator=evaluator)
+
+    return rational_r
+
+
+def _b_scaled(original):
+    """B(1) comes out with entry (0, 0) 1.001 times too large."""
+
+    def build_reflection(cfg):
+        spec = original(cfg)
+
+        def evaluator(k):
+            mat = np.array(spec.evaluator(k), dtype=complex)
+            if k == 1.0:
+                mat[0, 0] *= 1.001
+            return mat
+
+        return replace(spec, evaluator=evaluator)
+
+    return build_reflection
 
 
 def _h4_scaled(original):
@@ -97,6 +144,8 @@ MUTANTS = {
         BoundaryContext, ("at_vec", "atdag_covec"), _builder_scaled
     ),
     "H(4) scales words starting with color 0": (hierarchy, ("apply_H",), _h4_scaled),
+    "R gains 1e-3 (k1 - k2) at (0, 1)": (harness, ("rational_r",), _r_skewed),
+    "B(1) scales (0, 0)": (harness, ("build_reflection",), _b_scaled),
 }
 
 # Per mutant, every (suite, tag) that FAILs under it on the default config.
@@ -171,41 +220,25 @@ FAILS = {
         ("hierarchy", "H-commute"),
         ("hierarchy", "H-eigen"),
     },
+    # The reflection whitelist fails too (RBRB), so every b row is a gate skip.
+    "R gains 1e-3 (k1 - k2) at (0, 1)": {
+        ("fock", "AN-1"),
+        ("fock", "AN-2"),
+        ("fock", "AN-3"),
+        ("fock", "confluence"),
+        ("fock", "roundtrip"),
+        ("rmatrix", "RBRB"),
+        ("rmatrix", "YBE"),
+        ("rmatrix", "unitarity"),
+        ("vertex", "T-inverse"),
+        ("vertex", "defT-a"),
+        ("vertex", "defT-adag"),
+        ("vertex", "rtt"),
+    },
+    "B(1) scales (0, 0)": {("rmatrix", "B-unitarity"), ("rmatrix", "RBRB")},
 }
 
-TAGS = (
-    ("fock", "AN-1"),
-    ("fock", "AN-2"),
-    ("fock", "AN-3"),
-    ("vertex", "defT-adag"),
-    ("vertex", "defT-a"),
-    ("vertex", "TOmega"),
-    ("vertex", "T-inverse"),
-    ("vertex", "rtt"),
-    ("vertex", "b-vacuum"),
-    ("vertex", "rbrb"),
-    ("vertex", "eq:ab"),
-    ("vertex", "eq:bad"),
-    ("vertex", "eq:bb"),
-    ("hierarchy", "ssb"),
-    ("boundary", "BNl-1"),
-    ("boundary", "BNl-2"),
-    ("boundary", "BNl-3"),
-    ("boundary", "BNl-4"),
-    ("boundary", "BNl-5"),
-    ("boundary", "eq:bb"),
-    ("boundary", "rbrb"),
-    ("boundary", "coset"),
-    ("boundary", "rho"),
-    ("boundary", "rhoB-aa"),
-    ("boundary", "rhoB-adad"),
-    ("boundary", "rhoB-aad"),
-    ("boundary", "rhoB-involution"),
-    ("hierarchy", "H-odd"),
-    ("hierarchy", "H-commute"),
-    ("hierarchy", "H-eigen"),
-    ("hierarchy", "H-iom"),
-)
+TAGS = tuple((r.suite, r.tag) for r in RELATIONS)
 
 
 @pytest.fixture(scope="module")

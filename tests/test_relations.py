@@ -1,7 +1,7 @@
 """The factor-product evaluator, checked against explicit index loops."""
 
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -33,11 +33,11 @@ from zfcheck.vertex import VertexContext
 
 
 def ann(space, k):
-    return lambda c, s: space.apply_annihilation(c, k, s)
+    return partial(space.annihilation_column, k)
 
 
 def dag(space, k):
-    return lambda c, s: space.apply_creation(c, k, s)
+    return partial(space.creation_row, k)
 
 
 def diff(state_a, state_b):
