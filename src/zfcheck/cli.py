@@ -83,7 +83,6 @@ def _verify(args: argparse.Namespace) -> int:
     overrides = {"seed": args.seed, "tolerance": args.tol}
     overrides = {key: value for key, value in overrides.items() if value is not None}
     if overrides:
-        # The config's own validator checks the flags, with the ranges it applies to files.
         cfg = config_from_dict({**cfg.to_dict(), **overrides})
     suites = resolve_suites(args.suite) if args.suite else None
 

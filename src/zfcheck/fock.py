@@ -433,8 +433,13 @@ class FockSpace:
 
     def annihilation_column(self, k: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
         """The column a(k) on a batch of 1-vectors [s]: images [a_c(k) s]_c."""
-        colors, apply = range(self.N), self.apply_annihilation
-        return [[apply(c, k, s) for c in colors] for (s,) in vecs]
+        out = []
+        for (s,) in vecs:  # loops, not comprehensions: most batches hold one vector
+            image = []
+            for c in range(self.N):
+                image.append(self.apply_annihilation(c, k, s))
+            out.append(image)
+        return out
 
     def creation_row(self, k: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
         """The row a†(k) on a batch of N-vectors (s_c): images [sum_c a†_c(k) s_c]."""

@@ -37,8 +37,8 @@ maps the zero state to the zero state, and the evaluator relies on that: it
 applies operators and scalar matrix columns only to the entries present, so
 no operator sees an empty state or an aux vector without one nonzero entry,
 and a scalar matrix costs only its nonzero entries (the rational R has at
-most 2 of N^2 per column).  An aux vector holds one state per color, and
-an operator factor maps every aux vector of a product in one call.
+most 2 of N^2 per column).  An operator factor maps all of a product's aux
+vectors in one call.
 
 Every state-level relation is measured by ``identity_residual`` on two sums
 of factor products.  The exchange relations come in two families, each
@@ -138,17 +138,18 @@ class LabeledTensor:
             return LabeledTensor(self.axes, {})
         return LabeledTensor(self.axes, {i: s.scaled(c) for i, s in self.entries.items()})
 
-    def add(self, other: "LabeledTensor") -> "LabeledTensor":
+    def add(self, other: "LabeledTensor", c: complex = 1.0) -> "LabeledTensor":
+        """self + c other, without scaling the entries that meet one of self."""
         if self.axes != other.axes:
             raise ValueError(f"axis mismatch: {self.axes} vs {other.axes}")
         out = dict(self.entries)
         for idx, s in other.entries.items():
             mine = out.get(idx)
-            out[idx] = s if mine is None else mine + s
+            out[idx] = s.scaled(c) if mine is None else FockState.combine([(1.0, mine), (c, s)])
         return LabeledTensor(self.axes, out)
 
     def sub(self, other: "LabeledTensor") -> "LabeledTensor":
-        return self.add(other.scaled(-1.0))
+        return self.add(other, -1.0)
 
     def max_amp(self) -> float:
         return max((s.maxamp() for s in self.entries.values()), default=0.0)
@@ -212,7 +213,7 @@ class _Accumulator:
                     f"annihilation-type factor must be rightmost in space {f.space}"
                 )
             self.labels.insert(0, ("open", f.space))
-            p, keys, vecs = 0, list(entries), list(zip(entries.values()))
+            p, keys, vecs = 0, entries, list(zip(entries.values()))
         else:
             if isinstance(f, OpMat):
                 p = self._matrix_axis(f.space, f.space_in)
@@ -230,7 +231,7 @@ class _Accumulator:
                 zero, groups = FockState(), {}
                 for idx, e in entries.items():
                     groups.setdefault(idx[:p] + idx[p + 1 :], [zero] * N)[idx[p]] = e
-                keys, vecs = list(groups), list(groups.values())
+                keys, vecs = groups, list(groups.values())
                 if isinstance(f, CoVec):
                     del self.labels[p]
         out: dict[Index, FockState] = {}
