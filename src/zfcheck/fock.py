@@ -122,6 +122,13 @@ class FockState:
     def __init__(self, amps: Mapping[Word, complex] | None = None):
         self.amps: dict[Word, complex] = dict(amps) if amps else {}
 
+    @classmethod
+    def wrap(cls, amps: dict[Word, complex]) -> "FockState":
+        """A state over ``amps`` itself, not a copy: for a fresh dict nothing else holds."""
+        state = cls.__new__(cls)
+        state.amps = amps
+        return state
+
     @staticmethod
     def combine(terms: Iterable[tuple[complex, "FockState"]]) -> "FockState":
         """Linear combination sum_i c_i s_i as a single pass over amplitudes."""
@@ -131,12 +138,12 @@ class FockState:
                 continue
             for w, a in st.amps.items():
                 acc[w] = acc.get(w, 0j) + c * a
-        return FockState(acc)
+        return FockState.wrap(acc)
 
     def scaled(self, c: complex) -> "FockState":
         if c == 0:
             return FockState()
-        return FockState({w: c * a for w, a in self.amps.items()})
+        return FockState.wrap({w: c * a for w, a in self.amps.items()})
 
     def __add__(self, other: "FockState") -> "FockState":
         return FockState.combine([(1.0, self), (1.0, other)])
@@ -153,7 +160,7 @@ class FockState:
         return max(abs(a) for a in self.amps.values())
 
     def pruned(self, eps: float = DEFAULT_PRUNE) -> "FockState":
-        return FockState({w: a for w, a in self.amps.items() if abs(a) > eps})
+        return FockState.wrap({w: a for w, a in self.amps.items() if abs(a) > eps})
 
     def max_particles(self) -> int:
         if not self.amps:
@@ -334,7 +341,7 @@ class FockSpace:
                 for nw, coeff in self.transpose_adjacent(w, p).items():
                     nxt[nw] = nxt.get(nw, 0j) + a * coeff
             level = nxt
-        return FockState(out).pruned(self.prune)
+        return FockState.wrap(out).pruned(self.prune)
 
     # -- creation / annihilation ---------------------------------------------
 
@@ -361,7 +368,7 @@ class FockSpace:
             for nw, coeff in self._create_through(color, gi, w[:p]):
                 nw += tail
                 acc[nw] = acc.get(nw, 0j) + a * coeff
-        return FockState(acc).pruned(self.prune)
+        return FockState.wrap(acc).pruned(self.prune)
 
     def _create_through(
         self, color: int, gi: int, prefix: Word
@@ -401,7 +408,7 @@ class FockSpace:
         for w, a in state.amps.items():
             for nw, coeff in self._annihilate_word(color, gi, w):
                 acc[nw] = acc.get(nw, 0j) + a * coeff
-        return FockState(acc).pruned(self.prune)
+        return FockState.wrap(acc).pruned(self.prune)
 
     def _annihilate_word(
         self, color: int, gi: int, word: Word
@@ -418,10 +425,10 @@ class FockSpace:
             if g1 == gi and c1 == color:
                 terms[rest] = terms.get(rest, 0j) + 1.0
             N = self.N
-            mat = eval_r(self.r, self.grid.value(gi), self.grid.value(g1))
+            mat = self._swap_matrix(g1, gi)  # R(k_gi, k_g1)
             for l in range(N):
                 for m in range(N):
-                    coeff = mat[color * N + l, m * N + c1]
+                    coeff = complex(mat[color * N + l, m * N + c1])
                     if coeff == 0:
                         continue
                     for tw, tc in self._annihilate_word(m, gi, rest):

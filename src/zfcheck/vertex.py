@@ -12,14 +12,17 @@ living on the (n+1)-leg space (aux leg 0, then one leg per letter).  T acts
 on aux vectors (s_l), one state per aux column; row i of the image is
 sum_l C_il s_l, C contracted against the word's colors.  The one-hot vectors
 e_l (x) s give the columns of T s.  The inverse uses the reversed product of
-unitarity inverses, R_0j(k0, k_j)^-1 = P R(k_j, k0) P, lifted to the same
-legs.  b(k) composes the three maps T(k), B(k), T(-k)^-1 on the aux leg, so
-each word again picks up a single cached matrix.
+unitarity inverses, R_0j(k0, k_j)^-1 = P R(k_j, k0) P, on the same legs.
+b(k) = T(k) B(k) T(-k)^-1 is one matrix per word too.
 
-Chain matrices depend only on (k0, momentum tuple), never on colors, and are
-cached per context.  The words of a batch that share a momentum tuple share
-that matrix, so a batch is contracted block by block, one numpy product per
-momentum tuple.  Everything here is pure: states in, states out.
+These matrices depend only on (k0, momentum tuple), never on colors, and are
+cached per context.  Each is one leg contraction of the cached matrix of the
+word one letter shorter: the chain and its inverse add the last letter's
+factor on legs (0, n), and b(k) peels the first letter,
+b(k; k_1..) = R_01(k, k_1) [I_1 (x) b(k; k_2..)] P R(k_1, -k) P|_01, from
+B(k) on the empty word.  The words of a batch that share a momentum tuple
+share that matrix, so a batch is contracted block by block, one numpy
+product per momentum tuple.  Everything here is pure: states in, states out.
 """
 
 from __future__ import annotations
@@ -41,12 +44,21 @@ from .rmatrix import (
     WhitelistReport,
     eval_b,
     eval_r,
-    lift_pair,
-    perm_conj,
     whitelist_reflection,
 )
 
 ResidualFn = Callable[[FockState], float]
+
+
+def _add_leg(subscripts: str, mat: np.ndarray, r: np.ndarray, N: int) -> np.ndarray:
+    """One einsum of an (n+1)-leg matrix and an R value into an (n+2)-leg matrix.
+
+    ``subscripts`` index (N, N, N, N) views: the matrix's (aux, other legs)
+    out then in, and R, whose P R P is R read with each side's legs swapped.
+    """
+    m = len(mat) // N
+    out = np.einsum(subscripts, mat.reshape(N, m, N, m), r.reshape(N, N, N, N))
+    return out.reshape(len(mat) * N, -1)
 
 
 class VertexContext:
@@ -78,46 +90,42 @@ class VertexContext:
     # -- cached matrices ------------------------------------------------------
 
     def chain(self, k0: float, gs: tuple[int, ...]) -> np.ndarray:
+        """C(k0; gs) = C(k0; gs[:-1]) R_0n(k0, k_n), the identity on the empty word."""
         key = (float(k0), gs)
         mat = self._chains.get(key)
         if mat is None:
-            n = len(gs)
-            dim = self.N ** (n + 1)
-            mat = np.eye(dim, dtype=complex)
-            for j, g in enumerate(gs):
-                factor = lift_pair(
-                    eval_r(self.space.r, k0, self.grid.value(g)), n + 1, 0, j + 1, self.N
-                )
-                mat = mat @ factor
+            mat = np.eye(self.N, dtype=complex)
+            if gs:
+                r = eval_r(self.space.r, k0, self.grid.value(gs[-1]))
+                mat = _add_leg("xAcB,cydz->xAydBz", self.chain(k0, gs[:-1]), r, self.N)
             self._chains[key] = mat
         return mat
 
     def chain_inv(self, k0: float, gs: tuple[int, ...]) -> np.ndarray:
+        """C(k0; gs)^-1 = P R(k_n, k0) P|_0n C(k0; gs[:-1])^-1."""
         key = (float(k0), gs)
         mat = self._chains_inv.get(key)
         if mat is None:
-            mat = self._chains_inv[key] = self._build_chain_inv(k0, gs)
-        return mat
-
-    def _build_chain_inv(self, k0: float, gs: tuple[int, ...]) -> np.ndarray:
-        n = len(gs)
-        mat = np.eye(self.N ** (n + 1), dtype=complex)
-        for j in range(n - 1, -1, -1):
-            inv_factor = perm_conj(
-                eval_r(self.space.r, self.grid.value(gs[j]), k0), self.N
-            )
-            mat = mat @ lift_pair(inv_factor, n + 1, 0, j + 1, self.N)
+            mat = np.eye(self.N, dtype=complex)
+            if gs:
+                r = eval_r(self.space.r, self.grid.value(gs[-1]), k0)
+                mat = _add_leg("cAdB,yxzc->xAydBz", self.chain_inv(k0, gs[:-1]), r, self.N)
+            self._chains_inv[key] = mat
         return mat
 
     def b_matrix(self, k: float, gs: tuple[int, ...]) -> np.ndarray:
-        """Word-level matrix of b(k) = T(k) B(k) T(-k)^-1 on (aux, colors)."""
+        """b(k) = T(k) B(k) T(-k)^-1 on (aux, colors), built from b(k; gs[1:])."""
         key = (float(k), gs)
         mat = self._bmats.get(key)
         if mat is None:
-            n = len(gs)
-            bfac = np.kron(eval_b(self.reflection, k), np.eye(self.N**n, dtype=complex))
-            # The inverse chain is read once, here, so it is not cached.
-            mat = self.chain(k, gs) @ bfac @ self._build_chain_inv(-k, gs)
+            if gs:
+                k1 = self.grid.value(gs[0])
+                r = eval_r(self.space.r, k1, -k)
+                mat = _add_leg("xAcB,yczd->xyAdzB", self.b_matrix(k, gs[1:]), r, self.N)
+                left = eval_r(self.space.r, k, k1)
+                mat = (left @ mat.reshape(self.N**2, -1)).reshape(mat.shape)
+            else:
+                mat = eval_b(self.reflection, k)
             self._bmats[key] = mat
         return mat
 
@@ -165,7 +173,7 @@ class VertexContext:
             for row, b, v in zip(hit_rows.tolist(), hit_cols.tolist(), values):
                 i, rem = divmod(row, dimc)
                 acc[b][i][words[rem]] = v
-        return [[FockState(amps) for amps in image] for image in acc]
+        return [[FockState.wrap(amps) for amps in image] for image in acc]
 
     def apply_T(self, k0: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
         """T(k0) on a batch of aux vectors; acts on colors only, word by word."""

@@ -17,7 +17,7 @@ from zfcheck.fock import FockSpace, FockState, Word, states_equal
 from zfcheck.relations import (
     AuxVec, CoVec, Factor, Label, LabeledTensor, NumMat, OpMat, RMat, StateOp, Vec, one_hot
 )
-from zfcheck.rmatrix import eval_r
+from zfcheck.rmatrix import eval_b, eval_r, lift_pair, perm_conj
 
 
 def naive_lift_pair(mat: np.ndarray, n_legs: int, leg_a: int, leg_b: int, N: int):
@@ -199,6 +199,36 @@ def dense_T_oracle(space: FockSpace, k0: float, state: FockState) -> np.ndarray:
             for l in range(N):
                 total[i, l] = total[i, l] + block[i, l].scaled(a)
     return total
+
+
+def dense_chain_oracle(ctx, k0: float, gs: tuple[int, ...]) -> np.ndarray:
+    """C(k0; gs) = R_01(k0, k_1) ... R_0n(k0, k_n), one dense product per factor.
+
+    Each factor is lifted to the full (n+1)-leg space first, so this costs
+    n products of N^(n+1)-square matrices.
+    """
+    n, N = len(gs), ctx.N
+    mat = np.eye(N ** (n + 1), dtype=complex)
+    for j, g in enumerate(gs):
+        factor = eval_r(ctx.space.r, k0, ctx.grid.value(g))
+        mat = mat @ lift_pair(factor, n + 1, 0, j + 1, N)
+    return mat
+
+
+def dense_chain_inv_oracle(ctx, k0: float, gs: tuple[int, ...]) -> np.ndarray:
+    """C(k0; gs)^-1 as the reversed dense product of P R(k_j, k0) P on legs (0, j)."""
+    n, N = len(gs), ctx.N
+    mat = np.eye(N ** (n + 1), dtype=complex)
+    for j in range(n - 1, -1, -1):
+        factor = perm_conj(eval_r(ctx.space.r, ctx.grid.value(gs[j]), k0), N)
+        mat = mat @ lift_pair(factor, n + 1, 0, j + 1, N)
+    return mat
+
+
+def dense_b_oracle(ctx, k: float, gs: tuple[int, ...]) -> np.ndarray:
+    """b(k) on a momentum tuple as C(k; gs) (B(k) (x) I) C(-k; gs)^-1, densely."""
+    bfac = np.kron(eval_b(ctx.reflection, k), np.eye(ctx.N ** len(gs), dtype=complex))
+    return dense_chain_oracle(ctx, k, gs) @ bfac @ dense_chain_inv_oracle(ctx, -k, gs)
 
 
 def word_matrix_map_oracle(ctx, matrix_of, state: FockState) -> np.ndarray:

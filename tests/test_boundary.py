@@ -173,6 +173,32 @@ class TestBatchForm:
         assert 0 < len(calls) <= 4, calls
 
 
+class TestAmplitudeType:
+    def test_every_operator_returns_builtin_complex(self):
+        # numpy scalars must not leak into states: every amplitude out of a,
+        # a†, T, T^-1, b, at and at† on the basis words of sectors 0-3 is a
+        # plain Python complex.
+        space = FockSpace(SpectralGrid(GRID), rational_r(2, 0.7), n_max=4)
+        bctx = BoundaryContext(VertexContext(space, phase_diagonal_b(2, 1.0, [1, -1])))
+        vctx = bctx.vertex
+        states = [space.basis_state(w) for n in range(4) for w in space.canonical_words(n)]
+        one_hots = [vec for s in states for vec in one_hot(s, 2)]
+        images = {
+            "a": space.annihilation_column(2.0, [[s] for s in states]),
+            "a†": space.creation_row(-1.0, one_hots),
+            "T": vctx.apply_T(0.37, one_hots),
+            "T^-1": vctx.apply_T_inverse(-1.6, one_hots),
+            "b": vctx.apply_b(2.0, one_hots),
+            "at": bctx.apply_a_tilde(-2.0, [[s] for s in states]),
+            "at†": bctx.apply_a_tilde_dagger(1.0, one_hots),
+        }
+        # a† after a: the annihilated states carry their amplitudes on.
+        images["a† a"] = space.creation_row(3.0, images["a"])
+        for name, batch in images.items():
+            types = {type(a) for image in batch for st in image for a in st.amps.values()}
+            assert types == {complex}, (name, types)
+
+
 class TestSevenRelations:
     @pytest.mark.parametrize("k1,k2", PAIRS)
     def test_two_particle_samples(self, bctx4, rng, k1, k2):

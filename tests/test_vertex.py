@@ -1,6 +1,7 @@
 """Vertex operator closed form vs the push-through recursion, plus b(k)."""
 
 from functools import partial
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ from hypothesis import strategies as st
 from conftest import GRID, random_state
 from oracles import (
     aux_entries,
+    dense_b_oracle,
+    dense_chain_inv_oracle,
+    dense_chain_oracle,
     dense_T_oracle,
     dense_operator_matrix,
     max_entry_deviation,
     scalar_times_state,
     word_matrix_map_oracle,
 )
+from zfcheck import rmatrix, vertex
 from zfcheck.errors import GridDomainError, NotWhitelistedError
 from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal
 from zfcheck.harness import RELATIONS, RunConfig, build_reflection, config_from_dict, run_suites
@@ -25,6 +30,7 @@ from zfcheck.rmatrix import (
     eval_b,
     eval_r,
     identity_b,
+    phase_diagonal_b,
     rational_r,
     worst_over,
 )
@@ -40,6 +46,7 @@ from zfcheck.vertex import (
 )
 
 AUX_MOMENTA = (0.5, -2.0, 3.0)
+AUX_BUILD_MOMENTA = (0.37, -1.6, 2.2)
 
 HEADROOM = {r.tag: r.headroom for r in RELATIONS if r.suite == "vertex"}
 
@@ -442,6 +449,67 @@ class TestCaches:
         want = lift_a @ lift_b
         got = vctx.chain(k0, (ga, gb))
         assert np.max(np.abs(got - want)) < 1e-14
+
+
+# Reflection families for the build checks: identity, k-dependent diagonal,
+# and the constant diagonal (2, 1, ...) control, whose b is only ever forced.
+BUILD_FAMILIES = {
+    "identity": identity_b,
+    "k-dependent-diagonal": lambda N: phase_diagonal_b(N, 1.0, [(-1) ** c for c in range(N)]),
+    "forced (2, 1)": lambda N: constant_diagonal_b([2.0] + [1.0] * (N - 1)),
+}
+
+
+def _build_ctx(N: int, family: str) -> VertexContext:
+    space = FockSpace(SpectralGrid(GRID), rational_r(N, 0.7), n_max=4)
+    return VertexContext(space, BUILD_FAMILIES[family](N))
+
+
+class TestIncrementalBuilds:
+    """Each cached matrix is one contraction of the one-letter-shorter one."""
+
+    @pytest.mark.parametrize("family", sorted(BUILD_FAMILIES))
+    @pytest.mark.parametrize("N, n_top", [(2, 4), (3, 3)])
+    def test_against_dense_products(self, N, n_top, family):
+        ctx = _build_ctx(N, family)
+        momenta = AUX_BUILD_MOMENTA + GRID
+        # chain and chain_inv do not read B, so one family checks them.
+        maps = [(ctx.b_matrix, dense_b_oracle)]
+        if family == "identity":
+            maps += [(ctx.chain, dense_chain_oracle), (ctx.chain_inv, dense_chain_inv_oracle)]
+        worst = 0.0
+        for n in range(n_top + 1):
+            for gs in combinations_with_replacement(range(len(GRID)), n):
+                for k in momenta:
+                    for build, oracle in maps:
+                        worst = max(worst, np.max(np.abs(build(k, gs) - oracle(ctx, k, gs))))
+        assert worst < 1e-13
+
+    def test_each_new_entry_costs_one_contraction(self, monkeypatch):
+        ctx = _build_ctx(2, "k-dependent-diagonal")
+        calls = {"eval_r": 0, "lift_pair": 0}
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(vertex, "eval_r", counted("eval_r", vertex.eval_r))
+        monkeypatch.setattr(rmatrix, "lift_pair", counted("lift_pair", rmatrix.lift_pair))
+        assert not hasattr(vertex, "lift_pair")
+        caches = {"chain": ctx._chains, "chain_inv": ctx._chains_inv, "b_matrix": ctx._bmats}
+        for name, per_entry in (("chain", 1), ("chain_inv", 1), ("b_matrix", 2)):
+            for k, gs in ((0.37, (0, 2, 5)), (0.37, (0, 2, 5, 5)), (2.0, (1, 2)), (2.0, (3,))):
+                before = {other: set(cache) for other, cache in caches.items()}
+                before_calls = calls["eval_r"]
+                getattr(ctx, name)(k, gs)
+                new = [key for key in caches[name] if key not in before[name] and key[1]]
+                assert new, (name, k, gs)
+                assert calls["eval_r"] - before_calls == per_entry * len(new), (name, k, gs)
+                # A build fills only its own cache: b builds no chain or inverse chain.
+                assert all(set(caches[o]) == before[o] for o in caches if o != name), name
+        assert calls["lift_pair"] == 0
 
 
 class TestComposeAux:
