@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings
 from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import FockSpace, FockState, SpectralGrid
 from zfcheck.relations import one_hot
-from zfcheck.rmatrix import identity_b, phase_diagonal_b, rational_r
+from zfcheck.rmatrix import eval_r, identity_b, phase_diagonal_b, rational_r
 from zfcheck.vertex import VertexContext
 
 settings.register_profile(
@@ -112,6 +112,23 @@ def random_state(rng, space, n, terms=2):
         {w: complex(rng.standard_normal(), rng.standard_normal()) for w in words}
     )
     return s.scaled(1.0 / s.maxamp())
+
+
+def gauge(k, N):
+    """G(k) = diag_j(e^{0.3ik(j+1)^2} (1 + 0.2j tanh k)): k-dependent and not unitary."""
+    j = np.arange(N)
+    return np.diag(np.exp(0.3j * k * (j + 1) ** 2) * (1 + 0.2 * j * np.tanh(k)))
+
+
+def gauged_r(rspec, k1, k2):
+    """(G(k1) (x) G(k2)) R(k1, k2) (G(k1) (x) G(k2))^-1.
+
+    A change of basis on each leg keeps YBE, unitarity and R(k, k) = P, but
+    the gauged value does not commute with P, so it tells the two legs of a
+    pair matrix apart where the rational R cannot.
+    """
+    g = np.kron(gauge(k1, rspec.N), gauge(k2, rspec.N))
+    return g @ eval_r(rspec, k1, k2) @ np.linalg.inv(g)
 
 
 def at_component(bctx, i, k, state):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import GRID, random_state
+from conftest import GRID, gauged_r, random_state
 from oracles import object_array_evaluate, states_bridge
 from zfcheck import boundary, hierarchy, relations, vertex
 from zfcheck.boundary import BoundaryContext
@@ -179,15 +179,20 @@ class TestOrderAndAlignment:
 
 
 class TestRMatOrientation:
-    """Pin the row/column composite convention against explicit loops."""
+    """Pin the row/column composite convention against explicit loops.
 
-    def test_exchange_move_through_side(self, space, rng):
+    The pair matrices are gauged (``conftest.gauged_r``): the rational R
+    commutes with P, so it cannot tell the two legs apart.
+    """
+
+    def test_exchange_move_through_side(self, space):
         # [a†(k2)_2, R(k1,k2)_{12}, a(k1)_1] entry (i, j) must be
         # sum_{l,m} R[(i,l),(m,j)] a†_l(k2) a_m(k1).
         k1, k2 = 1.0, 2.0
         N = space.N
-        s = random_state(rng, space, 2)
-        mat = eval_r(space.r, k1, k2)
+        # Both words hold a letter at k1, so a(k1) does not vanish.
+        s = FockState({((1, 1), (3, 0)): 0.8 - 0.3j, ((3, 1), (5, 0)): 0.5j})
+        mat = gauged_r(space.r, k1, k2)
         lt = evaluate(
             [CoVec(2, dag(space, k2)), RMat(1, 2, mat), Vec(1, ann(space, k1))],
             s,
@@ -205,11 +210,13 @@ class TestRMatOrientation:
                     for m in range(N)
                 )
                 assert diff(at(lt, i, j), direct) < 1e-14
+        assert lt.max_amp() > 0.1
 
-    def test_rmat_contracts_both_open_axes(self, space, rng):
-        s = random_state(rng, space, 1)
+    def test_rmat_contracts_both_open_axes(self, space):
+        # Both words hold letters at -1 and 2, so a(2) a(-1) does not vanish.
+        s = FockState({((2, 0), (4, 1)): 1.0, ((2, 1), (4, 1)): 0.4 - 0.6j})
         N = space.N
-        mat = eval_r(space.r, -1.0, 2.0)
+        mat = gauged_r(space.r, -1.0, 2.0)
         lt = evaluate(
             [RMat(1, 2, mat), Vec(2, ann(space, 2.0)), Vec(1, ann(space, -1.0))],
             s,
@@ -229,6 +236,7 @@ class TestRMatOrientation:
                     for cb in range(N)
                 )
                 assert diff(at(lt, ra, rb), direct) < 1e-14
+        assert lt.max_amp() > 0.1
 
 
 class TestColumnTables:
@@ -496,7 +504,7 @@ def _factor(ctx, spec):
             dtype=complex,
         )
         return NumMat(space, mat, space_in=spec[2] if len(spec) > 2 else None)
-    return RMat(space, spec[2], eval_r(ctx.space.r, spec[3], spec[4]))
+    return RMat(space, spec[2], gauged_r(ctx.space.r, spec[3], spec[4]))
 
 
 def _oracle_deviation(ctx, specs, state):
@@ -542,8 +550,8 @@ PRODUCTS = {
     "b open on b fresh": [("b", 1, 2.0), ("b", 1, -2.0)],
     "rmat fresh": [("rmat", 1, 2, 1.0, 3.0)],
     "rmat half open": [("rmat", 1, 2, 1.0, -2.0), ("vec", 2, -2.0)],
-    "rmat open": [("rmat", 1, 2, -1.0, 2.0), ("vec", 2, 2.0), ("vec", 1, -1.0)],
-    "rmat spaces swapped": [("rmat", 2, 1, 1.0, 2.0), ("vec", 1, 1.0), ("vec", 2, 3.0)],
+    "rmat open": [("rmat", 1, 2, -1.0, 2.0), ("vec", 2, 2.0), ("vec", 1, -3.0)],
+    "rmat spaces swapped": [("rmat", 2, 1, 1.0, 2.0), ("vec", 1, 1.0), ("vec", 2, 1.0)],
     "AN-3 right side": [("covec", 2, 2.0), ("rmat", 1, 2, 1.0, 2.0), ("vec", 1, 1.0)],
     "rtt": [("rmat", 1, 2, 1.0, 2.0), ("T", 1, 1.0), ("T", 2, 2.0)],
     "eq:bb": [
