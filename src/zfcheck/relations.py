@@ -17,10 +17,14 @@ concrete Fock state.  A factor is one of
 * ``StateOp`` -- a color-blind operator (a charge H(n)), applied to every
                  entry.
 
-On a fresh space an ``OpMat`` or ``NumMat`` may take ``space_in``: its rows
-open in ``space`` and its columns dangle in ``space_in``.  That is how a
-contact term bridges two spaces: the delta term is ``NumMat(1, I,
-space_in=2)``.
+Every factor is a batch map on aux vectors, lists of states, and maps all of
+a product's aux vectors in one call.  It acts on 0, 1 or 2 spaces: it reads
+their legs, or each entry as the 1-vector [s], and it writes their legs or
+closes them.  A space that a factor reads while it has no open leg is first
+opened with the identity: its row leg opens and its column leg dangles, in
+``space_in`` if an ``OpMat`` or ``NumMat`` gives one, and no space gets a
+second column leg.  That is how a contact term bridges two spaces: the
+delta term is ``NumMat(1, I, space_in=2)``.
 
 Evaluating a product against a state yields a tensor of Fock states indexed
 by the exposed color legs: one "out" (row) leg per space whose last factor
@@ -34,11 +38,9 @@ state right to left, so the rightmost factor acts first.
 A tensor holds only its nonzero entries, a map from leg-index tuple to
 state; an absent index is the zero state.  Every factor is linear, so it
 maps the zero state to the zero state, and the evaluator relies on that: it
-applies operators and scalar matrix columns only to the entries present, so
-no operator sees an empty state or an aux vector without one nonzero entry,
-and a scalar matrix costs only its nonzero entries (the rational R has at
-most 2 of N^2 per column).  An operator factor maps all of a product's aux
-vectors in one call.
+forms aux vectors only from the entries present, so no factor sees an empty
+state or an aux vector without one nonzero entry, and a scalar matrix costs
+only its nonzero entries (the rational R has at most 2 of N^2 per column).
 
 Every state-level relation is measured by ``identity_residual`` on two sums
 of factor products.  The exchange relations come in two families, each
@@ -50,7 +52,9 @@ them with their own generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import product
+from operator import attrgetter, itemgetter
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -62,39 +66,60 @@ from .fock import AuxVec, FockState
 # matrix, out_i = sum_l M_il s_l.
 BatchOp = Callable[[Sequence[AuxVec]], Sequence[AuxVec]]
 
+_ZERO = FockState()  # the empty slot of an aux vector
+
 
 def one_hot(state: FockState, N: int) -> list[list[FockState]]:
     """The N aux vectors e_l (x) state; their images are the columns of M state."""
-    zero, vecs = FockState(), []
-    for l in range(N):  # a loop, not a comprehension: this runs once per entry
-        vec = [zero] * N
-        vec[l] = state
-        vecs.append(vec)
-    return vecs
+    return [[state if c == l else _ZERO for c in range(N)] for l in range(N)]
+
+
+class _Factor:
+    """A batch map on aux vectors over ``legs``, the row leg ("open", space) of
+    each of its 0, 1 or 2 spaces.  It reads those legs, or each entry as [s]
+    if not ``reads``, and it writes them, or closes them if not ``writes``."""
+
+    reads = writes = True
+    space_in: int | None = None
+    legs = cached_property(lambda f: (("open", f.space),))
+    batch = property(attrgetter("op"))
 
 
 @dataclass(frozen=True)
-class Vec:
+class Vec(_Factor):
     space: int
     op: BatchOp
+    reads = False
 
 
 @dataclass(frozen=True)
-class CoVec:
+class CoVec(_Factor):
     space: int
     op: BatchOp
+    writes = False
 
 
 @dataclass(frozen=True)
-class OpMat:
+class OpMat(_Factor):
     space: int
     op: BatchOp
     space_in: int | None = None
 
 
-class _ScalarMatrix:
+class _ScalarMatrix(_Factor):
     mat: np.ndarray
     columns = cached_property(lambda self: _columns(self.mat))  # built once per factor
+
+    def batch(self, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
+        """out_r = sum_l M_rl s_l over the nonzero entries M_rl of each column l."""
+        images = []
+        for vec in vecs:
+            terms: list[list[tuple[complex, FockState]]] = [[] for _ in self.columns]
+            for l, s in enumerate(vec):
+                for r, m in self.columns[l] if s.amps else ():
+                    terms[r].append((m, s))
+            images.append([FockState.combine(t) if t else _ZERO for t in terms])
+        return images
 
 
 @dataclass(frozen=True)
@@ -109,11 +134,16 @@ class RMat(_ScalarMatrix):
     space_a: int
     space_b: int
     mat: np.ndarray
+    legs = cached_property(lambda f: (("open", f.space_a), ("open", f.space_b)))
 
 
 @dataclass(frozen=True)
-class StateOp:
+class StateOp(_Factor):
     op: Callable[[FockState], FockState]
+    legs = ()
+
+    def batch(self, vecs: Sequence[AuxVec]) -> Sequence[AuxVec]:
+        return [[self.op(s)] for (s,) in vecs]
 
 
 Factor = Union[Vec, CoVec, OpMat, NumMat, RMat, StateOp]
@@ -164,6 +194,12 @@ def _columns(mat: np.ndarray) -> list[list[tuple[int, complex]]]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _rows(N: int, legs: int) -> list[Index]:
+    """The leg indices of rows 0, 1, ... of an image on ``legs`` legs: r = a*N + b for two."""
+    return list(product(range(N), repeat=legs))
+
+
 class _Accumulator:
     """Mutable tensor-with-labels used while scanning a factor product."""
 
@@ -172,127 +208,62 @@ class _Accumulator:
         self.entries: dict[Index, FockState] = {(): state} if state.amps else {}
         self.labels: list[Label] = []
 
-    # axis helpers ---------------------------------------------------------
+    def _open(self, space: int, space_in: int | None) -> None:
+        """Apply the identity on a fresh space: its row leg opens in front, its
+        column leg dangles last, in ``space_in`` if given, and must be new."""
+        col = ("in", space if space_in is None else space_in)
+        if col in self.labels:
+            raise ValueError(f"space {col[1]} already closed: it has a column leg")
+        self.labels = [("open", space), *self.labels, col]
+        self.entries = {
+            (c,) + idx + (c,): s for idx, s in self.entries.items() for c in range(self.N)
+        }
 
-    def _axis_of_open(self, space: int) -> int | None:
-        for pos, lab in enumerate(self.labels):
-            if lab == ("open", space):
-                return pos
-        return None
+    def apply(self, f: Factor) -> None:
+        """One call of a factor's batch map on every aux vector.
 
-    def _has(self, kind: str, space: int) -> bool:
-        return (kind, space) in self.labels
-
-    def _matrix_axis(self, space: int, space_in: int | None) -> int | None:
-        """The open axis of ``space``, or None for a fresh one, which then opens."""
-        p = self._axis_of_open(space)
-        if p is not None and space_in is not None:
-            raise ValueError(f"space_in needs a fresh space, but space {space} is open")
-        if p is None:
-            # The column leg dangles (in space_in if given), the row leg opens.
-            self.labels[0:0] = [("open", space), ("in", space if space_in is None else space_in)]
-        return p
-
-    # factor cases -----------------------------------------------------------
-
-    def apply_op(self, f: Vec | CoVec | OpMat) -> None:
-        """One call of an operator factor's batch map on every aux vector.
-
-        A ``Vec`` takes each entry as the 1-vector [s].  A ``CoVec`` or
-        ``OpMat`` takes each entry of a fresh space as its N one-hot vectors,
-        keyed (column,) + index, and the column leg dangles.  In the space's
-        open axis p the entries that differ only in index p form one vector,
-        keyed by the rest of the index.  Row r of the image of the vector
-        keyed t lands at t[:p] + (r,) + t[p:], p = 0 for a fresh space; the
-        1-vector a ``CoVec`` returns lands at t.
+        A fresh space it reads is first opened with the identity, and the legs
+        it reads move to the front of the index.  The entries that differ only in them form one
+        vector, keyed by the rest t of the index (a*N + b indexes two legs a,
+        b); with no read leg each entry is the 1-vector [s].  The read legs go
+        and the written legs open in front: row r of the image of the vector
+        keyed t lands at (r,) + t, or at divmod(r, N) + t for two legs.
         """
-        N, entries = self.N, self.entries
-        if isinstance(f, Vec):
-            if self._axis_of_open(f.space) is not None or self._has("in", f.space):
-                raise ValueError(
-                    f"annihilation-type factor must be rightmost in space {f.space}"
-                )
-            self.labels.insert(0, ("open", f.space))
-            p, keys, vecs = 0, entries, list(zip(entries.values()))
-        else:
-            if isinstance(f, OpMat):
-                p = self._matrix_axis(f.space, f.space_in)
-            elif (p := self._axis_of_open(f.space)) is None:
-                if self._has("in", f.space):
-                    raise ValueError(f"space {f.space} already closed by a creation row")
-                self.labels.insert(0, ("in", f.space))
-            if p is None:
-                p, keys, vecs = 0, [], []
-                for idx, s in entries.items():
-                    for c, vec in enumerate(one_hot(s, N)):
-                        keys.append((c,) + idx)
-                        vecs.append(vec)
-            else:
-                zero, groups = FockState(), {}
-                for idx, e in entries.items():
-                    groups.setdefault(idx[:p] + idx[p + 1 :], [zero] * N)[idx[p]] = e
-                keys, vecs = groups, list(groups.values())
-                if isinstance(f, CoVec):
-                    del self.labels[p]
-        out: dict[Index, FockState] = {}
-        images = f.op(vecs) if vecs else []
-        if isinstance(f, CoVec):
-            for t, (s,) in zip(keys, images):
-                if s.amps:
-                    out[t] = s
-        else:
-            for t, image in zip(keys, images):
-                head, tail = t[:p], t[p:]
-                for r, s in enumerate(image):
+        if not isinstance(f, _Factor):
+            raise TypeError(f"unknown factor {f!r}")
+        N, legs = self.N, f.legs
+        for leg in legs:
+            if not f.reads:
+                if leg in self.labels or ("in", leg[1]) in self.labels:
+                    raise ValueError(
+                        f"annihilation-type factor must be rightmost in space {leg[1]}"
+                    )
+            elif leg not in self.labels:
+                self._open(leg[1], f.space_in)
+            elif f.space_in is not None:
+                raise ValueError(f"space_in needs a fresh space, but space {leg[1]} is open")
+        labels = self.labels
+        ps = list(map(labels.index, legs)) if f.reads else []
+        n = len(ps)
+        if n and max(ps) >= n:
+            order = ps + [q for q in range(len(labels)) if q not in ps]
+            labels, get = [labels[q] for q in order], itemgetter(*order)
+            self.entries = {get(idx): s for idx, s in self.entries.items()}
+            ps = list(range(n))
+        self.labels = [*legs, *labels[n:]] if f.writes else labels[n:]
+        groups: dict[Index, list[FockState]] = {}
+        for idx, s in self.entries.items():
+            col = 0
+            for p in ps:
+                col = col * N + idx[p]
+            groups.setdefault(idx[n:], [_ZERO] * N**n)[col] = s
+        self.entries = out = {}
+        if groups:
+            rows = _rows(N, len(legs) if f.writes else 0)
+            for t, image in zip(groups, f.batch(list(groups.values()))):
+                for r, s in zip(rows, image):
                     if s.amps:
-                        out[head + (r,) + tail] = s
-        self.entries = out
-
-    def apply_nummat(self, f: NumMat) -> None:
-        self._apply_matrix(f.space, f.columns, f.space_in)
-
-    def apply_stateop(self, f: StateOp) -> None:
-        images = ((idx, f.op(s)) for idx, s in self.entries.items())
-        self.entries = {idx: s for idx, s in images if s.amps}
-
-    def _apply_matrix(self, space: int, columns, space_in: int | None = None) -> None:
-        """Apply a scalar matrix, given by its nonzero ``columns``."""
-        p = self._matrix_axis(space, space_in)
-        if p is None:
-            self.entries = {
-                (r, c) + idx: s if coeff == 1 else s.scaled(coeff)
-                for idx, s in self.entries.items()
-                for c, col in enumerate(columns)
-                for r, coeff in col
-            }
-            return
-        contribs: dict[Index, list[tuple[complex, FockState]]] = {}
-        for idx, e in self.entries.items():
-            head, tail = idx[:p], idx[p + 1 :]
-            for r, coeff in columns[idx[p]]:
-                contribs.setdefault(head + (r,) + tail, []).append((coeff, e))
-        self.entries = {idx: FockState.combine(terms) for idx, terms in contribs.items()}
-
-    def apply_rmat(self, f: RMat) -> None:
-        N = self.N
-        # A fresh space hit by a pair matrix behaves like the identity matrix
-        # applied first: its column leg dangles, its row leg opens.
-        for space in (f.space_a, f.space_b):
-            if self._axis_of_open(space) is None:
-                self._apply_matrix(space, [[(c, 1.0 + 0j)] for c in range(N)])
-        pa = self._axis_of_open(f.space_a)
-        pb = self._axis_of_open(f.space_b)
-        assert pa is not None and pb is not None and pa != pb
-        columns = f.columns
-        contribs: dict[Index, list[tuple[complex, FockState]]] = {}
-        for idx, e in self.entries.items():
-            for row, coeff in columns[idx[pa] * N + idx[pb]]:
-                out = list(idx)
-                out[pa], out[pb] = divmod(row, N)
-                contribs.setdefault(tuple(out), []).append((coeff, e))
-        self.entries = {idx: FockState.combine(terms) for idx, terms in contribs.items()}
-
-    # finish -----------------------------------------------------------------
+                        out[r + t] = s
 
     def finish(self) -> LabeledTensor:
         labels = [
@@ -302,7 +273,10 @@ class _Accumulator:
             range(len(labels)), key=lambda i: (labels[i][1], labels[i][0] != "out")
         )
         axes = tuple(labels[i] for i in order)
-        entries = {tuple(idx[i] for i in order): s for idx, s in self.entries.items()}
+        entries = self.entries
+        if order != sorted(order):  # two or more legs, so itemgetter gives tuples
+            get = itemgetter(*order)
+            entries = {get(idx): s for idx, s in entries.items()}
         return LabeledTensor(axes, entries)
 
 
@@ -310,16 +284,7 @@ def evaluate(factors: Sequence[Factor], state: FockState, N: int) -> LabeledTens
     """Apply a factor product (operator order, left to right) to a state."""
     acc = _Accumulator(state, N)
     for f in reversed(factors):
-        if isinstance(f, (Vec, CoVec, OpMat)):
-            acc.apply_op(f)
-        elif isinstance(f, NumMat):
-            acc.apply_nummat(f)
-        elif isinstance(f, RMat):
-            acc.apply_rmat(f)
-        elif isinstance(f, StateOp):
-            acc.apply_stateop(f)
-        else:
-            raise TypeError(f"unknown factor {f!r}")
+        acc.apply(f)
     return acc.finish()
 
 

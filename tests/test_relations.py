@@ -247,7 +247,9 @@ class TestColumnTables:
         num = NumMat(1, np.array([[0.5, 0.0], [2.0, 1.0j]], dtype=complex))
         rmat = RMat(1, 2, eval_r(space.r, 1.0, 3.0))
         for _ in range(3):
-            evaluate([num, rmat, Vec(2, ann(space, 1.0))], random_state(rng, space, 2), space.N)
+            # A letter at k = 1, so a(1) reaches both scalar factors.
+            s = space.apply_creation(0, 1.0, random_state(rng, space, 1))
+            assert evaluate([num, rmat, Vec(2, ann(space, 1.0))], s, space.N).entries
         assert len(built) == 2
 
 
@@ -396,6 +398,25 @@ class TestErrorPaths:
             a.add(b)
 
     @pytest.mark.parametrize("kind", ["num", "op"])
+    def test_matrix_cannot_add_a_second_column_leg(self, space, kind):
+        # The row closed space 1 and left its column leg; a matrix on space 1
+        # would dangle a second one.
+        eye = np.eye(space.N, dtype=complex)
+        mat = NumMat(1, eye) if kind == "num" else OpMat(1, lambda vecs: vecs)
+        with pytest.raises(ValueError, match="closed"):
+            evaluate([mat, CoVec(1, dag(space, 1.0))], space.vacuum(), space.N)
+
+    def test_bridge_out_of_a_closed_space_stays_valid(self, space, rng):
+        s = random_state(rng, space, 1)
+        factors = [delta(2, 1, space.N), CoVec(2, dag(space, 1.0))]
+        got = evaluate(factors, s, space.N)
+        want = object_array_evaluate(factors, s, space.N)
+        assert got.axes == want.axes == (("in", 1), ("out", 2), ("in", 2))
+        assert got.max_amp() > 0
+        for idx in np.ndindex(*want.data.shape):
+            assert diff(at(got, *idx), want.data[idx]) == 0.0
+
+    @pytest.mark.parametrize("kind", ["num", "op"])
     def test_bridge_needs_a_fresh_space(self, space, kind):
         eye = np.eye(space.N, dtype=complex)
         bridge = delta(1, 2, space.N) if kind == "num" else OpMat(1, lambda vecs: vecs, space_in=2)
@@ -415,20 +436,22 @@ class TestScalarTensor:
 class TestZeroStateContract:
     """Factors are linear, so the evaluator never hands them the zero state."""
 
-    def _check(self, monkeypatch, suites):
+    def _check(self, monkeypatch, suites, kinds):
         empty_calls = []
         zero_residuals = []
+        reached = set()
 
         def is_zero(arg):
-            # A state, or an OpMat's batch of aux vectors (one state per column).
+            # A state, or a batch of aux vectors (one state per column).
             if isinstance(arg, FockState):
                 return not arg.amps
             return not arg or any(not any(s.amps for s in vec) for vec in arg)
 
-        def spied(op):
+        def spied(op, kind):
             def call(*args):
+                reached.add(kind)
                 if is_zero(args[-1]):
-                    empty_calls.append(op)
+                    empty_calls.append(kind)
                 return op(*args)
 
             return call
@@ -437,7 +460,7 @@ class TestZeroStateContract:
 
         def spying_evaluate(factors, state, N):
             factors = [
-                replace(f, op=spied(f.op))
+                replace(f, op=spied(f.op, type(f).__name__))
                 if isinstance(f, (Vec, CoVec, OpMat, StateOp))
                 else f
                 for f in factors
@@ -452,20 +475,28 @@ class TestZeroStateContract:
             zero_residuals.append(residual_orig(lhs, rhs, FockState(), N))
             return residual_orig(lhs, rhs, state, N)
 
+        def spied_scalar_batch(f, vecs):
+            return spied(partial(scalar_batch, f), type(f).__name__)(vecs)
+
+        scalar_batch = relations._ScalarMatrix.batch
+        monkeypatch.setattr(relations._ScalarMatrix, "batch", spied_scalar_batch)
         monkeypatch.setattr(relations, "evaluate", spying_evaluate)
         for module in (relations, vertex, boundary, hierarchy):
             monkeypatch.setattr(module, "identity_residual", residual_also_on_zero)
         report = run_suites(RunConfig(), suites=suites)
 
         assert report.counts["pass"] > 0 and not report.failed
-        assert not empty_calls, f"{len(empty_calls)} operator calls on the zero state"
+        assert not empty_calls, f"{len(empty_calls)} factor calls on the zero state"
         assert zero_residuals and set(zero_residuals) == {0.0}
+        assert reached == kinds
 
     def test_default_vertex_and_boundary_suites(self, monkeypatch):
-        self._check(monkeypatch, ("vertex", "boundary"))
+        kinds = {"Vec", "CoVec", "OpMat", "NumMat", "RMat"}
+        self._check(monkeypatch, ("vertex", "boundary"), kinds)
 
     def test_default_hierarchy_suite(self, monkeypatch):
-        self._check(monkeypatch, ("hierarchy",))
+        kinds = {"Vec", "CoVec", "OpMat", "NumMat", "StateOp"}
+        self._check(monkeypatch, ("hierarchy",), kinds)
 
 
 # -- the sparse evaluator against the dense object-array oracle ---------------
