@@ -28,7 +28,6 @@ from .fock import (
     FockSpace,
     FockState,
     SpectralGrid,
-    particle_number,
     states_equal,
     zf_relation_evaluators,
 )
@@ -42,7 +41,6 @@ from .harness import (
     run_suites,
 )
 from .hierarchy import (
-    HierarchyOperator,
     apply_H,
     check_symmetry_breaking,
     eigenrelation_evaluator,
@@ -87,7 +85,6 @@ __all__ = [
     "FockState",
     "GridDomainError",
     "GridValidationError",
-    "HierarchyOperator",
     "NotWhitelistedError",
     "ReflectionMatrixSpec",
     "ReflectionTableError",
@@ -118,7 +115,6 @@ __all__ = [
     "load_config",
     "load_table_b",
     "odd_vanishing_evaluator",
-    "particle_number",
     "phase_diagonal_b",
     "rational_r",
     "rho_B_evaluators",

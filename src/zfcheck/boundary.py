@@ -48,12 +48,14 @@ from .vertex import VertexContext, b_involution_evaluator
 ResidualFn = Callable[[FockState], float]
 
 _MEMO_LIMIT = 8192
+# The largest |B(k) B(-k) - I| over the grid that a context accepts.
+_INVOLUTION_LIMIT = 1e-11
 
 
 class BoundaryContext:
     """A vertex context plus the memoized batch maps of at, at†, alpha and alpha†."""
 
-    def __init__(self, vertex: VertexContext, involution_tol: float = 1e-11):
+    def __init__(self, vertex: VertexContext):
         self.vertex = vertex
         self.space = vertex.space
         self.N = vertex.N
@@ -66,7 +68,7 @@ class BoundaryContext:
         if vertex.b_allowed():
             for k in self.grid:
                 worst = max(worst, check_b_unitarity(vertex.reflection, k).value)
-            if worst >= involution_tol:
+            if worst >= _INVOLUTION_LIMIT:
                 raise NotWhitelistedError(
                     f"b(k)b(-k)=id fails at matrix level: residual {worst:.3e}"
                 )

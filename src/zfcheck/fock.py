@@ -104,9 +104,6 @@ class SpectralGrid:
     def value(self, i: int) -> float:
         return self.momenta[i]
 
-    def neg_index(self, i: int) -> int:
-        return self._index[-self.momenta[i]]
-
     def positive(self) -> tuple[float, ...]:
         return tuple(k for k in self.momenta if k > 0)
 
@@ -186,11 +183,6 @@ class FockState:
 AuxVec = Sequence[FockState]  # one state per aux column
 
 
-def particle_number(state: FockState) -> int:
-    """Largest word length carried by the state; 0 for the vacuum and for 0."""
-    return state.max_particles()
-
-
 def states_equal(
     s1: FockState, s2: FockState, tol: float = 1e-10
 ) -> tuple[bool, float]:
@@ -239,19 +231,16 @@ class FockSpace:
     def basis_state(self, word: Word) -> FockState:
         return FockState({tuple(word): 1.0 + 0j})
 
-    def canonical_words(self, n: int, distinct_only: bool = False) -> list[Word]:
+    def canonical_words(self, n: int) -> list[Word]:
         """All canonical words of length n, in a fixed deterministic order.
 
-        Momenta run over non-decreasing grid-index tuples (strictly
-        increasing when ``distinct_only``); colors run over every sequence,
-        including all orders inside equal-momentum runs.
+        Momenta run over non-decreasing grid-index tuples; colors run over
+        every sequence, including all orders inside equal-momentum runs.
         """
-        from itertools import combinations, combinations_with_replacement, product
+        from itertools import combinations_with_replacement, product
 
-        G = len(self.grid)
-        picker = combinations if distinct_only else combinations_with_replacement
         out: list[Word] = []
-        for gs in picker(range(G), n):
+        for gs in combinations_with_replacement(range(len(self.grid)), n):
             for cs in product(range(self.N), repeat=n):
                 out.append(tuple(zip(gs, cs)))
         return out

@@ -502,6 +502,8 @@ def emit_report(report: Report, path: str | Path | None = None, fmt: str = "json
 # ---------------------------------------------------------------------------
 # Deterministic sampling
 
+_SAMPLE_TERMS = 2  # words per sample state, fewer only if a sector has too few
+
 
 def _random_word(rng: np.random.Generator, space: FockSpace, n: int) -> Word:
     """A canonical word with n pairwise-distinct momenta and random colors."""
@@ -510,18 +512,16 @@ def _random_word(rng: np.random.Generator, space: FockSpace, n: int) -> Word:
     return tuple(zip(gs, cs))
 
 
-def random_state(
-    rng: np.random.Generator, space: FockSpace, n: int, terms: int = 2
-) -> FockState:
-    """A random n-particle state: a few canonical words, unit peak amplitude."""
+def random_state(rng: np.random.Generator, space: FockSpace, n: int) -> FockState:
+    """A random n-particle state: ``_SAMPLE_TERMS`` canonical words, unit peak amplitude."""
     words: list[Word] = []
     guard = 0
-    while len(words) < terms:
+    while len(words) < _SAMPLE_TERMS:
         w = _random_word(rng, space, n)
         if w not in words:
             words.append(w)
         guard += 1
-        if guard > 100 * terms:
+        if guard > 100 * _SAMPLE_TERMS:
             break
     amps = {
         w: complex(rng.standard_normal(), rng.standard_normal()) for w in words

@@ -14,6 +14,8 @@ the charge (a ``StateOp``) with the generators and b, measured by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+
 import numpy as np
 
 from .boundary import BoundaryContext, ResidualFn
@@ -23,15 +25,8 @@ from .rmatrix import Residual
 from .vertex import check_b_vacuum
 
 
-@dataclass(frozen=True)
-class HierarchyOperator:
-    """One charge of fixed order, bound to a boundary context."""
-
-    order: int
-    ctx: BoundaryContext
-
-    def __call__(self, state: FockState) -> FockState:
-        return apply_H(self.ctx, self.order, state)
+# A vacuum expectation of b(k) above this counts as a broken generator.
+_EXPECTATION_FLOOR = 1e-13
 
 
 def apply_H(ctx: BoundaryContext, n: int, state: FockState) -> FockState:
@@ -69,7 +64,7 @@ def eigenrelation_evaluator(ctx: BoundaryContext, n: int, k: float) -> ResidualF
     """
     ctx.grid.index_of(k)
     lam = complex(k**n) if n % 2 == 0 else 0j
-    h = StateOp(HierarchyOperator(n, ctx))
+    h = StateOp(partial(apply_H, ctx, n))
     # [H(n), x] = eig x, for x = at† with eig = lam and x = at with eig = -lam.
     sides = [
         ([(1.0, [h, x]), (-1.0, [x, h])], [(eig, [x])])
@@ -80,7 +75,7 @@ def eigenrelation_evaluator(ctx: BoundaryContext, n: int, k: float) -> ResidualF
 
 def flow_commute_evaluator(ctx: BoundaryContext, n: int, m: int) -> ResidualFn:
     """Residual of H(n) H(m) s = H(m) H(n) s."""
-    hn, hm = StateOp(HierarchyOperator(n, ctx)), StateOp(HierarchyOperator(m, ctx))
+    hn, hm = StateOp(partial(apply_H, ctx, n)), StateOp(partial(apply_H, ctx, m))
     return lambda s: identity_residual([(1.0, [hn, hm])], [(1.0, [hm, hn])], s, ctx.N)
 
 
@@ -88,7 +83,7 @@ def integral_of_motion_evaluator(
     ctx: BoundaryContext, n: int, k: float
 ) -> ResidualFn:
     """Residual of the entrywise commutator [H(n), b(k)]."""
-    h, b = StateOp(HierarchyOperator(n, ctx)), ctx.vertex.b_opmat(1, k)
+    h, b = StateOp(partial(apply_H, ctx, n)), ctx.vertex.b_opmat(1, k)
     return lambda s: identity_residual([(1.0, [h, b])], [(1.0, [b, h])], s, ctx.N)
 
 
@@ -101,9 +96,7 @@ class SymmetryBreakingReport:
     expectations: dict
 
 
-def check_symmetry_breaking(
-    ctx: BoundaryContext, expectation_tol: float = 1e-13
-) -> SymmetryBreakingReport:
+def check_symmetry_breaking(ctx: BoundaryContext) -> SymmetryBreakingReport:
     """Measure b(k) on the vacuum against the numeric reflection matrix.
 
     The residual compares b(k) vacuum with B(k) times the vacuum over the
@@ -123,7 +116,7 @@ def check_symmetry_breaking(
             for j in range(ctx.N):
                 expect = got[j][i].amps.get((), 0j)
                 expectations[(i, j, k)] = expect
-                if abs(expect) > expectation_tol:
+                if abs(expect) > _EXPECTATION_FLOOR:
                     broken.add((i, j))
     residual = Residual(worst, {"relation": "ssb", "momenta": tuple(ctx.grid)})
     return SymmetryBreakingReport(

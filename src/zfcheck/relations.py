@@ -163,27 +163,6 @@ class LabeledTensor:
     axes: tuple[Label, ...]
     entries: dict[Index, FockState]
 
-    def scaled(self, c: complex) -> "LabeledTensor":
-        if c == 0:
-            return LabeledTensor(self.axes, {})
-        return LabeledTensor(self.axes, {i: s.scaled(c) for i, s in self.entries.items()})
-
-    def add(self, other: "LabeledTensor", c: complex = 1.0) -> "LabeledTensor":
-        """self + c other, without scaling the entries that meet one of self."""
-        if self.axes != other.axes:
-            raise ValueError(f"axis mismatch: {self.axes} vs {other.axes}")
-        out = dict(self.entries)
-        for idx, s in other.entries.items():
-            mine = out.get(idx)
-            out[idx] = s.scaled(c) if mine is None else FockState.combine([(1.0, mine), (c, s)])
-        return LabeledTensor(self.axes, out)
-
-    def sub(self, other: "LabeledTensor") -> "LabeledTensor":
-        return self.add(other, -1.0)
-
-    def max_amp(self) -> float:
-        return max((s.maxamp() for s in self.entries.values()), default=0.0)
-
 
 def _columns(mat: np.ndarray) -> list[list[tuple[int, complex]]]:
     """Per column of a scalar matrix, the rows and values of its nonzero entries."""
@@ -292,25 +271,28 @@ Term = tuple[complex, Sequence[Factor]]
 ResidualFn = Callable[[FockState], float]
 
 
-def evaluate_side(terms: Sequence[Term], state: FockState, N: int) -> LabeledTensor:
-    """Sum of factor products, with common axes."""
-    total: LabeledTensor | None = None
-    for coeff, factors in terms:
-        lt = evaluate(factors, state, N)
-        lt = lt.scaled(coeff) if coeff != 1.0 else lt
-        total = lt if total is None else total.add(lt)
-    if total is None:
-        raise ValueError("a side needs at least one term")
-    return total
-
-
 def identity_residual(
     lhs: Sequence[Term], rhs: Sequence[Term], state: FockState, N: int
 ) -> float:
-    """Max amplitude deviation between two sides evaluated on one state."""
-    left = evaluate_side(lhs, state, N)
-    right = evaluate_side(rhs, state, N)
-    return left.sub(right).max_amp()
+    """Max amplitude of lhs - rhs on one state.
+
+    Every term of both sides, the right side's with its sign flipped, goes
+    into one sum per leg index; each sum is formed in one pass.
+    """
+    if not lhs or not rhs:
+        raise ValueError("a side needs at least one term")
+    axes = None
+    sums: dict[Index, list[tuple[complex, FockState]]] = {}
+    for sign, side in ((1.0, lhs), (-1.0, rhs)):
+        for coeff, factors in side:
+            lt = evaluate(factors, state, N)
+            if axes is None:
+                axes = lt.axes
+            elif lt.axes != axes:
+                raise ValueError(f"axis mismatch: {axes} vs {lt.axes}")
+            for idx, s in lt.entries.items():
+                sums.setdefault(idx, []).append((sign * coeff, s))
+    return max((FockState.combine(terms).maxamp() for terms in sums.values()), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from .errors import ReflectionTableError, ZfcheckError
 
 Matrix = np.ndarray
 
+_TABLE_MATCH_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Residual:
@@ -36,9 +38,6 @@ class Residual:
 
     value: float
     context: Mapping[str, object] = field(default_factory=dict)
-
-    def ok(self, tol: float) -> bool:
-        return self.value < tol
 
 
 def worst_over(fn: Callable[[object], float], samples: Iterable, **context) -> Residual:
@@ -51,14 +50,13 @@ def worst_over(fn: Callable[[object], float], samples: Iterable, **context) -> R
 
 @dataclass(frozen=True)
 class RMatrixSpec:
-    """A two-color exchange matrix family: dimension, coupling, evaluator.
+    """A two-color exchange matrix family: dimension, evaluator, family name.
 
     ``evaluator(k1, k2)`` must return an N^2 x N^2 array.  The built-in
     rational family depends on k1 - k2 only, but nothing here assumes that.
     """
 
     N: int
-    coupling: float
     evaluator: Callable[[float, float], Matrix]
     family: str = "rational"
 
@@ -70,7 +68,6 @@ class ReflectionMatrixSpec:
     N: int
     family: str
     evaluator: Callable[[float], Matrix]
-    params: tuple = ()
 
 
 @lru_cache(maxsize=None)
@@ -83,10 +80,8 @@ def perm_matrix(N: int) -> Matrix:
     return P
 
 
-def perm_conj(mat: Matrix, N: int | None = None) -> Matrix:
+def perm_conj(mat: Matrix, N: int) -> Matrix:
     """Conjugate a pair-space matrix by the flip: P @ mat @ P."""
-    if N is None:
-        N = int(round(math.sqrt(mat.shape[0])))
     P = perm_matrix(N)
     return P @ mat @ P
 
@@ -108,7 +103,7 @@ def rational_r(N: int, g: float) -> RMatrixSpec:
         d = k1 - k2
         return (d * eye + 1j * g * P) / (d + 1j * g)
 
-    return RMatrixSpec(N=N, coupling=g, evaluator=ev, family="rational")
+    return RMatrixSpec(N=N, evaluator=ev, family="rational")
 
 
 def eval_r(spec: RMatrixSpec, k1: float, k2: float) -> Matrix:
@@ -208,12 +203,7 @@ def constant_diagonal_b(entries: Sequence[complex]) -> ReflectionMatrixSpec:
     def ev(k: float) -> Matrix:
         return mat.copy()
 
-    return ReflectionMatrixSpec(
-        N=len(diag),
-        family="constant-diagonal",
-        evaluator=ev,
-        params=tuple(complex(x) for x in diag),
-    )
+    return ReflectionMatrixSpec(N=len(diag), family="constant-diagonal", evaluator=ev)
 
 
 def phase_diagonal_b(N: int, c: float, signs: Sequence[int] | None = None) -> ReflectionMatrixSpec:
@@ -234,29 +224,28 @@ def phase_diagonal_b(N: int, c: float, signs: Sequence[int] | None = None) -> Re
             raise ZfcheckError(f"phase-diagonal family singular at k = {k}")
         return np.diag([(c + 1j * k * s) / denom for s in sg]).astype(complex)
 
-    return ReflectionMatrixSpec(
-        N=N, family="k-dependent-diagonal", evaluator=ev, params=(float(c), sg)
-    )
+    return ReflectionMatrixSpec(N=N, family="k-dependent-diagonal", evaluator=ev)
 
 
-def table_b(N: int, entries: Mapping[float, Matrix], atol: float = 1e-9) -> ReflectionMatrixSpec:
-    """A reflection matrix given by an explicit momentum -> matrix table."""
+def table_b(N: int, entries: Mapping[float, Matrix]) -> ReflectionMatrixSpec:
+    """A reflection matrix given by an explicit momentum -> matrix table.
+
+    A momentum within ``_TABLE_MATCH_TOL`` of a table entry reads that entry.
+    """
     table = {float(k): np.asarray(v, dtype=complex).reshape(N, N) for k, v in entries.items()}
 
     def ev(k: float) -> Matrix:
         if k in table:
             return table[k].copy()
         for kk, mat in table.items():
-            if abs(kk - k) <= atol:
+            if abs(kk - k) <= _TABLE_MATCH_TOL:
                 return mat.copy()
         raise ReflectionTableError(
             f"reflection table has no entry for momentum {k!r}; "
             f"known momenta: {sorted(table)}"
         )
 
-    return ReflectionMatrixSpec(
-        N=N, family="table", evaluator=ev, params=tuple(sorted(table))
-    )
+    return ReflectionMatrixSpec(N=N, family="table", evaluator=ev)
 
 
 def load_table_b(path: str, N: int) -> ReflectionMatrixSpec:

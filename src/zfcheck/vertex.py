@@ -185,30 +185,24 @@ class VertexContext:
     def b_allowed(self) -> bool:
         return self.whitelist.ok
 
-    def _require_b(self, force: bool) -> None:
-        if force or self.b_allowed():
-            return
-        worst = self.whitelist.worst
-        detail = (
-            f"worst residual {self.whitelist.max_residual:.3e} at {worst.context}"
-            if worst
-            else "no checks ran"
-        )
-        raise NotWhitelistedError(
-            f"reflection family {self.reflection.family!r} failed the whitelist "
-            f"gate ({detail}); refusing to build b(k)"
-        )
-
-    def apply_b(
-        self, k: float, vecs: Sequence[AuxVec], force: bool = False
-    ) -> list[list[FockState]]:
+    def apply_b(self, k: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
         """b(k) on a batch of aux vectors.  Requires k (hence -k) on the grid.
 
-        ``force`` bypasses the whitelist gate; that exists for negative
-        controls and nothing else.
+        Raises ``NotWhitelistedError`` unless the reflection family passed
+        the whitelist gate when this context was built.
         """
         self.grid.index_of(k)
-        self._require_b(force)
+        if not self.b_allowed():
+            worst = self.whitelist.worst
+            detail = (
+                f"worst residual {self.whitelist.max_residual:.3e} at {worst.context}"
+                if worst
+                else "no checks ran"
+            )
+            raise NotWhitelistedError(
+                f"reflection family {self.reflection.family!r} failed the whitelist "
+                f"gate ({detail}); refusing to build b(k)"
+            )
         return self._contract(lambda gs: self.b_matrix(k, gs), vecs)
 
     # -- factor builders for the relation evaluator -------------------------------
@@ -219,8 +213,8 @@ class VertexContext:
     def t_inverse_opmat(self, space_label: int, k0: float) -> OpMat:
         return OpMat(space_label, lambda vecs: self.apply_T_inverse(k0, vecs))
 
-    def b_opmat(self, space_label: int, k: float, force: bool = False) -> OpMat:
-        return OpMat(space_label, lambda vecs: self.apply_b(k, vecs, force=force))
+    def b_opmat(self, space_label: int, k: float) -> OpMat:
+        return OpMat(space_label, lambda vecs: self.apply_b(k, vecs))
 
     def a_vec(self, space_label: int, k: float) -> Vec:
         return Vec(space_label, partial(self.space.annihilation_column, k))
@@ -276,23 +270,19 @@ def t_inverse_evaluator(ctx: VertexContext, k0: float) -> ResidualFn:
     return lambda s: identity_residual([(1.0, [t, t_inv])], [(1.0, [one])], s, ctx.N)
 
 
-def b_involution_evaluator(
-    ctx: VertexContext, k: float, force: bool = False
-) -> ResidualFn:
+def b_involution_evaluator(ctx: VertexContext, k: float) -> ResidualFn:
     """Residual function for b(k) b(-k) = 1 on the aux space."""
     one = NumMat(1, np.eye(ctx.N, dtype=complex))
-    b_k = ctx.b_opmat(1, k, force=force)
-    b_mk = ctx.b_opmat(1, -k, force=force)
+    b_k = ctx.b_opmat(1, k)
+    b_mk = ctx.b_opmat(1, -k)
     return lambda s: identity_residual([(1.0, [b_k, b_mk])], [(1.0, [one])], s, ctx.N)
 
 
 def b_exchange_evaluators(
-    ctx: VertexContext, k1: float, k2: float, force: bool = False
+    ctx: VertexContext, k1: float, k2: float
 ) -> dict[str, ResidualFn]:
     """eq:ab, eq:bad and eq:bb: the bulk generators and b (``relations.b_exchange_triple``)."""
-    triple = b_exchange_triple(
-        ctx.space.r, k1, k2, ctx.a_vec, ctx.adag_covec, partial(ctx.b_opmat, force=force)
-    )
+    triple = b_exchange_triple(ctx.space.r, k1, k2, ctx.a_vec, ctx.adag_covec, ctx.b_opmat)
     return dict(zip(("eq:ab", "eq:bad", "eq:bb"), triple))
 
 
@@ -308,9 +298,9 @@ def check_T_vacuum(ctx: VertexContext, k0: float) -> Residual:
     return Residual(value, {"relation": "TOmega", "momenta": (k0,)})
 
 
-def check_b_vacuum(ctx: VertexContext, k: float, force: bool = False) -> Residual:
+def check_b_vacuum(ctx: VertexContext, k: float) -> Residual:
     """b(k) on the vacuum must equal the numeric B(k) tensored with the vacuum."""
-    b = ctx.b_opmat(1, k, force=force)
+    b = ctx.b_opmat(1, k)
     want = NumMat(1, eval_b(ctx.reflection, k))
     value = identity_residual([(1.0, [b])], [(1.0, [want])], ctx.space.vacuum(), ctx.N)
     return Residual(value, {"relation": "b-vacuum", "momenta": (k,)})

@@ -105,7 +105,7 @@ def test_exchange_matrix_identities(rspec):
     def scaled(k1, k2, base=rspec.evaluator):
         return 1.01 * base(k1, k2)
 
-    bad = RMatrixSpec(N=2, coupling=0.7, evaluator=scaled, family="scaled")
+    bad = RMatrixSpec(N=2, evaluator=scaled, family="scaled")
     control_unit = check_unitarity(bad, 0.9, -1.7).value
     k1, k2, k3 = 0.4, -0.6, 1.1
     a = lift_pair(eval_r(rspec, k1, k2), 3, 0, 1, 2)

@@ -325,8 +325,6 @@ class TestGates:
         assert vnear.b_allowed()
         with pytest.raises(NotWhitelistedError, match="matrix level"):
             BoundaryContext(vnear)
-        relaxed = BoundaryContext(vnear, involution_tol=1e-9)
-        assert 0.0 < relaxed.involution_residual < 1e-10
 
     def test_involution_residual_recorded(self, bctx):
         assert bctx.involution_residual < 1e-11

@@ -22,7 +22,6 @@ from zfcheck.fock import (
     FockState,
     SpectralGrid,
     confluence_residual,
-    particle_number,
     states_equal,
     transposition_roundtrip_residual,
     zf_relation_evaluators,
@@ -42,7 +41,6 @@ class TestGrid:
         assert grid.momenta == (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
         assert grid.index_of(1.0) == 3
         assert grid.value(0) == -3.0
-        assert grid.neg_index(0) == 5
         assert grid.positive() == (1.0, 2.0, 3.0)
         assert 2.0 in grid and 0.5 not in grid
 
@@ -74,7 +72,7 @@ class TestGrid:
 class TestStates:
     def test_vacuum_and_particle_number(self, space):
         vac = space.vacuum()
-        assert particle_number(vac) == 0
+        assert vac.max_particles() == 0
         assert vac.amps == {(): 1.0 + 0j}
 
     def test_arithmetic(self):
@@ -105,10 +103,6 @@ class TestSectorDimensions:
     @pytest.mark.parametrize("n,dim", [(1, 12), (2, 84), (3, 448)])
     def test_counts(self, space, n, dim):
         assert len(space.canonical_words(n)) == dim
-
-    def test_distinct_only_counts(self, space):
-        # strictly increasing momenta: C(6, 2) * 4
-        assert len(space.canonical_words(2, distinct_only=True)) == 60
 
 
 class TestCreation:
@@ -334,7 +328,7 @@ class TestExchangeRelations:
         assert set(fns) == {"AN-1", "AN-2", "AN-3"}
         res = worst_over(fns["AN-1"], [space.vacuum()], momenta=(1.0, 2.0))
         assert res.context["momenta"] == (1.0, 2.0)
-        assert res.ok(1e-10)
+        assert res.value < 1e-10
 
     def test_mixed_relation_sees_the_delta(self, space, rng):
         # At equal momenta the contact term is what closes the relation;

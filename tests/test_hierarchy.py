@@ -5,10 +5,9 @@ import pytest
 
 from conftest import GRID, atdag_component, random_state
 from zfcheck.boundary import BoundaryContext
-from zfcheck.fock import FockState, particle_number
+from zfcheck.fock import FockState
 from zfcheck.harness import RELATIONS
 from zfcheck.hierarchy import (
-    HierarchyOperator,
     apply_H,
     check_symmetry_breaking,
     eigenrelation_evaluator,
@@ -67,12 +66,7 @@ class TestApplyH:
     def test_even_orders_preserve_particle_number(self, bctx, rng):
         s = random_state(rng, bctx.space, 2)
         out = apply_H(bctx, 2, s)
-        assert particle_number(out) == 2
-
-    def test_operator_wrapper_matches_function(self, bctx, rng):
-        s = random_state(rng, bctx.space, 1)
-        op = HierarchyOperator(2, bctx)
-        assert (op(s) - apply_H(bctx, 2, s)).maxamp() == 0.0
+        assert out.max_particles() == 2
 
     def test_headroom_table_covers_all_tags(self):
         assert {r.tag for r in RELATIONS if r.suite == "hierarchy"} == {

@@ -101,7 +101,7 @@ class TestMatrixIdentities:
         def scaled(k1, k2, base=spec.evaluator):
             return 1.01 * base(k1, k2)
 
-        bad = RMatrixSpec(N=2, coupling=0.7, evaluator=scaled, family="scaled")
+        bad = RMatrixSpec(N=2, evaluator=scaled, family="scaled")
         res = check_unitarity(bad, 0.9, -1.7)
         assert res.value == pytest.approx(0.0201, abs=1e-6)
         assert res.value > 1e-2

@@ -1,5 +1,6 @@
 """Vertex operator closed form vs the push-through recursion, plus b(k)."""
 
+import math
 from functools import partial
 from itertools import combinations_with_replacement
 
@@ -370,6 +371,12 @@ def vctx_bad(space):
     return VertexContext(space, constant_diagonal_b([2.0, 1.0]))
 
 
+@pytest.fixture(scope="module")
+def vctx_ungated(space):
+    # The same failing family under a whitelist tolerance nothing exceeds.
+    return VertexContext(space, constant_diagonal_b([2.0, 1.0]), whitelist_tol=math.inf)
+
+
 class TestWhitelistGate:
     def test_failed_family_blocks_b(self, vctx_bad):
         assert not vctx_bad.b_allowed()
@@ -399,15 +406,27 @@ class TestWhitelistGate:
         fn = rtt_evaluator(vctx_bad, 0.5, 2.0)
         assert fn(s) < 1e-11
 
-    def test_force_bypasses_gate_and_exposes_the_failure(self, vctx_bad, rng):
-        # The forced operator exists but the pair exchange identity breaks:
-        # that is the point of the gate.
+    def test_failed_gate_blocks_every_b_evaluator(self, vctx_bad, rng):
+        # The evaluators build; the first b they apply raises.
         s = random_state(rng, vctx_bad.space, 1)
-        fns = b_exchange_evaluators(vctx_bad, 1.0, 2.0, force=True)
+        fns = [*b_exchange_evaluators(vctx_bad, 1.0, 2.0).values()]
+        fns += [b_involution_evaluator(vctx_bad, 1.0), lambda _: check_b_vacuum(vctx_bad, 1.0)]
+        for fn in fns:
+            with pytest.raises(NotWhitelistedError, match="whitelist"):
+                fn(s)
+
+    def test_force_bypasses_gate_and_exposes_the_failure(self, vctx_ungated, rng):
+        # A tolerance of inf admits the failing family: b exists, its worst
+        # gate residual is on record, and the pair exchange identity breaks.
+        # That breakage is what the gate keeps out of a run.
+        assert vctx_ungated.b_allowed()
+        assert vctx_ungated.whitelist.max_residual == 3.0
+        s = random_state(rng, vctx_ungated.space, 1)
+        fns = b_exchange_evaluators(vctx_ungated, 1.0, 2.0)
         assert fns["eq:bb"](s) > 1e-3
 
-    def test_forced_vacuum_value_still_matches_numeric_matrix(self, vctx_bad):
-        res = check_b_vacuum(vctx_bad, 1.0, force=True)
+    def test_forced_vacuum_value_still_matches_numeric_matrix(self, vctx_ungated):
+        res = check_b_vacuum(vctx_ungated, 1.0)
         assert res.value < 1e-13
 
     def test_off_grid_momentum_rejected(self, vctx):
@@ -452,7 +471,8 @@ class TestCaches:
 
 
 # Reflection families for the build checks: identity, k-dependent diagonal,
-# and the constant diagonal (2, 1, ...) control, whose b is only ever forced.
+# and the constant diagonal (2, 1, ...) control, which fails the whitelist
+# gate; the build checks call b_matrix, which the gate does not guard.
 BUILD_FAMILIES = {
     "identity": identity_b,
     "k-dependent-diagonal": lambda N: phase_diagonal_b(N, 1.0, [(-1) ** c for c in range(N)]),
