@@ -164,9 +164,6 @@ class FockState:
             return 0
         return max(len(w) for w in self.amps)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.maxamp() <= tol
-
     def __len__(self) -> int:
         return len(self.amps)
 

@@ -193,15 +193,11 @@ class VertexContext:
         """
         self.grid.index_of(k)
         if not self.b_allowed():
-            worst = self.whitelist.worst
-            detail = (
-                f"worst residual {self.whitelist.max_residual:.3e} at {worst.context}"
-                if worst
-                else "no checks ran"
-            )
+            gate = self.whitelist
             raise NotWhitelistedError(
-                f"reflection family {self.reflection.family!r} failed the whitelist "
-                f"gate ({detail}); refusing to build b(k)"
+                f"reflection family {self.reflection.family!r} failed the whitelist gate "
+                f"(worst residual {gate.max_residual:.3e} at {gate.worst.context}); "
+                "refusing to build b(k)"
             )
         return self._contract(lambda gs: self.b_matrix(k, gs), vecs)
 
