@@ -40,7 +40,8 @@ from typing import Callable, Sequence
 from .errors import NotWhitelistedError
 from .fock import FockState
 from .relations import (
-    AuxVec, CoVec, Vec, b_exchange_triple, delta_term, exchange_triple, identity_residual
+    AuxVec, CoVec, Vec, b_exchange_triple, compiled, delta_term, exchange_triple,
+    identity_residual,
 )
 from .rmatrix import check_b_unitarity
 from .vertex import VertexContext, b_involution_evaluator
@@ -179,15 +180,11 @@ def rho_evaluator(ctx: BoundaryContext, k: float) -> ResidualFn:
     atdag_mk = ctx.atdag_covec(1, -k)
     b_k = ctx.vertex.b_opmat(1, k)
     b_mk = ctx.vertex.b_opmat(1, -k)
-
-    def fn(s: FockState) -> float:
-        vec_side = identity_residual([(1.0, [at_k])], [(1.0, [b_k, at_mk])], s, N)
-        covec_side = identity_residual(
-            [(1.0, [atdag_k])], [(1.0, [atdag_mk, b_mk])], s, N
-        )
-        return max(vec_side, covec_side)
-
-    return fn
+    sides = [
+        compiled(N, [(1.0, [at_k])], [(1.0, [b_k, at_mk])]),
+        compiled(N, [(1.0, [atdag_k])], [(1.0, [atdag_mk, b_mk])]),
+    ]
+    return lambda s: max(identity_residual(lhs, rhs, s, N) for lhs, rhs in sides)
 
 
 def rho_B_evaluators(
@@ -214,20 +211,13 @@ def rho_B_evaluators(
     al1, aldag1 = ctx.alpha_vec(1, k1), ctx.alpha_dag_covec(1, k1)
     b1 = ctx.vertex.b_opmat(1, k1)
     al1_neg = ctx.alpha_vec(1, -k1)
-
-    def coset(s: FockState) -> float:
-        vec_side = identity_residual(
-            [(1.0, [at1])], [(0.5, [plain_a]), (0.5, [al1])], s, N
-        )
-        covec_side = identity_residual(
-            [(1.0, [atdag1])], [(0.5, [plain_adag]), (0.5, [aldag1])], s, N
-        )
-        return max(vec_side, covec_side)
-
+    cosets = [
+        compiled(N, [(1.0, [at1])], [(0.5, [plain_a]), (0.5, [al1])]),
+        compiled(N, [(1.0, [atdag1])], [(0.5, [plain_adag]), (0.5, [aldag1])]),
+    ]
+    inv_lhs, inv_rhs = compiled(N, [(1.0, [b1, al1_neg])], [(1.0, [plain_a])])
     return {
         **dict(zip(("rhoB-aa", "rhoB-adad", "rhoB-aad"), triple)),
-        "rhoB-involution": lambda s: identity_residual(
-            [(1.0, [b1, al1_neg])], [(1.0, [plain_a])], s, N
-        ),
-        "coset": coset,
+        "rhoB-involution": lambda s: identity_residual(inv_lhs, inv_rhs, s, N),
+        "coset": lambda s: max(identity_residual(lhs, rhs, s, N) for lhs, rhs in cosets),
     }

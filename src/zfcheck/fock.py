@@ -341,12 +341,12 @@ class FockSpace:
         """
         gi = self.grid.index_of(k)
         self._check_color(color)
-        if state.max_particles() + 1 > self.n_max:
-            raise CapacityError(
-                f"creation would exceed the particle cap n_max = {self.n_max}"
-            )
         acc: dict[Word, complex] = {}
         for w, a in state.amps.items():
+            if len(w) >= self.n_max:
+                raise CapacityError(
+                    f"creation would exceed the particle cap n_max = {self.n_max}"
+                )
             p = 0
             while p < len(w) and gi > w[p][0]:
                 p += 1
@@ -354,7 +354,8 @@ class FockSpace:
             for nw, coeff in self._create_through(color, gi, w[:p]):
                 nw += tail
                 acc[nw] = acc.get(nw, 0j) + a * coeff
-        return FockState.wrap(acc).pruned(self.prune)
+        prune = self.prune
+        return FockState.wrap({w: a for w, a in acc.items() if abs(a) > prune})
 
     def _create_through(
         self, color: int, gi: int, prefix: Word
@@ -394,7 +395,8 @@ class FockSpace:
         for w, a in state.amps.items():
             for nw, coeff in self._annihilate_word(color, gi, w):
                 acc[nw] = acc.get(nw, 0j) + a * coeff
-        return FockState.wrap(acc).pruned(self.prune)
+        prune = self.prune
+        return FockState.wrap({w: a for w, a in acc.items() if abs(a) > prune})
 
     def _annihilate_word(
         self, color: int, gi: int, word: Word

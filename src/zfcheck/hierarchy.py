@@ -16,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .boundary import BoundaryContext, ResidualFn
 from .fock import FockState
-from .relations import StateOp, identity_residual, one_hot
+from .relations import StateOp, compiled, identity_residual, one_hot
 from .rmatrix import Residual
 from .vertex import check_b_vacuum
 
@@ -67,7 +65,7 @@ def eigenrelation_evaluator(ctx: BoundaryContext, n: int, k: float) -> ResidualF
     h = StateOp(partial(apply_H, ctx, n))
     # [H(n), x] = eig x, for x = at† with eig = lam and x = at with eig = -lam.
     sides = [
-        ([(1.0, [h, x]), (-1.0, [x, h])], [(eig, [x])])
+        compiled(ctx.N, [(1.0, [h, x]), (-1.0, [x, h])], [(eig, [x])])
         for x, eig in ((ctx.atdag_covec(1, k), lam), (ctx.at_vec(1, k), -lam))
     ]
     return lambda s: max(identity_residual(lhs, rhs, s, ctx.N) for lhs, rhs in sides)
@@ -76,7 +74,8 @@ def eigenrelation_evaluator(ctx: BoundaryContext, n: int, k: float) -> ResidualF
 def flow_commute_evaluator(ctx: BoundaryContext, n: int, m: int) -> ResidualFn:
     """Residual of H(n) H(m) s = H(m) H(n) s."""
     hn, hm = StateOp(partial(apply_H, ctx, n)), StateOp(partial(apply_H, ctx, m))
-    return lambda s: identity_residual([(1.0, [hn, hm])], [(1.0, [hm, hn])], s, ctx.N)
+    lhs, rhs = compiled(ctx.N, [(1.0, [hn, hm])], [(1.0, [hm, hn])])
+    return lambda s: identity_residual(lhs, rhs, s, ctx.N)
 
 
 def integral_of_motion_evaluator(
@@ -84,7 +83,8 @@ def integral_of_motion_evaluator(
 ) -> ResidualFn:
     """Residual of the entrywise commutator [H(n), b(k)]."""
     h, b = StateOp(partial(apply_H, ctx, n)), ctx.vertex.b_opmat(1, k)
-    return lambda s: identity_residual([(1.0, [h, b])], [(1.0, [b, h])], s, ctx.N)
+    lhs, rhs = compiled(ctx.N, [(1.0, [h, b])], [(1.0, [b, h])])
+    return lambda s: identity_residual(lhs, rhs, s, ctx.N)
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,3 @@ def check_symmetry_breaking(ctx: BoundaryContext) -> SymmetryBreakingReport:
     return SymmetryBreakingReport(
         residual=residual, broken=tuple(sorted(broken)), expectations=expectations
     )
-
-
-def one_particle_matrix(ctx: BoundaryContext, n: int) -> tuple[np.ndarray, list]:
-    """Dense matrix of H(n) on the one-particle sector, plus the basis words."""
-    words = ctx.space.canonical_words(1)
-    index = {w: t for t, w in enumerate(words)}
-    dim = len(words)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col, w in enumerate(words):
-        image = apply_H(ctx, n, ctx.space.basis_state(w))
-        for nw, a in image.amps.items():
-            mat[index[nw], col] = a
-    return mat, words

@@ -20,8 +20,8 @@ concrete Fock state.  A factor is one of
 Every factor is a batch map on aux vectors, lists of states, and maps all of
 a product's aux vectors in one call.  It acts on 0, 1 or 2 spaces: it reads
 their legs, or each entry as the 1-vector [s], and it writes their legs or
-closes them.  A space that a factor reads while it has no open leg is first
-opened with the identity: its row leg opens and its column leg dangles, in
+closes them.  A space that a factor reads while it has no open leg is opened
+with the identity: its row leg opens and its column leg dangles, in
 ``space_in`` if an ``OpMat`` or ``NumMat`` gives one, and no space gets a
 second column leg.  That is how a contact term bridges two spaces: the
 delta term is ``NumMat(1, I, space_in=2)``.
@@ -29,18 +29,22 @@ delta term is ``NumMat(1, I, space_in=2)``.
 Evaluating a product against a state yields a tensor of Fock states indexed
 by the exposed color legs: one "out" (row) leg per space whose last factor
 left a row open, one "in" (column) leg per space where a creation row or a
-matrix column never got contracted.  Two sides of an identity evaluate to
-tensors with the same legs; their entrywise difference is the residual.
+matrix column never got contracted.  Factors are listed in operator order
+(left to right) and applied right to left, so the rightmost acts first.  A
+tensor holds only its nonzero entries, a map from leg-index tuple to state.
+Every factor is linear, and the evaluator forms aux vectors only from the
+entries present, so no factor sees an empty state or an aux vector without
+one nonzero entry, and a scalar matrix costs only its nonzero entries.
 
-Factors are listed in operator order (left to right) and applied to the
-state right to left, so the rightmost factor acts first.
-
-A tensor holds only its nonzero entries, a map from leg-index tuple to
-state; an absent index is the zero state.  Every factor is linear, so it
-maps the zero state to the zero state, and the evaluator relies on that: it
-forms aux vectors only from the entries present, so no factor sees an empty
-state or an aux vector without one nonzero entry, and a scalar matrix costs
-only its nonzero entries (the rational R has at most 2 of N^2 per column).
+A product is compiled once into a plan: the leg bookkeeping and every check
+happen there, and running the plan on a state only moves data (open,
+permute, group, batch map, scatter).  A scalar matrix whose spaces are all
+fresh is not applied where it stands.  Its spaces open when a later factor
+first reads them, and at the end its transpose, out_c = sum_r M_rc v_r,
+maps their column legs; one that no factor read is applied as it stands.
+That is exact by linearity, since the later factors act on row legs and
+states only.  So x†_1 x†_2 = x†_2 x†_1 R_21 applies x† to the one-hot
+columns, not to every copy of the state that R_21 scales.
 
 Every state-level relation is measured by ``identity_residual`` on two sums
 of factor products.  The exchange relations come in two families, each
@@ -51,7 +55,7 @@ them with their own generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import attrgetter, itemgetter
@@ -60,7 +64,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import rmatrix
-from .fock import AuxVec, FockState
+from .fock import AuxVec, FockState, Word
 
 # An operator factor maps a batch of aux vectors to their images; for a
 # matrix, out_i = sum_l M_il s_l.
@@ -109,16 +113,19 @@ class OpMat(_Factor):
 class _ScalarMatrix(_Factor):
     mat: np.ndarray
     columns = cached_property(lambda self: _columns(self.mat))  # built once per factor
+    transposed = cached_property(lambda self: replace(self, mat=np.transpose(self.mat)))
 
     def batch(self, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
         """out_r = sum_l M_rl s_l over the nonzero entries M_rl of each column l."""
         images = []
         for vec in vecs:
-            terms: list[list[tuple[complex, FockState]]] = [[] for _ in self.columns]
+            rows: list[dict[Word, complex]] = [{} for _ in self.columns]
             for l, s in enumerate(vec):
                 for r, m in self.columns[l] if s.amps else ():
-                    terms[r].append((m, s))
-            images.append([FockState.combine(t) if t else _ZERO for t in terms])
+                    acc = rows[r]
+                    for w, a in s.amps.items():
+                        acc[w] = acc.get(w, 0j) + m * a
+            images.append([FockState.wrap(acc) for acc in rows])
         return images
 
 
@@ -179,96 +186,133 @@ def _rows(N: int, legs: int) -> list[Index]:
     return list(product(range(N), repeat=legs))
 
 
-class _Accumulator:
-    """Mutable tensor-with-labels used while scanning a factor product."""
+class _Plan(tuple):
+    """A factor product, compiled for ``N`` colors into ``steps`` that end on ``axes``."""
 
-    def __init__(self, state: FockState, N: int):
-        self.N = N
-        self.entries: dict[Index, FockState] = {(): state} if state.amps else {}
-        self.labels: list[Label] = []
 
-    def _open(self, space: int, space_in: int | None) -> None:
-        """Apply the identity on a fresh space: its row leg opens in front, its
-        column leg dangles last, in ``space_in`` if given, and must be new."""
-        col = ("in", space if space_in is None else space_in)
-        if col in self.labels:
-            raise ValueError(f"space {col[1]} already closed: it has a column leg")
-        self.labels = [("open", space), *self.labels, col]
-        self.entries = {
-            (c,) + idx + (c,): s for idx, s in self.entries.items() for c in range(self.N)
-        }
+def _permute(order: list[int]) -> Callable:
+    get = itemgetter(*order)  # at least two legs, so it gives tuples
+    return lambda entries: {get(idx): s for idx, s in entries.items()}
 
-    def apply(self, f: Factor) -> None:
-        """One call of a factor's batch map on every aux vector.
 
-        A fresh space it reads is first opened with the identity, and the legs
-        it reads move to the front of the index.  The entries that differ only in them form one
-        vector, keyed by the rest t of the index (a*N + b indexes two legs a,
-        b); with no read leg each entry is the 1-vector [s].  The read legs go
-        and the written legs open in front: row r of the image of the vector
-        keyed t lands at (r,) + t, or at divmod(r, N) + t for two legs.
-        """
+def _open(N: int) -> Callable:
+    """The identity on a fresh space: a row leg in front and a column leg last."""
+    return lambda entries: {(c,) + idx + (c,): s for idx, s in entries.items() for c in range(N)}
+
+
+def _map(n: int, rows: list[Index], batch: BatchOp, N: int) -> Callable:
+    """One call of ``batch`` on the aux vectors read off the first n legs.
+
+    The entries that differ only in those legs form one vector, keyed by the
+    rest t of the index (a*N + b indexes two legs a, b); with n = 0 each
+    entry is the 1-vector [s].  Row r of the image keyed t lands at rows[r] + t.
+    """
+
+    def step(entries: dict[Index, FockState]) -> dict[Index, FockState]:
+        if n == 0:
+            groups = {idx: [s] for idx, s in entries.items()}
+        else:
+            groups = {}
+            for idx, s in entries.items():
+                vec = groups.get(idx[n:])
+                if vec is None:
+                    vec = groups[idx[n:]] = [_ZERO] * N**n
+                vec[idx[0] if n == 1 else idx[0] * N + idx[1]] = s
+        out = {}
+        for t, image in zip(groups, batch(list(groups.values()))):
+            for r, s in zip(rows, image):
+                if s.amps:
+                    out[r + t] = s
+        return out
+
+    return step
+
+
+def _compile(factors: Sequence[Factor], N: int) -> _Plan:
+    """The leg bookkeeping and every check of a product, done once, right to left."""
+    labels: list[Label] = []  # the legs of the entries' index, in order
+    pending: dict[int, Label] = {}  # per fresh space the index lacks yet, its column leg
+    deferred: list[tuple[_ScalarMatrix, list[Label]]] = []
+    steps: list[Callable] = []
+
+    def has(label: Label) -> bool:
+        """Whether the product has the leg so far, in the index or in a pending space."""
+        pend = label[1] in pending if label[0] == "open" else label in pending.values()
+        return pend or label in labels
+
+    def open_pending(legs: Sequence[Label]) -> None:
+        nonlocal labels
+        for leg in reversed(legs):  # so the legs open in front in their order
+            col = pending.pop(leg[1], None)
+            if col is not None:
+                labels = [leg, *labels, col]
+                steps.append(_open(N))
+
+    def apply(legs: Sequence[Label], batch: BatchOp, reads=True, writes=True) -> None:
+        nonlocal labels
+        ps = list(map(labels.index, legs)) if reads else []
+        if ps != list(range(len(ps))):
+            order = ps + [q for q in range(len(labels)) if q not in ps]
+            labels = [labels[q] for q in order]
+            steps.append(_permute(order))
+        labels = [*legs, *labels[len(ps):]] if writes else labels[len(ps):]
+        steps.append(_map(len(ps), _rows(N, len(legs) if writes else 0), batch, N))
+
+    for f in reversed(factors):
         if not isinstance(f, _Factor):
             raise TypeError(f"unknown factor {f!r}")
-        N, legs = self.N, f.legs
-        for leg in legs:
+        cols = []  # the column legs of the spaces it finds fresh
+        for leg in f.legs:
+            space = leg[1]
             if not f.reads:
-                if leg in self.labels or ("in", leg[1]) in self.labels:
+                if has(leg) or has(("in", space)):
                     raise ValueError(
-                        f"annihilation-type factor must be rightmost in space {leg[1]}"
+                        f"annihilation-type factor must be rightmost in space {space}"
                     )
-            elif leg not in self.labels:
-                self._open(leg[1], f.space_in)
+            elif not has(leg):
+                col = ("in", space if f.space_in is None else f.space_in)
+                if has(col):
+                    raise ValueError(f"space {col[1]} already closed: it has a column leg")
+                pending[space] = col
+                cols.append(col)
             elif f.space_in is not None:
-                raise ValueError(f"space_in needs a fresh space, but space {leg[1]} is open")
-        labels = self.labels
-        ps = list(map(labels.index, legs)) if f.reads else []
-        n = len(ps)
-        if n and max(ps) >= n:
-            order = ps + [q for q in range(len(labels)) if q not in ps]
-            labels, get = [labels[q] for q in order], itemgetter(*order)
-            self.entries = {get(idx): s for idx, s in self.entries.items()}
-            ps = list(range(n))
-        self.labels = [*legs, *labels[n:]] if f.writes else labels[n:]
-        groups: dict[Index, list[FockState]] = {}
-        for idx, s in self.entries.items():
-            col = 0
-            for p in ps:
-                col = col * N + idx[p]
-            groups.setdefault(idx[n:], [_ZERO] * N**n)[col] = s
-        self.entries = out = {}
-        if groups:
-            rows = _rows(N, len(legs) if f.writes else 0)
-            for t, image in zip(groups, f.batch(list(groups.values()))):
-                for r, s in zip(rows, image):
-                    if s.amps:
-                        out[r + t] = s
-
-    def finish(self) -> LabeledTensor:
-        labels = [
-            ("out", s) if kind == "open" else (kind, s) for kind, s in self.labels
-        ]
-        order = sorted(
-            range(len(labels)), key=lambda i: (labels[i][1], labels[i][0] != "out")
-        )
-        axes = tuple(labels[i] for i in order)
-        entries = self.entries
-        if order != sorted(order):  # two or more legs, so itemgetter gives tuples
-            get = itemgetter(*order)
-            entries = {get(idx): s for idx, s in entries.items()}
-        return LabeledTensor(axes, entries)
+                raise ValueError(f"space_in needs a fresh space, but space {space} is open")
+        if isinstance(f, _ScalarMatrix) and len(cols) == len(f.legs):
+            deferred.append((f, cols))
+            continue
+        open_pending(f.legs)
+        apply(f.legs, f.batch, f.reads, f.writes)
+    for f, cols in deferred:
+        as_is = all(leg[1] in pending for leg in f.legs)
+        open_pending(f.legs)
+        apply(*((f.legs, f.batch) if as_is else (cols, f.transposed.batch)))
+    final = [("out", s) if kind == "open" else (kind, s) for kind, s in labels]
+    order = sorted(range(len(final)), key=lambda i: (final[i][1], final[i][0] != "out"))
+    if order != sorted(order):
+        steps.append(_permute(order))
+    plan = _Plan(factors)
+    plan.N, plan.steps, plan.axes = N, steps, tuple(final[i] for i in order)
+    return plan
 
 
 def evaluate(factors: Sequence[Factor], state: FockState, N: int) -> LabeledTensor:
     """Apply a factor product (operator order, left to right) to a state."""
-    acc = _Accumulator(state, N)
-    for f in reversed(factors):
-        acc.apply(f)
-    return acc.finish()
+    plan = factors if isinstance(factors, _Plan) and factors.N == N else _compile(factors, N)
+    entries = {(): state} if state.amps else {}
+    for step in plan.steps:
+        if not entries:
+            break
+        entries = step(entries)
+    return LabeledTensor(plan.axes, entries)
 
 
 Term = tuple[complex, Sequence[Factor]]
 ResidualFn = Callable[[FockState], float]
+
+
+def compiled(N: int, *sides: Sequence[Term]) -> tuple[list[Term], ...]:
+    """Each side with every factor product compiled once into its plan."""
+    return tuple([(coeff, _compile(factors, N)) for coeff, factors in side] for side in sides)
 
 
 def identity_residual(
@@ -276,13 +320,13 @@ def identity_residual(
 ) -> float:
     """Max amplitude of lhs - rhs on one state.
 
-    Every term of both sides, the right side's with its sign flipped, goes
-    into one sum per leg index; each sum is formed in one pass.
+    Every term of both sides, the right side's with its sign flipped, is
+    added straight into one amplitude map per leg index.
     """
     if not lhs or not rhs:
         raise ValueError("a side needs at least one term")
     axes = None
-    sums: dict[Index, list[tuple[complex, FockState]]] = {}
+    sums: dict[Index, dict[Word, complex]] = {}
     for sign, side in ((1.0, lhs), (-1.0, rhs)):
         for coeff, factors in side:
             lt = evaluate(factors, state, N)
@@ -290,9 +334,12 @@ def identity_residual(
                 axes = lt.axes
             elif lt.axes != axes:
                 raise ValueError(f"axis mismatch: {axes} vs {lt.axes}")
+            c = sign * coeff
             for idx, s in lt.entries.items():
-                sums.setdefault(idx, []).append((sign * coeff, s))
-    return max((FockState.combine(terms).maxamp() for terms in sums.values()), default=0.0)
+                acc = sums.setdefault(idx, {})
+                for w, a in s.amps.items():
+                    acc[w] = acc.get(w, 0j) + c * a
+    return max((abs(a) for acc in sums.values() for a in acc.values()), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +361,7 @@ def delta_term(N: int, coeff: complex = 1.0) -> Term:
 
 
 def _identity(lhs: Sequence[Term], rhs: Sequence[Term], N: int) -> ResidualFn:
+    lhs, rhs = compiled(N, lhs, rhs)
     return lambda s: identity_residual(lhs, rhs, s, N)
 
 

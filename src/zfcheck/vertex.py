@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NotWhitelistedError
 from .fock import FockSpace, FockState, Word
 from .relations import (
-    AuxVec, CoVec, NumMat, OpMat, Vec, b_exchange_triple, identity_residual, r_mat
+    AuxVec, CoVec, NumMat, OpMat, Vec, b_exchange_triple, compiled, identity_residual, r_mat
 )
 from .rmatrix import (
     Residual,
@@ -237,13 +237,11 @@ def t_relation_evaluators(
     t1 = ctx.t_opmat(1, k0)
     dag = ctx.adag_covec(2, k)
     ann = ctx.a_vec(2, k)
+    dag_lhs, dag_rhs = compiled(N, [(1.0, [t1, dag])], [(1.0, [dag, r01, t1])])
+    ann_lhs, ann_rhs = compiled(N, [(1.0, [t1, ann])], [(1.0, [r10, ann, t1])])
     return {
-        "defT-adag": lambda s: identity_residual(
-            [(1.0, [t1, dag])], [(1.0, [dag, r01, t1])], s, N
-        ),
-        "defT-a": lambda s: identity_residual(
-            [(1.0, [t1, ann])], [(1.0, [r10, ann, t1])], s, N
-        ),
+        "defT-adag": lambda s: identity_residual(dag_lhs, dag_rhs, s, N),
+        "defT-a": lambda s: identity_residual(ann_lhs, ann_rhs, s, N),
     }
 
 
@@ -253,9 +251,8 @@ def rtt_evaluator(ctx: VertexContext, k1: float, k2: float) -> ResidualFn:
     r12 = r_mat(ctx.space.r, k1, k2)
     t1 = ctx.t_opmat(1, k1)
     t2 = ctx.t_opmat(2, k2)
-    return lambda s: identity_residual(
-        [(1.0, [r12, t1, t2])], [(1.0, [t2, t1, r12])], s, N
-    )
+    lhs, rhs = compiled(N, [(1.0, [r12, t1, t2])], [(1.0, [t2, t1, r12])])
+    return lambda s: identity_residual(lhs, rhs, s, N)
 
 
 def t_inverse_evaluator(ctx: VertexContext, k0: float) -> ResidualFn:
@@ -263,7 +260,8 @@ def t_inverse_evaluator(ctx: VertexContext, k0: float) -> ResidualFn:
     one = NumMat(1, np.eye(ctx.N, dtype=complex))
     t = ctx.t_opmat(1, k0)
     t_inv = ctx.t_inverse_opmat(1, k0)
-    return lambda s: identity_residual([(1.0, [t, t_inv])], [(1.0, [one])], s, ctx.N)
+    lhs, rhs = compiled(ctx.N, [(1.0, [t, t_inv])], [(1.0, [one])])
+    return lambda s: identity_residual(lhs, rhs, s, ctx.N)
 
 
 def b_involution_evaluator(ctx: VertexContext, k: float) -> ResidualFn:
@@ -271,7 +269,8 @@ def b_involution_evaluator(ctx: VertexContext, k: float) -> ResidualFn:
     one = NumMat(1, np.eye(ctx.N, dtype=complex))
     b_k = ctx.b_opmat(1, k)
     b_mk = ctx.b_opmat(1, -k)
-    return lambda s: identity_residual([(1.0, [b_k, b_mk])], [(1.0, [one])], s, ctx.N)
+    lhs, rhs = compiled(ctx.N, [(1.0, [b_k, b_mk])], [(1.0, [one])])
+    return lambda s: identity_residual(lhs, rhs, s, ctx.N)
 
 
 def b_exchange_evaluators(

@@ -14,10 +14,22 @@ from zfcheck.hierarchy import (
     flow_commute_evaluator,
     integral_of_motion_evaluator,
     odd_vanishing_evaluator,
-    one_particle_matrix,
 )
 from zfcheck.rmatrix import table_b, worst_over
 from zfcheck.vertex import VertexContext
+
+
+def one_particle_matrix(ctx: BoundaryContext, n: int) -> tuple[np.ndarray, list]:
+    """Dense matrix of H(n) on the one-particle sector, plus the basis words."""
+    words = ctx.space.canonical_words(1)
+    index = {w: t for t, w in enumerate(words)}
+    dim = len(words)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for col, w in enumerate(words):
+        image = apply_H(ctx, n, ctx.space.basis_state(w))
+        for nw, a in image.amps.items():
+            mat[index[nw], col] = a
+    return mat, words
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """The factor-product evaluator, checked against explicit index loops."""
 
+import gc
+import weakref
 from dataclasses import replace
 from functools import lru_cache, partial
 
@@ -12,7 +14,7 @@ from conftest import GRID, gauged_r, random_state
 from oracles import object_array_evaluate, states_bridge
 from zfcheck import boundary, hierarchy, relations, vertex
 from zfcheck.boundary import BoundaryContext
-from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal
+from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal, zf_relation_evaluators
 from zfcheck.harness import RunConfig, run_suites
 from zfcheck.hierarchy import apply_H
 from zfcheck.relations import (
@@ -437,6 +439,56 @@ class TestErrorPaths:
             evaluate([bridge, NumMat(1, eye)], space.vacuum(), space.N)
 
 
+class TestPlans:
+    """A product is compiled once, and a scalar matrix on fresh spaces acts last."""
+
+    def test_an2_creates_on_one_hot_columns(self, monkeypatch):
+        # R_21 maps the column legs after both rows, so a† meets the N one-hot
+        # columns on each side, not every copy of the state that R_21 scales.
+        space = FockSpace(SpectralGrid(GRID), rational_r(2, 0.7), n_max=3)
+        counts = []  # a† calls per evaluated product
+        create, evaluate_orig = FockSpace.apply_creation, relations.evaluate
+
+        def counted_creation(self, *args):
+            counts[-1] += 1
+            return create(self, *args)
+
+        def per_product(factors, state, N):
+            counts.append(0)
+            return evaluate_orig(factors, state, N)
+
+        monkeypatch.setattr(FockSpace, "apply_creation", counted_creation)
+        monkeypatch.setattr(relations, "evaluate", per_product)
+        an2 = zf_relation_evaluators(space, 1.0, 2.0)["AN-2"]
+        assert an2(space.basis_state(((0, 1),))) < 1e-12
+        assert counts == [6, 6]
+
+    def test_an_evaluators_compile_each_product_once(self, space, rng, monkeypatch):
+        compiles = []
+        compile_ = relations._compile
+        monkeypatch.setattr(
+            relations, "_compile", lambda factors, N: compiles.append(N) or compile_(factors, N)
+        )
+        fns = zf_relation_evaluators(space, 1.0, 1.0)  # AN-3 with its delta term
+        for _ in range(20):
+            s = random_state(rng, space, 1)
+            assert max(fn(s) for fn in fns.values()) < 1e-12
+        assert len(compiles) == 2 + 2 + 3
+
+    def test_run_keeps_no_context_alive(self, monkeypatch):
+        refs = []
+        init = VertexContext.__init__
+
+        def spied_init(self, *args, **kwargs):
+            refs.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(VertexContext, "__init__", spied_init)
+        run_suites(RunConfig())
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+
+
 class TestScalarTensor:
     def test_scalar_tensor_round_trip(self, space, rng):
         s = random_state(rng, space, 2)
@@ -606,6 +658,11 @@ PRODUCTS = {
     "b then H": [("H", 2), ("b", 1, 2.0)],
     "H then covec": [("covec", 1, 1.0), ("H", 2)],
     "momentum between generators": [("covec", 2, 3.0), ("P",), ("vec", 1, -2.0)],
+    # A scalar matrix on fresh spaces that later factors read acts last, by its transpose.
+    "AN-2 right side": [("covec", 2, 2.0), ("covec", 1, 1.0), ("rmat", 1, 2, 1.0, 2.0)],
+    "T on num fresh": [("T", 1, 0.37), ("num", 1)],
+    "b on one leg of rmat fresh": [("b", 2, 1.0), ("rmat", 1, 2, -1.0, 3.0)],
+    "covec on num bridge": [("covec", 1, 1.0), ("num", 1, 2)],
 }
 
 
@@ -667,6 +724,21 @@ def products(draw):
     return applied[::-1]
 
 
+def _deferred_reads(specs):
+    """The fresh-space counts of the scalar factors on fresh spaces that a later factor reads."""
+    touched, waiting, found = set(), {}, set()
+    for spec in reversed(specs):  # application order
+        if spec[0] in ("H", "P"):
+            continue
+        spaces = set(spec[1:3]) if spec[0] == "rmat" else {spec[1]}
+        if spec[0] in ("num", "rmat") and not spaces & touched:
+            waiting.update((sp, len(spaces)) for sp in spaces)
+        else:
+            found.update(waiting.pop(sp) for sp in spaces if sp in waiting)
+        touched |= spaces
+    return found
+
+
 class TestObjectArrayOracle:
     """``evaluate`` keeps only nonzero entries; the dense evaluator keeps all."""
 
@@ -684,7 +756,10 @@ class TestObjectArrayOracle:
     def test_drawn_products(self, oracle_ctx):
         # Some drawn products must hold a pair matrix and evaluate to a
         # nonzero tensor, or the draws would not test RMat's legs at all.
+        # Some must read a scalar factor drawn on two fresh spaces and one
+        # drawn on one, or they would not test its transpose.
         rmat_hits = []
+        deferred = set()
 
         @given(
             N=st.sampled_from([2, 3]),
@@ -705,6 +780,8 @@ class TestObjectArrayOracle:
             assert _oracle_deviation(ctx, specs, state) <= 1e-14
             if any(spec[0] == "rmat" for spec in specs):
                 rmat_hits.append(bool(evaluate([_factor(ctx, f) for f in specs], state, N).entries))
+            deferred.update(_deferred_reads(specs))
 
         check()
         assert any(rmat_hits)
+        assert deferred == {1, 2}
