@@ -70,10 +70,10 @@ from .vertex import (
     VertexContext,
     b_exchange_evaluators,
     b_involution_evaluator,
-    check_T_vacuum,
     rtt_evaluator,
     t_inverse_evaluator,
     t_relation_evaluators,
+    t_vacuum_evaluator,
 )
 
 __all__ = [
@@ -103,7 +103,6 @@ __all__ = [
     "check_b_unitarity",
     "check_reflection_equation",
     "check_symmetry_breaking",
-    "check_T_vacuum",
     "check_unitarity",
     "check_yang_baxter",
     "constant_diagonal_b",
@@ -124,6 +123,7 @@ __all__ = [
     "states_equal",
     "t_inverse_evaluator",
     "t_relation_evaluators",
+    "t_vacuum_evaluator",
     "table_b",
     "whitelist_reflection",
     "worst_over",

@@ -35,18 +35,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import NotWhitelistedError
 from .fock import FockState
 from .relations import (
-    AuxVec, CoVec, Vec, b_exchange_triple, compiled, delta_term, exchange_triple,
-    identity_residual,
+    AuxVec, CoVec, ResidualFn, Vec, b_exchange_triple, delta_term, exchange_triple, identity
 )
-from .rmatrix import check_b_unitarity
 from .vertex import VertexContext, b_involution_evaluator
-
-ResidualFn = Callable[[FockState], float]
 
 _MEMO_LIMIT = 8192
 # The largest |B(k) B(-k) - I| over the grid that a context accepts.
@@ -64,11 +60,12 @@ class BoundaryContext:
         self._memo: dict = {}
         # The dressed reflection operator must square to the identity across
         # the grid before anything downstream trusts it; at the matrix level
-        # this is exactly B(k) B(-k) = I conjugated by invertible chains.
+        # this is exactly B(k) B(-k) = I conjugated by invertible chains, which
+        # the whitelist gate measured at every grid momentum.
         worst = 0.0
         if vertex.b_allowed():
-            for k in self.grid:
-                worst = max(worst, check_b_unitarity(vertex.reflection, k).value)
+            checks = vertex.whitelist.checks
+            worst = max(r.value for r in checks if r.context["relation"] == "B-unitarity")
             if worst >= _INVOLUTION_LIMIT:
                 raise NotWhitelistedError(
                     f"b(k)b(-k)=id fails at matrix level: residual {worst:.3e}"
@@ -173,18 +170,17 @@ def rho_evaluator(ctx: BoundaryContext, k: float) -> ResidualFn:
 
     The adjoint side creates a particle, so samples need one unit of headroom.
     """
-    N = ctx.N
     at_k = ctx.at_vec(1, k)
     at_mk = ctx.at_vec(1, -k)
     atdag_k = ctx.atdag_covec(1, k)
     atdag_mk = ctx.atdag_covec(1, -k)
     b_k = ctx.vertex.b_opmat(1, k)
     b_mk = ctx.vertex.b_opmat(1, -k)
-    sides = [
-        compiled(N, [(1.0, [at_k])], [(1.0, [b_k, at_mk])]),
-        compiled(N, [(1.0, [atdag_k])], [(1.0, [atdag_mk, b_mk])]),
-    ]
-    return lambda s: max(identity_residual(lhs, rhs, s, N) for lhs, rhs in sides)
+    return identity(
+        ctx.N,
+        ([(1.0, [at_k])], [(1.0, [b_k, at_mk])]),
+        ([(1.0, [atdag_k])], [(1.0, [atdag_mk, b_mk])]),
+    )
 
 
 def rho_B_evaluators(
@@ -211,13 +207,12 @@ def rho_B_evaluators(
     al1, aldag1 = ctx.alpha_vec(1, k1), ctx.alpha_dag_covec(1, k1)
     b1 = ctx.vertex.b_opmat(1, k1)
     al1_neg = ctx.alpha_vec(1, -k1)
-    cosets = [
-        compiled(N, [(1.0, [at1])], [(0.5, [plain_a]), (0.5, [al1])]),
-        compiled(N, [(1.0, [atdag1])], [(0.5, [plain_adag]), (0.5, [aldag1])]),
-    ]
-    inv_lhs, inv_rhs = compiled(N, [(1.0, [b1, al1_neg])], [(1.0, [plain_a])])
     return {
         **dict(zip(("rhoB-aa", "rhoB-adad", "rhoB-aad"), triple)),
-        "rhoB-involution": lambda s: identity_residual(inv_lhs, inv_rhs, s, N),
-        "coset": lambda s: max(identity_residual(lhs, rhs, s, N) for lhs, rhs in cosets),
+        "rhoB-involution": identity(N, ([(1.0, [b1, al1_neg])], [(1.0, [plain_a])])),
+        "coset": identity(
+            N,
+            ([(1.0, [at1])], [(0.5, [plain_a]), (0.5, [al1])]),
+            ([(1.0, [atdag1])], [(0.5, [plain_adag]), (0.5, [aldag1])]),
+        ),
     }

@@ -701,9 +701,11 @@ def _ssb(ctx: BoundaryContext) -> Residual:
 
 
 _ZF = _layer(fock_mod, "zf_relation_evaluators")
+_T_VACUUM = _layer(vertex_mod, "t_vacuum_evaluator")
 _DEF_T = _layer(vertex_mod, "t_relation_evaluators")
 _RTT = _layer(vertex_mod, "rtt_evaluator")
 _T_INVERSE = _layer(vertex_mod, "t_inverse_evaluator")
+_B_VACUUM = _layer(vertex_mod, "b_vacuum_evaluator")
 _B_INVOLUTION = _layer(vertex_mod, "b_involution_evaluator")
 _B_EXCHANGE = _layer(vertex_mod, "b_exchange_evaluators")
 _BOUNDARY = _layer(boundary_mod, "boundary_relation_evaluators")
@@ -727,12 +729,12 @@ RELATIONS: tuple[Relation, ...] = (
     Relation("fock", "AN-3", 1, False, "pairs", _ZF),
     Relation("fock", "confluence", 0, False, "none", _confluence, "shuffles"),
     Relation("fock", "roundtrip", 0, False, "none", _roundtrip, "roundtrips"),
-    Relation("vertex", "TOmega", 0, False, "aux", _once(vertex_mod.check_T_vacuum), "vac"),
+    Relation("vertex", "TOmega", 0, False, "aux", _T_VACUUM, "vac"),
     Relation("vertex", "defT-adag", 1, False, "aux-particle", _DEF_T),
     Relation("vertex", "defT-a", 0, False, "aux-particle", _DEF_T),
     Relation("vertex", "rtt", 0, False, "rtt", _RTT),
     Relation("vertex", "T-inverse", 0, False, "aux", _T_INVERSE),
-    Relation("vertex", "b-vacuum", 0, True, "grid", _once(vertex_mod.check_b_vacuum), "vac"),
+    Relation("vertex", "b-vacuum", 0, True, "grid", _B_VACUUM, "vac"),
     Relation("vertex", "rbrb", 0, True, "reflected", _B_INVOLUTION),
     Relation("vertex", "eq:ab", 0, True, "pairs", _B_EXCHANGE),
     Relation("vertex", "eq:bad", 1, True, "pairs", _B_EXCHANGE),
@@ -829,6 +831,8 @@ class _Run:
         n_max = self.cfg.n_max
         if source == "sectors":
             return self.plan.up_to(n_max)
+        if source == "vac":
+            return self.plan.by_sector[0]
         if source == "low-sectors":
             # Each eigenrelation check applies the charge four times per
             # color, the hot loop of the whole run: stay in low sectors.

@@ -8,7 +8,7 @@ every reflection generator, and act on the dressed one-particle states
 at†(k) vacuum with eigenvalue k^n.  Every one of those statements is checked
 numerically here; none is assumed.  The commutators are factor products of
 the charge (a ``StateOp``) with the generators and b, measured by
-``relations.identity_residual``.
+``relations.identity``.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .boundary import BoundaryContext, ResidualFn
+from .boundary import BoundaryContext
 from .fock import FockState
-from .relations import StateOp, compiled, identity_residual, one_hot
+from .relations import ResidualFn, StateOp, identity, one_hot
 from .rmatrix import Residual
-from .vertex import check_b_vacuum
+from .vertex import b_vacuum_evaluator
 
 
 # A vacuum expectation of b(k) above this counts as a broken generator.
@@ -64,18 +64,16 @@ def eigenrelation_evaluator(ctx: BoundaryContext, n: int, k: float) -> ResidualF
     lam = complex(k**n) if n % 2 == 0 else 0j
     h = StateOp(partial(apply_H, ctx, n))
     # [H(n), x] = eig x, for x = at† with eig = lam and x = at with eig = -lam.
-    sides = [
-        compiled(ctx.N, [(1.0, [h, x]), (-1.0, [x, h])], [(eig, [x])])
+    return identity(ctx.N, *(
+        ([(1.0, [h, x]), (-1.0, [x, h])], [(eig, [x])])
         for x, eig in ((ctx.atdag_covec(1, k), lam), (ctx.at_vec(1, k), -lam))
-    ]
-    return lambda s: max(identity_residual(lhs, rhs, s, ctx.N) for lhs, rhs in sides)
+    ))
 
 
 def flow_commute_evaluator(ctx: BoundaryContext, n: int, m: int) -> ResidualFn:
     """Residual of H(n) H(m) s = H(m) H(n) s."""
     hn, hm = StateOp(partial(apply_H, ctx, n)), StateOp(partial(apply_H, ctx, m))
-    lhs, rhs = compiled(ctx.N, [(1.0, [hn, hm])], [(1.0, [hm, hn])])
-    return lambda s: identity_residual(lhs, rhs, s, ctx.N)
+    return identity(ctx.N, ([(1.0, [hn, hm])], [(1.0, [hm, hn])]))
 
 
 def integral_of_motion_evaluator(
@@ -83,8 +81,7 @@ def integral_of_motion_evaluator(
 ) -> ResidualFn:
     """Residual of the entrywise commutator [H(n), b(k)]."""
     h, b = StateOp(partial(apply_H, ctx, n)), ctx.vertex.b_opmat(1, k)
-    lhs, rhs = compiled(ctx.N, [(1.0, [h, b])], [(1.0, [b, h])])
-    return lambda s: identity_residual(lhs, rhs, s, ctx.N)
+    return identity(ctx.N, ([(1.0, [h, b])], [(1.0, [b, h])]))
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ def check_symmetry_breaking(ctx: BoundaryContext) -> SymmetryBreakingReport:
     """Measure b(k) on the vacuum against the numeric reflection matrix.
 
     The residual compares b(k) vacuum with B(k) times the vacuum over the
-    grid, as ``vertex.check_b_vacuum`` does.  The broken-generator list
+    grid through ``vertex.b_vacuum_evaluator``.  The broken-generator list
     collects the index pairs (i, j) whose vacuum expectation is nonzero for
     some grid k: those components act on the vacuum with a nonvanishing
     value, so the symmetry they generate does not fix it.
@@ -110,7 +107,7 @@ def check_symmetry_breaking(ctx: BoundaryContext) -> SymmetryBreakingReport:
     broken: set[tuple[int, int]] = set()
     expectations: dict = {}
     for k in ctx.grid:
-        worst = max(worst, check_b_vacuum(ctx.vertex, k).value)
+        worst = max(worst, b_vacuum_evaluator(ctx.vertex, k)(vac))
         got = ctx.vertex.apply_b(k, one_hot(vac, ctx.N))
         for i in range(ctx.N):
             for j in range(ctx.N):

@@ -46,11 +46,12 @@ That is exact by linearity, since the later factors act on row legs and
 states only.  So x†_1 x†_2 = x†_2 x†_1 R_21 applies x† to the one-hot
 columns, not to every copy of the state that R_21 scales.
 
-Every state-level relation is measured by ``identity_residual`` on two sums
-of factor products.  The exchange relations come in two families, each
-written once here: ``exchange_triple`` (x x, x† x† and x x† with its contact
-terms) and ``b_exchange_triple`` (x b, b x† and b b); the layers instantiate
-them with their own generators.
+Every state-level relation is an identity of two sums of factor products,
+and ``identity(N, (lhs, rhs), ...)`` is its residual function: the worst
+``identity_residual`` over its pairs.  The exchange relations come in two
+families, each written once here: ``exchange_triple`` (x x, x† x† and x x†
+with its contact terms) and ``b_exchange_triple`` (x b, b x† and b b); the
+layers instantiate them with their own generators.
 """
 
 from __future__ import annotations
@@ -310,11 +311,6 @@ Term = tuple[complex, Sequence[Factor]]
 ResidualFn = Callable[[FockState], float]
 
 
-def compiled(N: int, *sides: Sequence[Term]) -> tuple[list[Term], ...]:
-    """Each side with every factor product compiled once into its plan."""
-    return tuple([(coeff, _compile(factors, N)) for coeff, factors in side] for side in sides)
-
-
 def identity_residual(
     lhs: Sequence[Term], rhs: Sequence[Term], state: FockState, N: int
 ) -> float:
@@ -342,6 +338,18 @@ def identity_residual(
     return max((abs(a) for acc in sums.values() for a in acc.values()), default=0.0)
 
 
+def identity(N: int, *pairs: tuple[Sequence[Term], Sequence[Term]]) -> ResidualFn:
+    """The residual function of the identities lhs = rhs: their worst on a state.
+
+    Each side's factor products are compiled once into plans here.
+    """
+    plans = [
+        tuple([(coeff, _compile(factors, N)) for coeff, factors in side] for side in pair)
+        for pair in pairs
+    ]
+    return lambda s: max(identity_residual(lhs, rhs, s, N) for lhs, rhs in plans)
+
+
 # ---------------------------------------------------------------------------
 # The two exchange families.  ``ann(space, k)`` and ``cre(space, k)`` build a
 # generator's annihilation column and creation row, ``b(space, k)`` the
@@ -358,11 +366,6 @@ def r_mat(r: rmatrix.RMatrixSpec, k1: float, k2: float, swap: bool = False) -> R
 def delta_term(N: int, coeff: complex = 1.0) -> Term:
     """The contact term coeff delta_12: the identity matrix from space 2 into space 1."""
     return (coeff, [NumMat(1, np.eye(N, dtype=complex), space_in=2)])
-
-
-def _identity(lhs: Sequence[Term], rhs: Sequence[Term], N: int) -> ResidualFn:
-    lhs, rhs = compiled(N, lhs, rhs)
-    return lambda s: identity_residual(lhs, rhs, s, N)
 
 
 def exchange_triple(
@@ -382,9 +385,9 @@ def exchange_triple(
     x1, x2, xd1, xd2 = ann(1, k1), ann(2, k2), cre(1, k1), cre(2, k2)
     r12, r21 = r_mat(r, k1, k2), r_mat(r, k1, k2, swap=True)
     return (
-        _identity([(1.0, [x1, x2])], [(1.0, [r21, x2, x1])], r.N),
-        _identity([(1.0, [xd1, xd2])], [(1.0, [xd2, xd1, r21])], r.N),
-        _identity([(1.0, [x1, xd2])], [(1.0, [xd2, r12, x1]), *contact], r.N),
+        identity(r.N, ([(1.0, [x1, x2])], [(1.0, [r21, x2, x1])])),
+        identity(r.N, ([(1.0, [xd1, xd2])], [(1.0, [xd2, xd1, r21])])),
+        identity(r.N, ([(1.0, [x1, xd2])], [(1.0, [xd2, r12, x1]), *contact])),
     )
 
 
@@ -405,7 +408,7 @@ def b_exchange_triple(
     rp12, rp21 = r_mat(r, k1, -k2), r_mat(r, -k1, k2, swap=True)
     rbar21 = r_mat(r, -k1, -k2, swap=True)
     return (
-        _identity([(1.0, [x1, b2])], [(1.0, [r21, b2, rp12, x1])], r.N),
-        _identity([(1.0, [b1, xd2])], [(1.0, [xd2, r12, b1, rp21])], r.N),
-        _identity([(1.0, [r12, b1, rp21, b2])], [(1.0, [b2, rp12, b1, rbar21])], r.N),
+        identity(r.N, ([(1.0, [x1, b2])], [(1.0, [r21, b2, rp12, x1])])),
+        identity(r.N, ([(1.0, [b1, xd2])], [(1.0, [xd2, r12, b1, rp21])])),
+        identity(r.N, ([(1.0, [r12, b1, rp21, b2])], [(1.0, [b2, rp12, b1, rbar21])])),
     )

@@ -23,6 +23,8 @@ b(k; k_1..) = R_01(k, k_1) [I_1 (x) b(k; k_2..)] P R(k_1, -k) P|_01, from
 B(k) on the empty word.  The words of a batch that share a momentum tuple
 share that matrix, so a batch is contracted block by block, one numpy
 product per momentum tuple.  Everything here is pure: states in, states out.
+Each relation of T and b, T Omega = Omega and b Omega = B Omega included, is
+a residual function built by ``relations.identity``.
 """
 
 from __future__ import annotations
@@ -36,18 +38,15 @@ import numpy as np
 from .errors import NotWhitelistedError
 from .fock import FockSpace, FockState, Word
 from .relations import (
-    AuxVec, CoVec, NumMat, OpMat, Vec, b_exchange_triple, compiled, identity_residual, r_mat
+    AuxVec, CoVec, NumMat, OpMat, ResidualFn, Vec, b_exchange_triple, identity, r_mat
 )
 from .rmatrix import (
-    Residual,
     ReflectionMatrixSpec,
     WhitelistReport,
     eval_b,
     eval_r,
     whitelist_reflection,
 )
-
-ResidualFn = Callable[[FockState], float]
 
 
 def _add_leg(subscripts: str, mat: np.ndarray, r: np.ndarray, N: int) -> np.ndarray:
@@ -232,27 +231,28 @@ def t_relation_evaluators(
     Creation side: T_0 a†_1 = a†_1 R_01 T_0.  Annihilation side:
     T_0 a_1 = R_10 a_1 T_0.  Aux space is labeled 1, the particle space 2.
     """
-    N = ctx.N
     r01, r10 = r_mat(ctx.space.r, k0, k), r_mat(ctx.space.r, k0, k, swap=True)
     t1 = ctx.t_opmat(1, k0)
     dag = ctx.adag_covec(2, k)
     ann = ctx.a_vec(2, k)
-    dag_lhs, dag_rhs = compiled(N, [(1.0, [t1, dag])], [(1.0, [dag, r01, t1])])
-    ann_lhs, ann_rhs = compiled(N, [(1.0, [t1, ann])], [(1.0, [r10, ann, t1])])
     return {
-        "defT-adag": lambda s: identity_residual(dag_lhs, dag_rhs, s, N),
-        "defT-a": lambda s: identity_residual(ann_lhs, ann_rhs, s, N),
+        "defT-adag": identity(ctx.N, ([(1.0, [t1, dag])], [(1.0, [dag, r01, t1])])),
+        "defT-a": identity(ctx.N, ([(1.0, [t1, ann])], [(1.0, [r10, ann, t1])])),
     }
 
 
 def rtt_evaluator(ctx: VertexContext, k1: float, k2: float) -> ResidualFn:
     """Residual function for R_12 T_1 T_2 = T_2 T_1 R_12."""
-    N = ctx.N
     r12 = r_mat(ctx.space.r, k1, k2)
     t1 = ctx.t_opmat(1, k1)
     t2 = ctx.t_opmat(2, k2)
-    lhs, rhs = compiled(N, [(1.0, [r12, t1, t2])], [(1.0, [t2, t1, r12])])
-    return lambda s: identity_residual(lhs, rhs, s, N)
+    return identity(ctx.N, ([(1.0, [r12, t1, t2])], [(1.0, [t2, t1, r12])]))
+
+
+def t_vacuum_evaluator(ctx: VertexContext, k0: float) -> ResidualFn:
+    """Residual function for T(k0) = 1 on the aux space, which holds on the vacuum."""
+    one = NumMat(1, np.eye(ctx.N, dtype=complex))
+    return identity(ctx.N, ([(1.0, [ctx.t_opmat(1, k0)])], [(1.0, [one])]))
 
 
 def t_inverse_evaluator(ctx: VertexContext, k0: float) -> ResidualFn:
@@ -260,8 +260,13 @@ def t_inverse_evaluator(ctx: VertexContext, k0: float) -> ResidualFn:
     one = NumMat(1, np.eye(ctx.N, dtype=complex))
     t = ctx.t_opmat(1, k0)
     t_inv = ctx.t_inverse_opmat(1, k0)
-    lhs, rhs = compiled(ctx.N, [(1.0, [t, t_inv])], [(1.0, [one])])
-    return lambda s: identity_residual(lhs, rhs, s, ctx.N)
+    return identity(ctx.N, ([(1.0, [t, t_inv])], [(1.0, [one])]))
+
+
+def b_vacuum_evaluator(ctx: VertexContext, k: float) -> ResidualFn:
+    """Residual function for b(k) = B(k) on the aux space, which holds on the vacuum."""
+    want = NumMat(1, eval_b(ctx.reflection, k))
+    return identity(ctx.N, ([(1.0, [ctx.b_opmat(1, k)])], [(1.0, [want])]))
 
 
 def b_involution_evaluator(ctx: VertexContext, k: float) -> ResidualFn:
@@ -269,8 +274,7 @@ def b_involution_evaluator(ctx: VertexContext, k: float) -> ResidualFn:
     one = NumMat(1, np.eye(ctx.N, dtype=complex))
     b_k = ctx.b_opmat(1, k)
     b_mk = ctx.b_opmat(1, -k)
-    lhs, rhs = compiled(ctx.N, [(1.0, [b_k, b_mk])], [(1.0, [one])])
-    return lambda s: identity_residual(lhs, rhs, s, ctx.N)
+    return identity(ctx.N, ([(1.0, [b_k, b_mk])], [(1.0, [one])]))
 
 
 def b_exchange_evaluators(
@@ -280,22 +284,3 @@ def b_exchange_evaluators(
     triple = b_exchange_triple(ctx.space.r, k1, k2, ctx.a_vec, ctx.adag_covec, ctx.b_opmat)
     return dict(zip(("eq:ab", "eq:bad", "eq:bb"), triple))
 
-
-# ---------------------------------------------------------------------------
-# Single-shot checks on the vacuum
-
-
-def check_T_vacuum(ctx: VertexContext, k0: float) -> Residual:
-    """T(k0) acting on the vacuum must be the identity aux matrix times the vacuum."""
-    t = ctx.t_opmat(1, k0)
-    one = NumMat(1, np.eye(ctx.N, dtype=complex))
-    value = identity_residual([(1.0, [t])], [(1.0, [one])], ctx.space.vacuum(), ctx.N)
-    return Residual(value, {"relation": "TOmega", "momenta": (k0,)})
-
-
-def check_b_vacuum(ctx: VertexContext, k: float) -> Residual:
-    """b(k) on the vacuum must equal the numeric B(k) tensored with the vacuum."""
-    b = ctx.b_opmat(1, k)
-    want = NumMat(1, eval_b(ctx.reflection, k))
-    value = identity_residual([(1.0, [b])], [(1.0, [want])], ctx.space.vacuum(), ctx.N)
-    return Residual(value, {"relation": "b-vacuum", "momenta": (k,)})

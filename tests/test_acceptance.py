@@ -50,10 +50,10 @@ from zfcheck.rmatrix import (
 )
 from zfcheck.vertex import (
     VertexContext,
-    check_T_vacuum,
     rtt_evaluator,
     t_inverse_evaluator,
     t_relation_evaluators,
+    t_vacuum_evaluator,
 )
 
 LINES: list[str] = []
@@ -187,7 +187,8 @@ def test_vertex_operator(spaces):
     ctx = VertexContext(space, phase_diagonal_b(2, 1.0, [1, -1]))
     rng = np.random.default_rng(SEED + 2)
 
-    vac_worst = max(check_T_vacuum(ctx, k0).value for k0 in (0.5, -2.0, 3.0))
+    vac = space.vacuum()
+    vac_worst = max(t_vacuum_evaluator(ctx, k0)(vac) for k0 in (0.5, -2.0, 3.0))
 
     samples = _samples(space, rng, (1, 2))
     deep = _samples(space, rng, (1, 2, 3))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import GRID, gauged_r, random_state
 from oracles import object_array_evaluate, states_bridge
-from zfcheck import boundary, hierarchy, relations, vertex
+from zfcheck import relations
 from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal, zf_relation_evaluators
 from zfcheck.harness import RunConfig, run_suites
@@ -545,8 +545,7 @@ class TestZeroStateContract:
         scalar_batch = relations._ScalarMatrix.batch
         monkeypatch.setattr(relations._ScalarMatrix, "batch", spied_scalar_batch)
         monkeypatch.setattr(relations, "evaluate", spying_evaluate)
-        for module in (relations, vertex, boundary, hierarchy):
-            monkeypatch.setattr(module, "identity_residual", residual_also_on_zero)
+        monkeypatch.setattr(relations, "identity_residual", residual_also_on_zero)
         report = run_suites(RunConfig(), suites=suites)
 
         assert report.counts["pass"] > 0 and not report.failed
@@ -561,6 +560,30 @@ class TestZeroStateContract:
     def test_default_hierarchy_suite(self, monkeypatch):
         kinds = {"Vec", "CoVec", "OpMat", "NumMat", "StateOp"}
         self._check(monkeypatch, ("hierarchy",), kinds)
+
+
+class TestOneSeam:
+    """Every state-level relation calls ``relations.identity_residual`` on that
+    module's binding, so one wrapper there sees all of them."""
+
+    @pytest.mark.parametrize("suite", ["vertex", "boundary", "hierarchy"])
+    def test_every_measured_record_reaches_the_binding(self, monkeypatch, suite):
+        calls = []
+        residual_orig = relations.identity_residual
+
+        def counted(*args):
+            calls.append(args[-2])
+            return residual_orig(*args)
+
+        monkeypatch.setattr(relations, "identity_residual", counted)
+        report = run_suites(RunConfig(), suites=[suite])
+        # H-odd is apply_H(...).maxamp(), the one relation that is not an identity.
+        measured = [
+            r for r in report.records
+            if r.suite == suite and r.relation != "H-odd" and r.status != "skip"
+        ]
+        assert measured
+        assert len(calls) >= len(measured)
 
 
 # -- the sparse evaluator against the dense object-array oracle ---------------

@@ -39,11 +39,11 @@ from zfcheck.vertex import (
     VertexContext,
     b_exchange_evaluators,
     b_involution_evaluator,
-    check_b_vacuum,
-    check_T_vacuum,
+    b_vacuum_evaluator,
     rtt_evaluator,
     t_inverse_evaluator,
     t_relation_evaluators,
+    t_vacuum_evaluator,
 )
 
 AUX_MOMENTA = (0.5, -2.0, 3.0)
@@ -55,17 +55,17 @@ HEADROOM = {r.tag: r.headroom for r in RELATIONS if r.suite == "vertex"}
 class TestVacuumAction:
     @pytest.mark.parametrize("k0", AUX_MOMENTA)
     def test_T_fixes_vacuum_exactly(self, vctx, k0):
-        res = check_T_vacuum(vctx, k0)
-        assert res.value == 0.0
+        res = t_vacuum_evaluator(vctx, k0)(vctx.space.vacuum())
+        assert res == 0.0
 
     def test_b_vacuum_is_numeric_reflection_matrix(self, vctx):
         for k in vctx.grid:
-            res = check_b_vacuum(vctx, k)
-            assert res.value < 1e-13
+            res = b_vacuum_evaluator(vctx, k)(vctx.space.vacuum())
+            assert res < 1e-13
 
     def test_b_vacuum_identity_family(self, vctx_id):
-        res = check_b_vacuum(vctx_id, 1.0)
-        assert res.value < 1e-14
+        res = b_vacuum_evaluator(vctx_id, 1.0)(vctx_id.space.vacuum())
+        assert res < 1e-14
 
 
 class TestOneParticle:
@@ -410,12 +410,14 @@ class TestWhitelistGate:
         # The evaluators build; the first b they apply raises.
         s = random_state(rng, vctx_bad.space, 1)
         fns = [*b_exchange_evaluators(vctx_bad, 1.0, 2.0).values()]
-        fns += [b_involution_evaluator(vctx_bad, 1.0), lambda _: check_b_vacuum(vctx_bad, 1.0)]
+        fns += [b_involution_evaluator(vctx_bad, 1.0), b_vacuum_evaluator(vctx_bad, 1.0)]
         for fn in fns:
             with pytest.raises(NotWhitelistedError, match="whitelist"):
                 fn(s)
 
-    def test_force_bypasses_gate_and_exposes_the_failure(self, vctx_ungated, rng):
+    def test_infinite_tolerance_admits_the_family_and_exposes_the_failure(
+        self, vctx_ungated, rng
+    ):
         # A tolerance of inf admits the failing family: b exists, its worst
         # gate residual is on record, and the pair exchange identity breaks.
         # That breakage is what the gate keeps out of a run.
@@ -425,9 +427,9 @@ class TestWhitelistGate:
         fns = b_exchange_evaluators(vctx_ungated, 1.0, 2.0)
         assert fns["eq:bb"](s) > 1e-3
 
-    def test_forced_vacuum_value_still_matches_numeric_matrix(self, vctx_ungated):
-        res = check_b_vacuum(vctx_ungated, 1.0)
-        assert res.value < 1e-13
+    def test_infinite_tolerance_vacuum_value_still_matches_numeric_matrix(self, vctx_ungated):
+        res = b_vacuum_evaluator(vctx_ungated, 1.0)(vctx_ungated.space.vacuum())
+        assert res < 1e-13
 
     def test_off_grid_momentum_rejected(self, vctx):
         with pytest.raises(GridDomainError):
@@ -476,7 +478,7 @@ class TestCaches:
 BUILD_FAMILIES = {
     "identity": identity_b,
     "k-dependent-diagonal": lambda N: phase_diagonal_b(N, 1.0, [(-1) ** c for c in range(N)]),
-    "forced (2, 1)": lambda N: constant_diagonal_b([2.0] + [1.0] * (N - 1)),
+    "ungated (2, 1)": lambda N: constant_diagonal_b([2.0] + [1.0] * (N - 1)),
 }
 
 
