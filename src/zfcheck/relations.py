@@ -188,7 +188,8 @@ def _rows(N: int, legs: int) -> list[Index]:
 
 
 class _Plan(tuple):
-    """A factor product, compiled for ``N`` colors into ``steps`` that end on ``axes``."""
+    """A factor product, compiled for ``N`` colors into ``steps`` that end on ``axes``,
+    and the most particles it adds over its input, its ``headroom``."""
 
 
 def _permute(order: list[int]) -> Callable:
@@ -235,6 +236,7 @@ def _compile(factors: Sequence[Factor], N: int) -> _Plan:
     pending: dict[int, Label] = {}  # per fresh space the index lacks yet, its column leg
     deferred: list[tuple[_ScalarMatrix, list[Label]]] = []
     steps: list[Callable] = []
+    level = headroom = 0  # particles added over the input: +1 per CoVec, -1 per Vec
 
     def has(label: Label) -> bool:
         """Whether the product has the leg so far, in the index or in a pending space."""
@@ -262,6 +264,8 @@ def _compile(factors: Sequence[Factor], N: int) -> _Plan:
     for f in reversed(factors):
         if not isinstance(f, _Factor):
             raise TypeError(f"unknown factor {f!r}")
+        level += isinstance(f, CoVec) - isinstance(f, Vec)
+        headroom = max(headroom, level)
         cols = []  # the column legs of the spaces it finds fresh
         for leg in f.legs:
             space = leg[1]
@@ -293,6 +297,7 @@ def _compile(factors: Sequence[Factor], N: int) -> _Plan:
         steps.append(_permute(order))
     plan = _Plan(factors)
     plan.N, plan.steps, plan.axes = N, steps, tuple(final[i] for i in order)
+    plan.headroom = headroom
     return plan
 
 
@@ -341,13 +346,17 @@ def identity_residual(
 def identity(N: int, *pairs: tuple[Sequence[Term], Sequence[Term]]) -> ResidualFn:
     """The residual function of the identities lhs = rhs: their worst on a state.
 
-    Each side's factor products are compiled once into plans here.
+    Each side's factor products are compiled once into plans here.  The
+    function's ``headroom`` is their worst: a state needs that many particles
+    of room under the cap.
     """
     plans = [
         tuple([(coeff, _compile(factors, N)) for coeff, factors in side] for side in pair)
         for pair in pairs
     ]
-    return lambda s: max(identity_residual(lhs, rhs, s, N) for lhs, rhs in plans)
+    fn = lambda s: max(identity_residual(lhs, rhs, s, N) for lhs, rhs in plans)
+    fn.headroom = max(plan.headroom for pair in plans for side in pair for _, plan in side)
+    return fn
 
 
 # ---------------------------------------------------------------------------

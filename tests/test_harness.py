@@ -10,9 +10,11 @@ import pytest
 from zfcheck.cli import main
 from zfcheck.errors import ConfigError, GridValidationError
 from zfcheck.harness import (
+    _CONTEXT,
     RELATIONS,
     SUITE_ORDER,
     RunConfig,
+    _Run,
     build_reflection,
     build_sample_plan,
     config_from_dict,
@@ -523,6 +525,44 @@ class TestOneParticleCap:
         assert "result: PASS" in capsys.readouterr().out
 
 
+def documented_headroom() -> dict[str, int]:
+    """The headroom column of README's tag table, by tag."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Relation tags used in records:")[1].split("\n\n")[1]
+    documented: dict[str, int] = {}
+    for line in table.splitlines()[2:]:
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        for tag in re.findall(r"`([^`]+)`", cells[0]):
+            documented[tag] = int(cells[1])
+    return documented
+
+
+def row_evaluators(cfg):
+    """(row, evaluator) for every row of RELATIONS at every point of its plan."""
+    run = _Run(cfg)
+    for row in RELATIONS:
+        context = getattr(run, _CONTEXT[row.suite])
+        for _, args in run.plans[row.plan]:
+            made = row.factory(context, *args)
+            fn = made.get(row.tag) if isinstance(made, dict) else made
+            if fn is not None:
+                yield row, fn
+
+
+# Configs on which every evaluator must carry the documented headroom.
+HEADROOM_CONFIGS = {
+    "default": {},
+    "colors3": {
+        "N": 3, "reflection": {"family": "k-dependent-diagonal", "c": 1.0, "signs": [1, -1, 1]},
+    },
+    "deep": {"n_max": 5, "samples_per_sector": {"1": 3, "2": 3, "3": 2, "4": 2, "5": 2}},
+    "grid-1": {"grid": [-1.0, 1.0]},
+    "one-particle": {"n_max": 1, "samples_per_sector": {"1": 3}},
+    "N1": {"N": 1},
+    "wide": {"grid": [-4.0, -2.0, -0.5, 0.5, 2.0, 4.0], "g": 1.3},
+}
+
+
 class TestRelationTable:
     def test_one_row_per_suite_and_tag(self):
         keys = [(r.suite, r.tag) for r in RELATIONS]
@@ -530,14 +570,19 @@ class TestRelationTable:
         assert list(SUITE_ORDER) == list(dict.fromkeys(r.suite for r in RELATIONS))
 
     def test_readme_tag_table_matches(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        table = readme.split("Relation tags used in records:")[1].split("\n\n")[1]
-        documented: dict[str, int] = {}
-        for line in table.splitlines()[2:]:
-            cells = [c.strip() for c in line.strip("|").split("|")]
-            for tag in re.findall(r"`([^`]+)`", cells[0]):
-                documented[tag] = int(cells[1])
-        assert documented == {r.tag: r.headroom for r in RELATIONS}
+        assert documented_headroom() == {r.tag: r.headroom for r in RELATIONS}
+
+    @pytest.mark.parametrize("overrides", HEADROOM_CONFIGS.values(), ids=HEADROOM_CONFIGS)
+    def test_every_evaluator_carries_the_documented_headroom(self, overrides):
+        # The compiled products of a row's identity fix its headroom; a check
+        # that is not such an identity applies no creation row and carries none.
+        documented = documented_headroom()
+        seen = set()
+        for row, fn in row_evaluators(config_from_dict(overrides)):
+            derived = getattr(fn, "headroom", 0)
+            assert derived == documented[row.tag] == row.headroom, (row.suite, row.tag)
+            seen.add((row.suite, row.tag))
+        assert seen == {(r.suite, r.tag) for r in RELATIONS}
 
     def test_skip_causes_name_the_table_headroom(self, one_particle_report):
         headroom = {(r.suite, r.tag): r.headroom for r in RELATIONS}
