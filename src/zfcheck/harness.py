@@ -6,9 +6,9 @@ rejected), executed suite by suite in dependency order
     rmatrix -> fock -> vertex -> boundary -> hierarchy
 
 and reported as a flat list of check records plus a summary.  One table,
-``RELATIONS``, lists every relation tag with what it needs (suite, particle
-headroom, the reflection gate, momentum plan, evaluator factory); a single
-loop over it produces the records.
+``RELATIONS``, lists every relation tag with what it needs (suite, the
+reflection gate, momentum plan, evaluator factory); a single loop over it
+produces the records.
 
 Two runs with the same config, seed, and suite selection produce
 byte-identical reports: sampling is driven by one seeded generator consumed
@@ -23,11 +23,12 @@ explanatory cause instead of being silently dropped; the bulk layers
 (exchange matrix checks, Fock algebra, the vertex operator itself) still
 run, since they never touch the reflection matrix.
 
-Checks whose relation needs more particle headroom than a sample's sector
-leaves under the cap are likewise recorded as skips, never silently
-narrowed, with one exception: ``H-eigen`` samples only the vacuum and the
-one-particle sector (its ``low-sectors`` sample source) and records no
-skips for the configured samples of higher sectors.
+A sample whose sector leaves less room under the cap than its evaluator's
+``headroom``, which ``relations.identity`` derives from the compiled factor
+products, is likewise recorded as a skip, never silently narrowed, with one
+exception: ``H-eigen`` samples only the vacuum and the one-particle sector
+(its ``low-sectors`` sample source) and records no skips for the
+configured samples of higher sectors.
 """
 
 from __future__ import annotations
@@ -634,21 +635,20 @@ class Relation:
 
     At each point of the momentum plan ``plan`` (see ``_Run.plans``),
     ``factory(context, *args)`` is called on the suite's context object.
-    It returns the per-sample evaluator, or a tag -> evaluator map that the
-    consecutive rows with the same factory share.  An evaluator returns the
-    residual, or a Residual whose context may carry the record's cause.
+    It returns the per-sample evaluator, or a tag -> evaluator map, holding
+    the row's tag, that the consecutive rows with the same factory share.
+    An evaluator returns the residual, or a Residual whose context may carry
+    the record's cause.  One built by ``relations.identity`` carries its
+    ``headroom``: a sample whose sector leaves less under n_max is skipped.
 
-    ``samples`` names the sample source (see ``_Run.samples``).
-    ``headroom`` is how many letters the relation's worst intermediate word
-    adds to the sample's; a sample whose sector leaves less room than that
-    under n_max gets a skip record.  When the reflection gate fails, rows
-    that ``needs_b`` get one skip record each.  The ``gate`` rows are that
-    gate: they also run ahead of any selected suite that needs b.
+    ``samples`` names the sample source (see ``_Run.samples``).  When the
+    reflection gate fails, rows that ``needs_b`` get one skip record each.
+    The ``gate`` rows are that gate: they also run ahead of any selected
+    suite that needs b.
     """
 
     suite: str
     tag: str
-    headroom: int
     needs_b: bool
     plan: str
     factory: Callable
@@ -680,9 +680,9 @@ def _once(check: Callable) -> Callable:
     return lambda context, *args: lambda _: check(context, *args)
 
 
-def _whitelist(_context: object, check: Residual) -> dict:
+def _whitelist(_context: object, check: Residual) -> Callable:
     """A gate residual, measured when the vertex context was built."""
-    return {check.context["relation"]: lambda _: check}
+    return lambda _: check
 
 
 def _confluence(space: FockSpace) -> Callable:
@@ -718,45 +718,45 @@ _H_IOM = _layer(hierarchy_mod, "integral_of_motion_evaluator")
 
 # Every relation a run measures, in report order.  run_suites asserts that
 # the records of each selected suite cover exactly its rows here.
-#   suite, tag, headroom, needs b, momentum plan, evaluator factory[, samples]
+#   suite, tag, needs b, momentum plan, evaluator factory[, samples]
 RELATIONS: tuple[Relation, ...] = (
-    Relation("rmatrix", "B-unitarity", 0, False, "whitelist", _whitelist, "matrix", gate=True),
-    Relation("rmatrix", "RBRB", 0, False, "whitelist", _whitelist, "matrix", gate=True),
-    Relation("rmatrix", "YBE", 0, False, "ybe", _once(check_yang_baxter), "triple-{i}"),
-    Relation("rmatrix", "unitarity", 0, False, "unitarity", _once(check_unitarity), "pair-{i}"),
-    Relation("fock", "AN-1", 0, False, "pairs", _ZF),
-    Relation("fock", "AN-2", 2, False, "pairs", _ZF),
-    Relation("fock", "AN-3", 1, False, "pairs", _ZF),
-    Relation("fock", "confluence", 0, False, "none", _confluence, "shuffles"),
-    Relation("fock", "roundtrip", 0, False, "none", _roundtrip, "roundtrips"),
-    Relation("vertex", "TOmega", 0, False, "aux", _T_VACUUM, "vac"),
-    Relation("vertex", "defT-adag", 1, False, "aux-particle", _DEF_T),
-    Relation("vertex", "defT-a", 0, False, "aux-particle", _DEF_T),
-    Relation("vertex", "rtt", 0, False, "rtt", _RTT),
-    Relation("vertex", "T-inverse", 0, False, "aux", _T_INVERSE),
-    Relation("vertex", "b-vacuum", 0, True, "grid", _B_VACUUM, "vac"),
-    Relation("vertex", "rbrb", 0, True, "reflected", _B_INVOLUTION),
-    Relation("vertex", "eq:ab", 0, True, "pairs", _B_EXCHANGE),
-    Relation("vertex", "eq:bad", 1, True, "pairs", _B_EXCHANGE),
-    Relation("vertex", "eq:bb", 0, True, "pairs", _B_EXCHANGE),
-    Relation("boundary", "BNl-1", 0, True, "pairs", _BOUNDARY),
-    Relation("boundary", "BNl-2", 2, True, "pairs", _BOUNDARY),
-    Relation("boundary", "BNl-3", 1, True, "pairs", _BOUNDARY),
-    Relation("boundary", "BNl-4", 0, True, "pairs", _BOUNDARY),
-    Relation("boundary", "BNl-5", 1, True, "pairs", _BOUNDARY),
-    Relation("boundary", "eq:bb", 0, True, "pairs", _BOUNDARY),
-    Relation("boundary", "rbrb", 0, True, "pairs", _BOUNDARY),
-    Relation("boundary", "rho", 1, True, "reflected", _RHO),
-    Relation("boundary", "rhoB-aa", 0, True, "pairs", _RHO_B),
-    Relation("boundary", "rhoB-adad", 2, True, "pairs", _RHO_B),
-    Relation("boundary", "rhoB-aad", 1, True, "pairs", _RHO_B),
-    Relation("boundary", "rhoB-involution", 0, True, "pairs", _RHO_B),
-    Relation("boundary", "coset", 1, True, "pairs", _RHO_B),
-    Relation("hierarchy", "H-odd", 0, True, "odd-orders", _H_ODD),
-    Relation("hierarchy", "H-eigen", 1, True, "eigen", _H_EIGEN, "low-sectors"),
-    Relation("hierarchy", "H-commute", 0, True, "order-pairs", _H_COMMUTE),
-    Relation("hierarchy", "H-iom", 0, True, "iom", _H_IOM),
-    Relation("hierarchy", "ssb", 0, True, "none", _once(_ssb), "vac"),
+    Relation("rmatrix", "B-unitarity", False, "B-unitarity", _whitelist, "matrix", gate=True),
+    Relation("rmatrix", "RBRB", False, "RBRB", _whitelist, "matrix", gate=True),
+    Relation("rmatrix", "YBE", False, "ybe", _once(check_yang_baxter), "triple-{i}"),
+    Relation("rmatrix", "unitarity", False, "unitarity", _once(check_unitarity), "pair-{i}"),
+    Relation("fock", "AN-1", False, "pairs", _ZF),
+    Relation("fock", "AN-2", False, "pairs", _ZF),
+    Relation("fock", "AN-3", False, "pairs", _ZF),
+    Relation("fock", "confluence", False, "none", _confluence, "shuffles"),
+    Relation("fock", "roundtrip", False, "none", _roundtrip, "roundtrips"),
+    Relation("vertex", "TOmega", False, "aux", _T_VACUUM, "vac"),
+    Relation("vertex", "defT-adag", False, "aux-particle", _DEF_T),
+    Relation("vertex", "defT-a", False, "aux-particle", _DEF_T),
+    Relation("vertex", "rtt", False, "rtt", _RTT),
+    Relation("vertex", "T-inverse", False, "aux", _T_INVERSE),
+    Relation("vertex", "b-vacuum", True, "grid", _B_VACUUM, "vac"),
+    Relation("vertex", "rbrb", True, "reflected", _B_INVOLUTION),
+    Relation("vertex", "eq:ab", True, "pairs", _B_EXCHANGE),
+    Relation("vertex", "eq:bad", True, "pairs", _B_EXCHANGE),
+    Relation("vertex", "eq:bb", True, "pairs", _B_EXCHANGE),
+    Relation("boundary", "BNl-1", True, "pairs", _BOUNDARY),
+    Relation("boundary", "BNl-2", True, "pairs", _BOUNDARY),
+    Relation("boundary", "BNl-3", True, "pairs", _BOUNDARY),
+    Relation("boundary", "BNl-4", True, "pairs", _BOUNDARY),
+    Relation("boundary", "BNl-5", True, "pairs", _BOUNDARY),
+    Relation("boundary", "eq:bb", True, "pairs", _BOUNDARY),
+    Relation("boundary", "rbrb", True, "pairs", _BOUNDARY),
+    Relation("boundary", "rho", True, "reflected", _RHO),
+    Relation("boundary", "rhoB-aa", True, "pairs", _RHO_B),
+    Relation("boundary", "rhoB-adad", True, "pairs", _RHO_B),
+    Relation("boundary", "rhoB-aad", True, "pairs", _RHO_B),
+    Relation("boundary", "rhoB-involution", True, "pairs", _RHO_B),
+    Relation("boundary", "coset", True, "pairs", _RHO_B),
+    Relation("hierarchy", "H-odd", True, "odd-orders", _H_ODD),
+    Relation("hierarchy", "H-eigen", True, "eigen", _H_EIGEN, "low-sectors"),
+    Relation("hierarchy", "H-commute", True, "order-pairs", _H_COMMUTE),
+    Relation("hierarchy", "H-iom", True, "iom", _H_IOM),
+    Relation("hierarchy", "ssb", True, "none", _once(_ssb), "vac"),
 )
 
 
@@ -803,10 +803,7 @@ class _Run:
         def same(momenta) -> list:
             return [(tuple(m), tuple(m)) for m in momenta]
 
-        return {
-            "whitelist": [
-                (tuple(r.context["momenta"]), (r,)) for r in self.vertex.whitelist.checks
-            ],
+        plans = {
             "ybe": same(self.plan.ybe_triples),
             "unitarity": same(self.plan.unitarity_pairs),
             "pairs": same(_momentum_pairs(self.grid)),
@@ -821,6 +818,9 @@ class _Run:
             "order-pairs": [((float(n), float(m)), (n, m)) for n, m in ((2, 4), (0, 2))],
             "iom": [((2.0, k), (2, k)) for k in ends],
         }
+        for r in self.vertex.whitelist.checks:  # one plan per gate relation, by its tag
+            plans.setdefault(r.context["relation"], []).append((tuple(r.context["momenta"]), (r,)))
+        return plans
 
     def samples(self, source: str, i: int) -> Sequence[tuple[str, object]]:
         """Named samples of the i-th plan point.
@@ -856,16 +856,12 @@ def _measure(run: _Run, group: Sequence[Relation]) -> Iterator[CheckRecord]:
     for i, (momenta, args) in enumerate(run.plans[head.plan]):
         made = head.factory(context, *args)
         for row in group:
-            fn = made.get(row.tag) if isinstance(made, dict) else made
-            if fn is None:
-                continue  # a whitelist point measures one relation only
+            fn = made[row.tag] if isinstance(made, dict) else made
+            headroom = getattr(fn, "headroom", 0)  # 0 if it applies no creation row
             for name, s in run.samples(row.samples, i):
                 sector = s.max_particles() if isinstance(s, FockState) else 0
-                if sector > n_max - row.headroom:
-                    cause = (
-                        f"sector {sector} needs headroom {row.headroom} "
-                        f"over cap n_max={n_max}"
-                    )
+                if sector > n_max - headroom:
+                    cause = f"sector {sector} needs headroom {headroom} over cap n_max={n_max}"
                     yield CheckRecord(row.suite, row.tag, momenta, name, None, "skip", cause)
                     continue
                 got = fn(s)

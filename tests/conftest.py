@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings
 from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import FockSpace, FockState, SpectralGrid
 from zfcheck.relations import one_hot
-from zfcheck.rmatrix import eval_r, identity_b, phase_diagonal_b, rational_r
+from zfcheck.rmatrix import ReflectionMatrixSpec, eval_r, identity_b, phase_diagonal_b, rational_r
 from zfcheck.vertex import VertexContext
 
 settings.register_profile(
@@ -129,6 +129,20 @@ def gauged_r(rspec, k1, k2):
     """
     g = np.kron(gauge(k1, rspec.N), gauge(k2, rspec.N))
     return g @ eval_r(rspec, k1, k2) @ np.linalg.inv(g)
+
+
+def exp_reflection(x):
+    """B(k) = exp(kX), from numpy's eigendecomposition of a real X with distinct eigenvalues.
+
+    B(k) B(-k) = I holds to roundoff for any X, but the reflection equation
+    with the rational R does not hold for a generic X.
+    """
+    lam, v = np.linalg.eig(np.asarray(x, dtype=float))
+    v_inv = np.linalg.inv(v)
+    return ReflectionMatrixSpec(
+        N=len(lam), family="exp(kX)",
+        evaluator=lambda k: ((v * np.exp(k * lam)) @ v_inv).astype(complex),
+    )
 
 
 def at_component(bctx, i, k, state):

@@ -26,14 +26,12 @@ from zfcheck.fock import (
     transposition_roundtrip_residual,
     zf_relation_evaluators,
 )
-from zfcheck.harness import RELATIONS
 from zfcheck.rmatrix import rational_r, worst_over
 
 letters = st.tuples(st.integers(0, 5), st.integers(0, 1))
 words3 = st.lists(letters, min_size=3, max_size=3).map(tuple)
 words2 = st.lists(letters, min_size=2, max_size=2).map(tuple)
 
-HEADROOM = {r.tag: r.headroom for r in RELATIONS if r.suite == "fock"}
 
 
 class TestGrid:
@@ -318,7 +316,7 @@ class TestExchangeRelations:
     def test_all_three_on_random_states(self, space4, rng, k1, k2):
         fns = zf_relation_evaluators(space4, k1, k2)
         for tag, fn in fns.items():
-            cap = space4.n_max - HEADROOM[tag]
+            cap = space4.n_max - fn.headroom
             for n in range(0, cap + 1):
                 s = space4.vacuum() if n == 0 else random_state(rng, space4, n)
                 assert fn(s) < 1e-10, (tag, n)

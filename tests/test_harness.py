@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from zfcheck import vertex
 from zfcheck.cli import main
 from zfcheck.errors import ConfigError, GridValidationError
 from zfcheck.harness import (
@@ -544,9 +545,7 @@ def row_evaluators(cfg):
         context = getattr(run, _CONTEXT[row.suite])
         for _, args in run.plans[row.plan]:
             made = row.factory(context, *args)
-            fn = made.get(row.tag) if isinstance(made, dict) else made
-            if fn is not None:
-                yield row, fn
+            yield row, made[row.tag] if isinstance(made, dict) else made
 
 
 # Configs on which every evaluator must carry the documented headroom.
@@ -570,7 +569,8 @@ class TestRelationTable:
         assert list(SUITE_ORDER) == list(dict.fromkeys(r.suite for r in RELATIONS))
 
     def test_readme_tag_table_matches(self):
-        assert documented_headroom() == {r.tag: r.headroom for r in RELATIONS}
+        derived = {row.tag: getattr(fn, "headroom", 0) for row, fn in row_evaluators(RunConfig())}
+        assert documented_headroom() == derived
 
     @pytest.mark.parametrize("overrides", HEADROOM_CONFIGS.values(), ids=HEADROOM_CONFIGS)
     def test_every_evaluator_carries_the_documented_headroom(self, overrides):
@@ -580,12 +580,33 @@ class TestRelationTable:
         seen = set()
         for row, fn in row_evaluators(config_from_dict(overrides)):
             derived = getattr(fn, "headroom", 0)
-            assert derived == documented[row.tag] == row.headroom, (row.suite, row.tag)
+            assert derived == documented[row.tag], (row.suite, row.tag)
             seen.add((row.suite, row.tag))
         assert seen == {(r.suite, r.tag) for r in RELATIONS}
 
+    def test_a_tag_missing_at_one_plan_point_is_not_skipped_silently(self, monkeypatch):
+        # The factory's map lacks eq:bb at the second momentum pair only, so
+        # the suite still emits eq:bb records and a coverage check by tag
+        # alone would pass; the run must stop instead.
+        original, calls = vertex.b_exchange_evaluators, []
+
+        def lacking(ctx, k1, k2):
+            made = original(ctx, k1, k2)
+            calls.append((k1, k2))
+            if len(calls) == 2:
+                del made["eq:bb"]
+            return made
+
+        monkeypatch.setattr(vertex, "b_exchange_evaluators", lacking)
+        with pytest.raises(KeyError, match="eq:bb"):
+            run_suites(RunConfig(suites=("vertex",)))
+        assert len(calls) == 2
+
     def test_skip_causes_name_the_table_headroom(self, one_particle_report):
-        headroom = {(r.suite, r.tag): r.headroom for r in RELATIONS}
+        headroom = {
+            (row.suite, row.tag): getattr(fn, "headroom", 0)
+            for row, fn in row_evaluators(config_from_dict(ONE_PARTICLE))
+        }
         skipped = set()
         for rec in one_particle_report.records:
             if rec.status != "skip":

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import GRID, random_state
+from conftest import GRID, exp_reflection, random_state
 from oracles import (
     aux_entries,
     dense_b_oracle,
@@ -21,10 +21,10 @@ from oracles import (
     scalar_times_state,
     word_matrix_map_oracle,
 )
-from zfcheck import rmatrix, vertex
+from zfcheck import harness, rmatrix, vertex
 from zfcheck.errors import GridDomainError, NotWhitelistedError
 from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal
-from zfcheck.harness import RELATIONS, RunConfig, build_reflection, config_from_dict, run_suites
+from zfcheck.harness import RunConfig, build_reflection, config_from_dict, run_suites
 from zfcheck.relations import NumMat, identity_residual, one_hot
 from zfcheck.rmatrix import (
     constant_diagonal_b,
@@ -49,7 +49,6 @@ from zfcheck.vertex import (
 AUX_MOMENTA = (0.5, -2.0, 3.0)
 AUX_BUILD_MOMENTA = (0.37, -1.6, 2.2)
 
-HEADROOM = {r.tag: r.headroom for r in RELATIONS if r.suite == "vertex"}
 
 
 class TestVacuumAction:
@@ -305,7 +304,7 @@ class TestIntertwining:
         for n in (1, 2):
             s = random_state(rng, vctx.space, n)
             for tag, fn in fns.items():
-                cap = vctx.space.n_max - HEADROOM[tag]
+                cap = vctx.space.n_max - fn.headroom
                 if n <= cap:
                     assert fn(s) < 1e-11, (tag, n)
 
@@ -347,7 +346,7 @@ class TestDressedReflection:
         for n in (1, 2):
             s = random_state(rng, vctx.space, n)
             for tag, fn in fns.items():
-                cap = vctx.space.n_max - HEADROOM[tag]
+                cap = vctx.space.n_max - fn.headroom
                 if n <= cap:
                     assert fn(s) < 1e-10, (tag, n)
 
@@ -438,6 +437,83 @@ class TestWhitelistGate:
     def test_dimension_mismatch_rejected(self, space):
         with pytest.raises(ValueError, match="dimension"):
             VertexContext(space, identity_b(3))
+
+
+# B(k) = exp(kX) for this X satisfies B(k) B(-k) = I but not the reflection
+# equation.  With the gate bypassed, the default config FAILs these records
+# per (suite, tag): the relations that need the reflection equation.
+CONVERSE_X = [[0.3, 1.0], [0.5, -0.2]]
+CONVERSE_FAILS = {
+    ("rmatrix", "RBRB"): 24,
+    ("vertex", "eq:bb"): 18,
+    ("boundary", "BNl-1"): 1,
+    ("boundary", "BNl-2"): 8,
+    ("boundary", "BNl-3"): 4,
+    ("boundary", "BNl-4"): 8,
+    ("boundary", "BNl-5"): 14,
+    ("boundary", "eq:bb"): 18,
+    ("boundary", "rhoB-aa"): 1,
+    ("boundary", "rhoB-adad"): 8,
+    ("boundary", "rhoB-aad"): 4,
+    ("hierarchy", "H-eigen"): 14,
+    ("hierarchy", "H-commute"): 10,
+    ("hierarchy", "H-iom"): 15,
+}
+# The b-dependent relations that need only B(k) B(-k) = I: no record FAILs.
+CONVERSE_PASSES = {
+    ("vertex", "b-vacuum"),
+    ("vertex", "rbrb"),
+    ("vertex", "eq:ab"),
+    ("vertex", "eq:bad"),
+    ("boundary", "rbrb"),
+    ("boundary", "rho"),
+    ("boundary", "rhoB-involution"),
+    ("boundary", "coset"),
+    ("hierarchy", "H-odd"),
+    ("hierarchy", "ssb"),
+}
+
+
+class TestReflectionEquationConverse:
+    @pytest.fixture()
+    def converse(self, monkeypatch):
+        monkeypatch.setattr(harness, "build_reflection", lambda cfg: exp_reflection(CONVERSE_X))
+
+    @pytest.fixture()
+    def ungated(self, converse, monkeypatch):
+        def context(space, reflection, whitelist_tol):
+            return VertexContext(space, reflection, whitelist_tol=math.inf)
+
+        monkeypatch.setattr(harness, "VertexContext", context)
+
+    def test_family_is_unitary_but_not_a_reflection_solution(self, space):
+        gate = VertexContext(space, exp_reflection(CONVERSE_X)).whitelist
+        unitarity = [r.value for r in gate.checks if r.context["relation"] == "B-unitarity"]
+        assert max(unitarity) < 1e-13
+        assert not gate.ok
+
+    def test_ungated_fails_exactly_the_reflection_equation_tags(self, ungated):
+        records = run_suites(RunConfig()).records
+        fails = {}
+        for r in records:
+            if r.status == "fail":
+                fails[(r.suite, r.relation)] = fails.get((r.suite, r.relation), 0) + 1
+        assert fails == CONVERSE_FAILS
+        assert sum(fails.values()) == 147
+        for key in CONVERSE_PASSES:
+            statuses = {r.status for r in records if (r.suite, r.relation) == key}
+            assert "pass" in statuses and "fail" not in statuses, key
+        b_rows = {(r.suite, r.tag) for r in harness.RELATIONS if r.needs_b}
+        assert b_rows == {k for k in CONVERSE_FAILS if k[0] != "rmatrix"} | CONVERSE_PASSES
+
+    def test_gated_skips_every_b_row_with_the_gate_cause(self, converse):
+        report = run_suites(RunConfig())
+        assert report.counts["fail"] == 24 and report.counts["skip"] == 59
+        assert {r.relation for r in report.records if r.status == "fail"} == {"RBRB"}
+        gated = [r for r in report.records if r.cause and "whitelist gate" in r.cause]
+        assert all(r.status == "skip" and "'exp(kX)'" in r.cause for r in gated)
+        b_rows = [(r.suite, r.tag) for r in harness.RELATIONS if r.needs_b]
+        assert [(r.suite, r.relation) for r in gated] == b_rows
 
 
 class TestCaches:
