@@ -680,11 +680,6 @@ def _once(check: Callable) -> Callable:
     return lambda context, *args: lambda _: check(context, *args)
 
 
-def _whitelist(_context: object, check: Residual) -> Callable:
-    """A gate residual, measured when the vertex context was built."""
-    return lambda _: check
-
-
 def _confluence(space: FockSpace) -> Callable:
     return lambda raw: fock_mod.confluence_residual(space, raw)
 
@@ -700,6 +695,7 @@ def _ssb(ctx: BoundaryContext) -> Residual:
     return Residual(report.residual.value, {"cause": f"broken={broken}"})
 
 
+_WHITELIST = _once(lambda _context, check: check)  # measured when the vertex context was built
 _ZF = _layer(fock_mod, "zf_relation_evaluators")
 _T_VACUUM = _layer(vertex_mod, "t_vacuum_evaluator")
 _DEF_T = _layer(vertex_mod, "t_relation_evaluators")
@@ -720,8 +716,8 @@ _H_IOM = _layer(hierarchy_mod, "integral_of_motion_evaluator")
 # the records of each selected suite cover exactly its rows here.
 #   suite, tag, needs b, momentum plan, evaluator factory[, samples]
 RELATIONS: tuple[Relation, ...] = (
-    Relation("rmatrix", "B-unitarity", False, "B-unitarity", _whitelist, "matrix", gate=True),
-    Relation("rmatrix", "RBRB", False, "RBRB", _whitelist, "matrix", gate=True),
+    Relation("rmatrix", "B-unitarity", False, "B-unitarity", _WHITELIST, "matrix", gate=True),
+    Relation("rmatrix", "RBRB", False, "RBRB", _WHITELIST, "matrix", gate=True),
     Relation("rmatrix", "YBE", False, "ybe", _once(check_yang_baxter), "triple-{i}"),
     Relation("rmatrix", "unitarity", False, "unitarity", _once(check_unitarity), "pair-{i}"),
     Relation("fock", "AN-1", False, "pairs", _ZF),

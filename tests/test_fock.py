@@ -33,7 +33,6 @@ words3 = st.lists(letters, min_size=3, max_size=3).map(tuple)
 words2 = st.lists(letters, min_size=2, max_size=2).map(tuple)
 
 
-
 class TestGrid:
     def test_sorted_and_indexed(self, grid):
         assert grid.momenta == (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)

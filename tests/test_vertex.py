@@ -50,7 +50,6 @@ AUX_MOMENTA = (0.5, -2.0, 3.0)
 AUX_BUILD_MOMENTA = (0.37, -1.6, 2.2)
 
 
-
 class TestVacuumAction:
     @pytest.mark.parametrize("k0", AUX_MOMENTA)
     def test_T_fixes_vacuum_exactly(self, vctx, k0):
