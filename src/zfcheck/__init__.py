@@ -9,12 +9,7 @@ those objects is measured numerically; the test suites and the ``zfcheck``
 command report the residuals.
 """
 
-from .boundary import (
-    BoundaryContext,
-    boundary_relation_evaluators,
-    rho_B_evaluators,
-    rho_evaluator,
-)
+from .boundary import BoundaryContext
 from .errors import (
     CapacityError,
     ConfigError,
@@ -40,14 +35,7 @@ from .harness import (
     load_config,
     run_suites,
 )
-from .hierarchy import (
-    apply_H,
-    check_symmetry_breaking,
-    eigenrelation_evaluator,
-    flow_commute_evaluator,
-    integral_of_motion_evaluator,
-    odd_vanishing_evaluator,
-)
+from .hierarchy import apply_H, check_symmetry_breaking, odd_vanishing_evaluator
 from .rmatrix import (
     ReflectionMatrixSpec,
     Residual,
@@ -66,15 +54,7 @@ from .rmatrix import (
     whitelist_reflection,
     worst_over,
 )
-from .vertex import (
-    VertexContext,
-    b_exchange_evaluators,
-    b_involution_evaluator,
-    rtt_evaluator,
-    t_inverse_evaluator,
-    t_relation_evaluators,
-    t_vacuum_evaluator,
-)
+from .vertex import VertexContext
 
 __all__ = [
     "BoundaryContext",
@@ -97,33 +77,21 @@ __all__ = [
     "WhitelistReport",
     "ZfcheckError",
     "apply_H",
-    "b_exchange_evaluators",
-    "b_involution_evaluator",
-    "boundary_relation_evaluators",
     "check_b_unitarity",
     "check_reflection_equation",
     "check_symmetry_breaking",
     "check_unitarity",
     "check_yang_baxter",
     "constant_diagonal_b",
-    "eigenrelation_evaluator",
     "emit_report",
-    "flow_commute_evaluator",
     "identity_b",
-    "integral_of_motion_evaluator",
     "load_config",
     "load_table_b",
     "odd_vanishing_evaluator",
     "phase_diagonal_b",
     "rational_r",
-    "rho_B_evaluators",
-    "rho_evaluator",
-    "rtt_evaluator",
     "run_suites",
     "states_equal",
-    "t_inverse_evaluator",
-    "t_relation_evaluators",
-    "t_vacuum_evaluator",
     "table_b",
     "whitelist_reflection",
     "worst_over",

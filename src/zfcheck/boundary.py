@@ -15,13 +15,12 @@ at_j(-k) acts as the identity, and the substitution a -> b a', a† -> a'† b'
 (primes flip the momentum sign) is an automorphism of the bulk exchange
 algebra whose average with the identity reproduces the halved generators.
 
-Every relation is exposed as a per-sample residual function (state ->
-float), which lets a caller pick sample sectors relation by relation;
-``rmatrix.worst_over`` aggregates one over a fixed sample list.  The
-exchange relations are the two families of ``relations``: the bulk triple
-(``exchange_triple``) of at, at† (BNl-1..3) and of alpha, alpha† (rhoB-aa,
-adad, aad), and the triple with b (``b_exchange_triple``: BNl-4, BNl-5,
-eq:bb).
+Every relation is a builder from (context, momenta) to its (lhs, rhs)
+pairs; ``relations.identity`` turns them into a per-sample residual
+function, and ``harness.RELATIONS`` measures each.  The exchange relations
+are the two families of ``relations``: the bulk triple (``exchange_triple``)
+of at, at† (BNl-1..3) and of alpha, alpha† (rhoB-aa, adad, aad), and the
+triple with b (``b_exchange_triple``: BNl-4, BNl-5, eq:bb).
 
 Every generator maps a batch of aux vectors, as T and b do, and sends the
 whole batch through b once: alpha(k) = b(k) a(-k) takes 1-vectors [s] to
@@ -39,10 +38,8 @@ from typing import Sequence
 
 from .errors import NotWhitelistedError
 from .fock import FockState
-from .relations import (
-    AuxVec, CoVec, ResidualFn, Vec, b_exchange_triple, delta_term, exchange_triple, identity
-)
-from .vertex import VertexContext, b_involution_evaluator
+from .relations import AuxVec, CoVec, Pair, Vec, b_exchange_triple, delta_term, exchange_triple
+from .vertex import VertexContext
 
 _MEMO_LIMIT = 8192
 # The largest |B(k) B(-k) - I| over the grid that a context accepts.
@@ -64,8 +61,7 @@ class BoundaryContext:
         # the whitelist gate measured at every grid momentum.
         worst = 0.0
         if vertex.b_allowed():
-            checks = vertex.whitelist.checks
-            worst = max(r.value for r in checks if r.context["relation"] == "B-unitarity")
+            worst = vertex.whitelist.b_unitarity
             if worst >= _INVOLUTION_LIMIT:
                 raise NotWhitelistedError(
                     f"b(k)b(-k)=id fails at matrix level: residual {worst:.3e}"
@@ -137,13 +133,11 @@ class BoundaryContext:
 
 
 # ---------------------------------------------------------------------------
-# Per-sample relation evaluators
+# The relations, each as its (lhs, rhs) pairs
 
 
-def boundary_relation_evaluators(
-    ctx: BoundaryContext, k1: float, k2: float
-) -> dict[str, ResidualFn]:
-    """Residual functions for the seven boundary-algebra relations at (k1, k2).
+def boundary_exchange(ctx: BoundaryContext, k1: float, k2: float) -> tuple[Pair, ...]:
+    """The six exchange relations of the boundary algebra at (k1, k2).
 
     BNl-1..3 are the bulk exchange triple of at and at†, BNl-4, BNl-5 and
     eq:bb the exchange triple with b.  The mixed relation BNl-3 only sees its
@@ -157,62 +151,48 @@ def boundary_relation_evaluators(
         contact.append(delta_term(ctx.N, 0.5))
     if k1 == -k2:
         contact.append((0.5, [replace(b(1, k1), space_in=2)]))
-    fns = (
+    return (
         *exchange_triple(r, k1, k2, ctx.at_vec, ctx.atdag_covec, contact),
         *b_exchange_triple(r, k1, k2, ctx.at_vec, ctx.atdag_covec, b),
     )
-    tags = ("BNl-1", "BNl-2", "BNl-3", "BNl-4", "BNl-5", "eq:bb")
-    return {**dict(zip(tags, fns)), "rbrb": b_involution_evaluator(ctx.vertex, k1)}
 
 
-def rho_evaluator(ctx: BoundaryContext, k: float) -> ResidualFn:
-    """Residual of at_i(k) = sum_j b_ij(k) at_j(-k) and its adjoint, per sample.
+def rho(ctx: BoundaryContext, k: float) -> list[Pair]:
+    """at_i(k) = sum_j b_ij(k) at_j(-k), and its adjoint.
 
     The adjoint side creates a particle, so samples need one unit of headroom.
     """
-    at_k = ctx.at_vec(1, k)
-    at_mk = ctx.at_vec(1, -k)
-    atdag_k = ctx.atdag_covec(1, k)
-    atdag_mk = ctx.atdag_covec(1, -k)
-    b_k = ctx.vertex.b_opmat(1, k)
-    b_mk = ctx.vertex.b_opmat(1, -k)
-    return identity(
-        ctx.N,
-        ([(1.0, [at_k])], [(1.0, [b_k, at_mk])]),
-        ([(1.0, [atdag_k])], [(1.0, [atdag_mk, b_mk])]),
-    )
+    b_k, b_mk = ctx.vertex.b_opmat(1, k), ctx.vertex.b_opmat(1, -k)
+    return [
+        ([(1.0, [ctx.at_vec(1, k)])], [(1.0, [b_k, ctx.at_vec(1, -k)])]),
+        ([(1.0, [ctx.atdag_covec(1, k)])], [(1.0, [ctx.atdag_covec(1, -k), b_mk])]),
+    ]
 
 
-def rho_B_evaluators(
-    ctx: BoundaryContext, k1: float, k2: float
-) -> dict[str, ResidualFn]:
-    """Automorphism, involution and coset residual functions at (k1, k2).
+# The substitution rho_B: a -> alpha = b a', a† -> alpha† = a'† b', with
+# alpha_i(k) = sum_j b_ij(k) a_j(-k) and alpha†_i(k) = sum_j a†_j(-k) b_ji(-k).
+# The single-momentum facts (involution, coset) take a pair and ignore k2.
 
-    With alpha_i(k) = sum_j b_ij(k) a_j(-k) and alpha†_i(k) = sum_j a†_j(-k)
-    b_ji(-k), the three bulk exchange relations must survive the substitution
-    verbatim (the mixed one with its full delta term at k1 == k2), applying
-    the substitution twice must restore the bulk annihilator, and the halved
-    generators must equal the average of the bulk generators with their
-    images.  The single-momentum facts (involution, coset) ignore k2.
-    """
-    N = ctx.N
-    contact = [delta_term(N)] if k1 == k2 else []
-    triple = exchange_triple(
-        ctx.space.r, k1, k2, ctx.alpha_vec, ctx.alpha_dag_covec, contact
-    )
-    plain_a = ctx.vertex.a_vec(1, k1)
-    plain_adag = ctx.vertex.adag_covec(1, k1)
-    at1 = ctx.at_vec(1, k1)
-    atdag1 = ctx.atdag_covec(1, k1)
+
+def substitution_exchange(ctx: BoundaryContext, k1: float, k2: float) -> tuple[Pair, ...]:
+    """The three bulk exchange relations, verbatim under the substitution (the
+    mixed one with its full delta term at k1 == k2)."""
+    contact = [delta_term(ctx.N)] if k1 == k2 else []
+    return exchange_triple(ctx.space.r, k1, k2, ctx.alpha_vec, ctx.alpha_dag_covec, contact)
+
+
+def substitution_involution(ctx: BoundaryContext, k1: float, k2: float) -> list[Pair]:
+    """Applying the substitution twice restores the bulk annihilator: b(k) alpha(-k) = a(k)."""
+    b1, al1_neg = ctx.vertex.b_opmat(1, k1), ctx.alpha_vec(1, -k1)
+    return [([(1.0, [b1, al1_neg])], [(1.0, [ctx.vertex.a_vec(1, k1)])])]
+
+
+def coset(ctx: BoundaryContext, k1: float, k2: float) -> list[Pair]:
+    """The halved generators are the average of the bulk ones and their images."""
+    at1, atdag1 = ctx.at_vec(1, k1), ctx.atdag_covec(1, k1)
+    plain_a, plain_adag = ctx.vertex.a_vec(1, k1), ctx.vertex.adag_covec(1, k1)
     al1, aldag1 = ctx.alpha_vec(1, k1), ctx.alpha_dag_covec(1, k1)
-    b1 = ctx.vertex.b_opmat(1, k1)
-    al1_neg = ctx.alpha_vec(1, -k1)
-    return {
-        **dict(zip(("rhoB-aa", "rhoB-adad", "rhoB-aad"), triple)),
-        "rhoB-involution": identity(N, ([(1.0, [b1, al1_neg])], [(1.0, [plain_a])])),
-        "coset": identity(
-            N,
-            ([(1.0, [at1])], [(0.5, [plain_a]), (0.5, [al1])]),
-            ([(1.0, [atdag1])], [(0.5, [plain_adag]), (0.5, [aldag1])]),
-        ),
-    }
+    return [
+        ([(1.0, [at1])], [(0.5, [plain_a]), (0.5, [al1])]),
+        ([(1.0, [atdag1])], [(0.5, [plain_adag]), (0.5, [aldag1])]),
+    ]

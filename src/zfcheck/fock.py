@@ -455,22 +455,21 @@ class FockSpace:
 
 # ---------------------------------------------------------------------------
 # Exchange-algebra checks for the bulk generators.  The relation evaluator
-# lives in .relations, which imports this module, hence the local imports.
+# lives in .relations, and the relation table in .harness; both import this
+# module, hence the local imports.
 
 
-def zf_relation_evaluators(space: FockSpace, k1: float, k2: float) -> dict:
-    """Per-sample residual functions for the three bulk exchange relations.
+def zf_exchange(space: FockSpace, k1: float, k2: float) -> tuple:
+    """The (lhs, rhs) pairs of the three bulk exchange relations
+    (``relations.exchange_triple``):
 
-    AN-1 : a_1 a_2 = R_21 a_2 a_1
-    AN-2 : a†_1 a†_2 = a†_2 a†_1 R_21
-    AN-3 : a_1 a†_2 = a†_2 R_12 a_1 + delta_12 [k1 == k2]
-
-    Each function maps a state to the max-norm deviation of the two sides
-    applied to it (see ``relations.exchange_triple``).
+        a_1 a_2 = R_21 a_2 a_1
+        a†_1 a†_2 = a†_2 a†_1 R_21
+        a_1 a†_2 = a†_2 R_12 a_1 + delta_12 [k1 == k2]
     """
     from .relations import CoVec, Vec, delta_term, exchange_triple
 
-    triple = exchange_triple(
+    return exchange_triple(
         space.r,
         k1,
         k2,
@@ -478,7 +477,15 @@ def zf_relation_evaluators(space: FockSpace, k1: float, k2: float) -> dict:
         lambda sp, k: CoVec(sp, partial(space.creation_row, k)),
         [delta_term(space.N)] if k1 == k2 else [],
     )
-    return dict(zip(("AN-1", "AN-2", "AN-3"), triple))
+
+
+def zf_relation_evaluators(space: FockSpace, k1: float, k2: float) -> dict:
+    """The residual function of each fock row of ``harness.RELATIONS`` on momentum
+    pairs, by tag: the three bulk exchange relations of ``zf_exchange``."""
+    from .harness import RELATIONS
+
+    rows = [r for r in RELATIONS if r.suite == "fock" and r.plan == "pairs"]
+    return {r.tag: r.factory(space, k1, k2) for r in rows}
 
 
 def confluence_residual(

@@ -9,6 +9,10 @@ and reported as a flat list of check records plus a summary.  One table,
 ``RELATIONS``, lists every relation tag with what it needs (suite, the
 reflection gate, momentum plan, evaluator factory); a single loop over it
 produces the records.
+Apart from the reflection gate's own checks in ``rmatrix``, it is the only
+place in the package that names a relation: each identity row builds its
+evaluator from the (lhs, rhs) pairs of a builder in the relation's layer
+module.
 
 Two runs with the same config, seed, and suite selection produce
 byte-identical reports: sampling is driven by one seeded generator consumed
@@ -40,15 +44,11 @@ from functools import cached_property
 from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
-from types import ModuleType
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import boundary as boundary_mod
-from . import fock as fock_mod
-from . import hierarchy as hierarchy_mod
-from . import vertex as vertex_mod
+from . import boundary, fock, hierarchy, relations, vertex
 from .boundary import BoundaryContext
 from .errors import ConfigError
 from .fock import FockSpace, FockState, SpectralGrid, Word
@@ -634,12 +634,14 @@ class Relation:
     """One relation tag of one suite, and how a run measures it.
 
     At each point of the momentum plan ``plan`` (see ``_Run.plans``),
-    ``factory(context, *args)`` is called on the suite's context object.
-    It returns the per-sample evaluator, or a tag -> evaluator map, holding
-    the row's tag, that the consecutive rows with the same factory share.
-    An evaluator returns the residual, or a Residual whose context may carry
-    the record's cause.  One built by ``relations.identity`` carries its
-    ``headroom``: a sample whose sector leaves less under n_max is skipped.
+    ``factory(context, *args)`` is called on the suite's context object and
+    returns the row's per-sample evaluator.  An identity row's factory is
+    ``_identity(builder[, i])``: the layer's builder gives the (lhs, rhs)
+    pairs, of one relation or of a family whose i-th pair is the row's, and
+    ``relations.identity`` turns them into the evaluator.  An evaluator
+    returns the residual, or a Residual whose context may carry the record's
+    cause.  One built by ``relations.identity`` carries its ``headroom``: a
+    sample whose sector leaves less under n_max is skipped.
 
     ``samples`` names the sample source (see ``_Run.samples``).  When the
     reflection gate fails, rows that ``needs_b`` get one skip record each.
@@ -666,13 +668,15 @@ _CONTEXT = {
 }
 
 
-def _layer(module: ModuleType, name: str) -> Callable:
-    """The evaluator factory ``module.name``.
+def _identity(builder: Callable, i: int | None = None) -> Callable:
+    """The factory of an identity row: the residual function of the (lhs, rhs)
+    pairs that ``builder(context, *args)`` returns, or of its i-th pair alone."""
 
-    It is looked up on its module at every call, not bound here, so that a
-    wrapper installed on the module attribute sees every call.
-    """
-    return lambda context, *args: getattr(module, name)(context, *args)
+    def factory(context, *args) -> Callable:
+        pairs = builder(context, *args)
+        return relations.identity(context.N, *(pairs if i is None else [pairs[i]]))
+
+    return factory
 
 
 def _once(check: Callable) -> Callable:
@@ -681,36 +685,26 @@ def _once(check: Callable) -> Callable:
 
 
 def _confluence(space: FockSpace) -> Callable:
-    return lambda raw: fock_mod.confluence_residual(space, raw)
+    return lambda raw: fock.confluence_residual(space, raw)
 
 
 def _roundtrip(space: FockSpace) -> Callable:
-    return lambda sample: fock_mod.transposition_roundtrip_residual(space, *sample)
+    return lambda sample: fock.transposition_roundtrip_residual(space, *sample)
 
 
 def _ssb(ctx: BoundaryContext) -> Residual:
     """The vacuum test of b(k); the broken generators become the cause."""
-    report = hierarchy_mod.check_symmetry_breaking(ctx)
+    report = hierarchy.check_symmetry_breaking(ctx)
     broken = ",".join(f"({i},{j})" for i, j in report.broken) or "none"
     return Residual(report.residual.value, {"cause": f"broken={broken}"})
 
 
+def _boundary_rbrb(ctx: BoundaryContext, k1: float, _k2: float) -> list[relations.Pair]:
+    """b(k1) b(-k1) = 1 among the boundary relations of a momentum pair."""
+    return vertex.b_involution(ctx.vertex, k1)
+
+
 _WHITELIST = _once(lambda _context, check: check)  # measured when the vertex context was built
-_ZF = _layer(fock_mod, "zf_relation_evaluators")
-_T_VACUUM = _layer(vertex_mod, "t_vacuum_evaluator")
-_DEF_T = _layer(vertex_mod, "t_relation_evaluators")
-_RTT = _layer(vertex_mod, "rtt_evaluator")
-_T_INVERSE = _layer(vertex_mod, "t_inverse_evaluator")
-_B_VACUUM = _layer(vertex_mod, "b_vacuum_evaluator")
-_B_INVOLUTION = _layer(vertex_mod, "b_involution_evaluator")
-_B_EXCHANGE = _layer(vertex_mod, "b_exchange_evaluators")
-_BOUNDARY = _layer(boundary_mod, "boundary_relation_evaluators")
-_RHO = _layer(boundary_mod, "rho_evaluator")
-_RHO_B = _layer(boundary_mod, "rho_B_evaluators")
-_H_ODD = _layer(hierarchy_mod, "odd_vanishing_evaluator")
-_H_EIGEN = _layer(hierarchy_mod, "eigenrelation_evaluator")
-_H_COMMUTE = _layer(hierarchy_mod, "flow_commute_evaluator")
-_H_IOM = _layer(hierarchy_mod, "integral_of_motion_evaluator")
 
 # Every relation a run measures, in report order.  run_suites asserts that
 # the records of each selected suite cover exactly its rows here.
@@ -720,38 +714,38 @@ RELATIONS: tuple[Relation, ...] = (
     Relation("rmatrix", "RBRB", False, "RBRB", _WHITELIST, "matrix", gate=True),
     Relation("rmatrix", "YBE", False, "ybe", _once(check_yang_baxter), "triple-{i}"),
     Relation("rmatrix", "unitarity", False, "unitarity", _once(check_unitarity), "pair-{i}"),
-    Relation("fock", "AN-1", False, "pairs", _ZF),
-    Relation("fock", "AN-2", False, "pairs", _ZF),
-    Relation("fock", "AN-3", False, "pairs", _ZF),
+    Relation("fock", "AN-1", False, "pairs", _identity(fock.zf_exchange, 0)),
+    Relation("fock", "AN-2", False, "pairs", _identity(fock.zf_exchange, 1)),
+    Relation("fock", "AN-3", False, "pairs", _identity(fock.zf_exchange, 2)),
     Relation("fock", "confluence", False, "none", _confluence, "shuffles"),
     Relation("fock", "roundtrip", False, "none", _roundtrip, "roundtrips"),
-    Relation("vertex", "TOmega", False, "aux", _T_VACUUM, "vac"),
-    Relation("vertex", "defT-adag", False, "aux-particle", _DEF_T),
-    Relation("vertex", "defT-a", False, "aux-particle", _DEF_T),
-    Relation("vertex", "rtt", False, "rtt", _RTT),
-    Relation("vertex", "T-inverse", False, "aux", _T_INVERSE),
-    Relation("vertex", "b-vacuum", True, "grid", _B_VACUUM, "vac"),
-    Relation("vertex", "rbrb", True, "reflected", _B_INVOLUTION),
-    Relation("vertex", "eq:ab", True, "pairs", _B_EXCHANGE),
-    Relation("vertex", "eq:bad", True, "pairs", _B_EXCHANGE),
-    Relation("vertex", "eq:bb", True, "pairs", _B_EXCHANGE),
-    Relation("boundary", "BNl-1", True, "pairs", _BOUNDARY),
-    Relation("boundary", "BNl-2", True, "pairs", _BOUNDARY),
-    Relation("boundary", "BNl-3", True, "pairs", _BOUNDARY),
-    Relation("boundary", "BNl-4", True, "pairs", _BOUNDARY),
-    Relation("boundary", "BNl-5", True, "pairs", _BOUNDARY),
-    Relation("boundary", "eq:bb", True, "pairs", _BOUNDARY),
-    Relation("boundary", "rbrb", True, "pairs", _BOUNDARY),
-    Relation("boundary", "rho", True, "reflected", _RHO),
-    Relation("boundary", "rhoB-aa", True, "pairs", _RHO_B),
-    Relation("boundary", "rhoB-adad", True, "pairs", _RHO_B),
-    Relation("boundary", "rhoB-aad", True, "pairs", _RHO_B),
-    Relation("boundary", "rhoB-involution", True, "pairs", _RHO_B),
-    Relation("boundary", "coset", True, "pairs", _RHO_B),
-    Relation("hierarchy", "H-odd", True, "odd-orders", _H_ODD),
-    Relation("hierarchy", "H-eigen", True, "eigen", _H_EIGEN, "low-sectors"),
-    Relation("hierarchy", "H-commute", True, "order-pairs", _H_COMMUTE),
-    Relation("hierarchy", "H-iom", True, "iom", _H_IOM),
+    Relation("vertex", "TOmega", False, "aux", _identity(vertex.t_vacuum), "vac"),
+    Relation("vertex", "defT-adag", False, "aux-particle", _identity(vertex.t_push, 0)),
+    Relation("vertex", "defT-a", False, "aux-particle", _identity(vertex.t_push, 1)),
+    Relation("vertex", "rtt", False, "rtt", _identity(vertex.rtt)),
+    Relation("vertex", "T-inverse", False, "aux", _identity(vertex.t_inverse)),
+    Relation("vertex", "b-vacuum", True, "grid", _identity(vertex.b_vacuum), "vac"),
+    Relation("vertex", "rbrb", True, "reflected", _identity(vertex.b_involution)),
+    Relation("vertex", "eq:ab", True, "pairs", _identity(vertex.b_exchange, 0)),
+    Relation("vertex", "eq:bad", True, "pairs", _identity(vertex.b_exchange, 1)),
+    Relation("vertex", "eq:bb", True, "pairs", _identity(vertex.b_exchange, 2)),
+    Relation("boundary", "BNl-1", True, "pairs", _identity(boundary.boundary_exchange, 0)),
+    Relation("boundary", "BNl-2", True, "pairs", _identity(boundary.boundary_exchange, 1)),
+    Relation("boundary", "BNl-3", True, "pairs", _identity(boundary.boundary_exchange, 2)),
+    Relation("boundary", "BNl-4", True, "pairs", _identity(boundary.boundary_exchange, 3)),
+    Relation("boundary", "BNl-5", True, "pairs", _identity(boundary.boundary_exchange, 4)),
+    Relation("boundary", "eq:bb", True, "pairs", _identity(boundary.boundary_exchange, 5)),
+    Relation("boundary", "rbrb", True, "pairs", _identity(_boundary_rbrb)),
+    Relation("boundary", "rho", True, "reflected", _identity(boundary.rho)),
+    Relation("boundary", "rhoB-aa", True, "pairs", _identity(boundary.substitution_exchange, 0)),
+    Relation("boundary", "rhoB-adad", True, "pairs", _identity(boundary.substitution_exchange, 1)),
+    Relation("boundary", "rhoB-aad", True, "pairs", _identity(boundary.substitution_exchange, 2)),
+    Relation("boundary", "rhoB-involution", True, "pairs", _identity(boundary.substitution_involution)),
+    Relation("boundary", "coset", True, "pairs", _identity(boundary.coset)),
+    Relation("hierarchy", "H-odd", True, "odd-orders", hierarchy.odd_vanishing_evaluator),
+    Relation("hierarchy", "H-eigen", True, "eigen", _identity(hierarchy.eigenrelation), "low-sectors"),
+    Relation("hierarchy", "H-commute", True, "order-pairs", _identity(hierarchy.flow_commute)),
+    Relation("hierarchy", "H-iom", True, "iom", _identity(hierarchy.integral_of_motion)),
     Relation("hierarchy", "ssb", True, "none", _once(_ssb), "vac"),
 )
 
@@ -841,7 +835,8 @@ class _Run:
 
 
 def _measure(run: _Run, group: Sequence[Relation]) -> Iterator[CheckRecord]:
-    """Records of rows that share a factory: by momenta, then tag, then sample."""
+    """Records of consecutive rows that share a suite and a plan: by momenta, then
+    tag, then sample.  Each row's factory builds its evaluator at each plan point."""
     head = group[0]
     if head.needs_b and run.b_cause:
         for row in group:
@@ -850,9 +845,8 @@ def _measure(run: _Run, group: Sequence[Relation]) -> Iterator[CheckRecord]:
     context = getattr(run, _CONTEXT[head.suite])
     tol, n_max = run.cfg.tolerance, run.cfg.n_max
     for i, (momenta, args) in enumerate(run.plans[head.plan]):
-        made = head.factory(context, *args)
         for row in group:
-            fn = made[row.tag] if isinstance(made, dict) else made
+            fn = row.factory(context, *args)
             headroom = getattr(fn, "headroom", 0)  # 0 if it applies no creation row
             for name, s in run.samples(row.samples, i):
                 sector = s.max_particles() if isinstance(s, FockState) else 0
@@ -885,7 +879,7 @@ def run_suites(cfg: RunConfig, suites: Sequence[str] | None = None) -> Report:
     needs_b = any(r.needs_b for r in RELATIONS if r.suite in selected)
     rows = [r for r in RELATIONS if r.suite in selected or (r.gate and needs_b)]
     records: list[CheckRecord] = []
-    for _, group in groupby(rows, key=attrgetter("factory", "plan")):
+    for _, group in groupby(rows, key=attrgetter("suite", "plan")):
         records.extend(_measure(run, list(group)))
     _assert_coverage(records, selected)
     return Report(config=replace(cfg, suites=selected), records=tuple(records))

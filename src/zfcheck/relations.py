@@ -47,11 +47,12 @@ states only.  So x†_1 x†_2 = x†_2 x†_1 R_21 applies x† to the one-hot
 columns, not to every copy of the state that R_21 scales.
 
 Every state-level relation is an identity of two sums of factor products,
-and ``identity(N, (lhs, rhs), ...)`` is its residual function: the worst
-``identity_residual`` over its pairs.  The exchange relations come in two
-families, each written once here: ``exchange_triple`` (x x, x† x† and x x†
-with its contact terms) and ``b_exchange_triple`` (x b, b x† and b b); the
-layers instantiate them with their own generators.
+a (lhs, rhs) pair, and ``identity(N, (lhs, rhs), ...)`` is its residual
+function: the worst ``identity_residual`` over its pairs.  The exchange
+relations come in two families, each written once here as three pairs:
+``exchange_triple`` (x x, x† x† and x x† with its contact terms) and
+``b_exchange_triple`` (x b, b x† and b b); the layers instantiate them with
+their own generators.
 """
 
 from __future__ import annotations
@@ -313,6 +314,7 @@ def evaluate(factors: Sequence[Factor], state: FockState, N: int) -> LabeledTens
 
 
 Term = tuple[complex, Sequence[Factor]]
+Pair = tuple[Sequence[Term], Sequence[Term]]  # the two sides of one identity
 ResidualFn = Callable[[FockState], float]
 
 
@@ -343,7 +345,7 @@ def identity_residual(
     return max((abs(a) for acc in sums.values() for a in acc.values()), default=0.0)
 
 
-def identity(N: int, *pairs: tuple[Sequence[Term], Sequence[Term]]) -> ResidualFn:
+def identity(N: int, *pairs: Pair) -> ResidualFn:
     """The residual function of the identities lhs = rhs: their worst on a state.
 
     Each side's factor products are compiled once into plans here.  The
@@ -380,8 +382,8 @@ def delta_term(N: int, coeff: complex = 1.0) -> Term:
 def exchange_triple(
     r: rmatrix.RMatrixSpec, k1: float, k2: float, ann: Builder, cre: Builder,
     contact: Sequence[Term],
-) -> tuple[ResidualFn, ResidualFn, ResidualFn]:
-    """The exchange identities of a generator x with itself:
+) -> tuple[Pair, Pair, Pair]:
+    """The (lhs, rhs) pairs of the exchange identities of a generator x with itself:
 
         x_1 x_2 = R_21 x_2 x_1
         x†_1 x†_2 = x†_2 x†_1 R_21
@@ -394,16 +396,16 @@ def exchange_triple(
     x1, x2, xd1, xd2 = ann(1, k1), ann(2, k2), cre(1, k1), cre(2, k2)
     r12, r21 = r_mat(r, k1, k2), r_mat(r, k1, k2, swap=True)
     return (
-        identity(r.N, ([(1.0, [x1, x2])], [(1.0, [r21, x2, x1])])),
-        identity(r.N, ([(1.0, [xd1, xd2])], [(1.0, [xd2, xd1, r21])])),
-        identity(r.N, ([(1.0, [x1, xd2])], [(1.0, [xd2, r12, x1]), *contact])),
+        ([(1.0, [x1, x2])], [(1.0, [r21, x2, x1])]),
+        ([(1.0, [xd1, xd2])], [(1.0, [xd2, xd1, r21])]),
+        ([(1.0, [x1, xd2])], [(1.0, [xd2, r12, x1]), *contact]),
     )
 
 
 def b_exchange_triple(
     r: rmatrix.RMatrixSpec, k1: float, k2: float, ann: Builder, cre: Builder, b: Builder
-) -> tuple[ResidualFn, ResidualFn, ResidualFn]:
-    """The exchange identities of a generator with b, and of b with itself:
+) -> tuple[Pair, Pair, Pair]:
+    """The (lhs, rhs) pairs of the exchange identities of x with b and of b with itself:
 
         x_1 b_2 = R_21 b_2 R'_12 x_1
         b_1 x†_2 = x†_2 R_12 b_1 R'_21
@@ -417,7 +419,7 @@ def b_exchange_triple(
     rp12, rp21 = r_mat(r, k1, -k2), r_mat(r, -k1, k2, swap=True)
     rbar21 = r_mat(r, -k1, -k2, swap=True)
     return (
-        identity(r.N, ([(1.0, [x1, b2])], [(1.0, [r21, b2, rp12, x1])])),
-        identity(r.N, ([(1.0, [b1, xd2])], [(1.0, [xd2, r12, b1, rp21])])),
-        identity(r.N, ([(1.0, [r12, b1, rp21, b2])], [(1.0, [b2, rp12, b1, rbar21])])),
+        ([(1.0, [x1, b2])], [(1.0, [r21, b2, rp12, x1])]),
+        ([(1.0, [b1, xd2])], [(1.0, [xd2, r12, b1, rp21])]),
+        ([(1.0, [r12, b1, rp21, b2])], [(1.0, [b2, rp12, b1, rbar21])]),
     )

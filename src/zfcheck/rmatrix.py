@@ -166,20 +166,14 @@ def check_yang_baxter(spec: RMatrixSpec, k1: float, k2: float, k3: float) -> Res
     r23 = lift_pair(eval_r(spec, k2, k3), 3, 1, 2, N)
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
-    return Residual(
-        max_abs(lhs - rhs),
-        {"relation": "YBE", "momenta": (k1, k2, k3)},
-    )
+    return Residual(max_abs(lhs - rhs), {"momenta": (k1, k2, k3)})
 
 
 def check_unitarity(spec: RMatrixSpec, k1: float, k2: float) -> Residual:
     """Residual of R12(k1,k2) R21(k2,k1) = identity on the pair space."""
     lhs = eval_r(spec, k1, k2) @ r21(spec, k2, k1)
     eye = np.eye(spec.N * spec.N, dtype=complex)
-    return Residual(
-        max_abs(lhs - eye),
-        {"relation": "unitarity", "momenta": (k1, k2)},
-    )
+    return Residual(max_abs(lhs - eye), {"momenta": (k1, k2)})
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +328,11 @@ class WhitelistReport:
         if not self.checks:
             return None
         return max(self.checks, key=lambda r: r.value)
+
+    @property
+    def b_unitarity(self) -> float:
+        """The worst B(k) B(-k) = I residual over the grid."""
+        return max(r.value for r in self.checks if r.context["relation"] == "B-unitarity")
 
 
 def whitelist_reflection(

@@ -24,7 +24,8 @@ B(k) on the empty word.  The words of a batch that share a momentum tuple
 share that matrix, so a batch is contracted block by block, one numpy
 product per momentum tuple.  Everything here is pure: states in, states out.
 Each relation of T and b, T Omega = Omega and b Omega = B Omega included, is
-a residual function built by ``relations.identity``.
+a builder here from (context, momenta) to its (lhs, rhs) pairs, which
+``harness.RELATIONS`` measures through ``relations.identity``.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ import numpy as np
 
 from .errors import NotWhitelistedError
 from .fock import FockSpace, FockState, Word
-from .relations import (
-    AuxVec, CoVec, NumMat, OpMat, ResidualFn, Vec, b_exchange_triple, identity, r_mat
-)
+from .relations import AuxVec, CoVec, NumMat, OpMat, Pair, Vec, b_exchange_triple, r_mat
 from .rmatrix import (
     ReflectionMatrixSpec,
     WhitelistReport,
@@ -219,13 +218,11 @@ class VertexContext:
 
 
 # ---------------------------------------------------------------------------
-# Per-relation residual evaluators (state -> float).  The harness drives them
-# sample by sample; ``worst_over`` aggregates one over a sample list.
+# The relations of T and b, each as its (lhs, rhs) pairs.  ``harness.RELATIONS``
+# measures them through ``relations.identity``.
 
 
-def t_relation_evaluators(
-    ctx: VertexContext, k0: float, k: float
-) -> dict[str, ResidualFn]:
+def t_push(ctx: VertexContext, k0: float, k: float) -> list[Pair]:
     """The two defining relations of T at one (aux, particle) momentum pair.
 
     Creation side: T_0 a†_1 = a†_1 R_01 T_0.  Annihilation side:
@@ -235,52 +232,47 @@ def t_relation_evaluators(
     t1 = ctx.t_opmat(1, k0)
     dag = ctx.adag_covec(2, k)
     ann = ctx.a_vec(2, k)
-    return {
-        "defT-adag": identity(ctx.N, ([(1.0, [t1, dag])], [(1.0, [dag, r01, t1])])),
-        "defT-a": identity(ctx.N, ([(1.0, [t1, ann])], [(1.0, [r10, ann, t1])])),
-    }
+    return [
+        ([(1.0, [t1, dag])], [(1.0, [dag, r01, t1])]),
+        ([(1.0, [t1, ann])], [(1.0, [r10, ann, t1])]),
+    ]
 
 
-def rtt_evaluator(ctx: VertexContext, k1: float, k2: float) -> ResidualFn:
-    """Residual function for R_12 T_1 T_2 = T_2 T_1 R_12."""
+def rtt(ctx: VertexContext, k1: float, k2: float) -> list[Pair]:
+    """R_12 T_1 T_2 = T_2 T_1 R_12."""
     r12 = r_mat(ctx.space.r, k1, k2)
     t1 = ctx.t_opmat(1, k1)
     t2 = ctx.t_opmat(2, k2)
-    return identity(ctx.N, ([(1.0, [r12, t1, t2])], [(1.0, [t2, t1, r12])]))
+    return [([(1.0, [r12, t1, t2])], [(1.0, [t2, t1, r12])])]
 
 
-def t_vacuum_evaluator(ctx: VertexContext, k0: float) -> ResidualFn:
-    """Residual function for T(k0) = 1 on the aux space, which holds on the vacuum."""
-    one = NumMat(1, np.eye(ctx.N, dtype=complex))
-    return identity(ctx.N, ([(1.0, [ctx.t_opmat(1, k0)])], [(1.0, [one])]))
+def _one(N: int) -> NumMat:
+    return NumMat(1, np.eye(N, dtype=complex))
 
 
-def t_inverse_evaluator(ctx: VertexContext, k0: float) -> ResidualFn:
-    """Residual function for T(k0) T(k0)^-1 = 1 on the aux space."""
-    one = NumMat(1, np.eye(ctx.N, dtype=complex))
-    t = ctx.t_opmat(1, k0)
-    t_inv = ctx.t_inverse_opmat(1, k0)
-    return identity(ctx.N, ([(1.0, [t, t_inv])], [(1.0, [one])]))
+def t_vacuum(ctx: VertexContext, k0: float) -> list[Pair]:
+    """T(k0) = 1 on the aux space, which holds on the vacuum."""
+    return [([(1.0, [ctx.t_opmat(1, k0)])], [(1.0, [_one(ctx.N)])])]
 
 
-def b_vacuum_evaluator(ctx: VertexContext, k: float) -> ResidualFn:
-    """Residual function for b(k) = B(k) on the aux space, which holds on the vacuum."""
+def t_inverse(ctx: VertexContext, k0: float) -> list[Pair]:
+    """T(k0) T(k0)^-1 = 1 on the aux space."""
+    t, t_inv = ctx.t_opmat(1, k0), ctx.t_inverse_opmat(1, k0)
+    return [([(1.0, [t, t_inv])], [(1.0, [_one(ctx.N)])])]
+
+
+def b_vacuum(ctx: VertexContext, k: float) -> list[Pair]:
+    """b(k) = B(k) on the aux space, which holds on the vacuum."""
     want = NumMat(1, eval_b(ctx.reflection, k))
-    return identity(ctx.N, ([(1.0, [ctx.b_opmat(1, k)])], [(1.0, [want])]))
+    return [([(1.0, [ctx.b_opmat(1, k)])], [(1.0, [want])])]
 
 
-def b_involution_evaluator(ctx: VertexContext, k: float) -> ResidualFn:
-    """Residual function for b(k) b(-k) = 1 on the aux space."""
-    one = NumMat(1, np.eye(ctx.N, dtype=complex))
-    b_k = ctx.b_opmat(1, k)
-    b_mk = ctx.b_opmat(1, -k)
-    return identity(ctx.N, ([(1.0, [b_k, b_mk])], [(1.0, [one])]))
+def b_involution(ctx: VertexContext, k: float) -> list[Pair]:
+    """b(k) b(-k) = 1 on the aux space."""
+    b_k, b_mk = ctx.b_opmat(1, k), ctx.b_opmat(1, -k)
+    return [([(1.0, [b_k, b_mk])], [(1.0, [_one(ctx.N)])])]
 
 
-def b_exchange_evaluators(
-    ctx: VertexContext, k1: float, k2: float
-) -> dict[str, ResidualFn]:
+def b_exchange(ctx: VertexContext, k1: float, k2: float) -> tuple[Pair, Pair, Pair]:
     """eq:ab, eq:bad and eq:bb: the bulk generators and b (``relations.b_exchange_triple``)."""
-    triple = b_exchange_triple(ctx.space.r, k1, k2, ctx.a_vec, ctx.adag_covec, ctx.b_opmat)
-    return dict(zip(("eq:ab", "eq:bad", "eq:bb"), triple))
-
+    return b_exchange_triple(ctx.space.r, k1, k2, ctx.a_vec, ctx.adag_covec, ctx.b_opmat)

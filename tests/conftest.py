@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import FockSpace, FockState, SpectralGrid
+from zfcheck.harness import RELATIONS
 from zfcheck.relations import one_hot
 from zfcheck.rmatrix import ReflectionMatrixSpec, eval_r, identity_b, phase_diagonal_b, rational_r
 from zfcheck.vertex import VertexContext
@@ -153,3 +154,9 @@ def at_component(bctx, i, k, state):
 def atdag_component(bctx, i, k, state):
     """at†_i(k) state: the at†(k) row on the one-hot vector of color i."""
     return bctx.apply_a_tilde_dagger(k, [one_hot(state, bctx.N)[i]])[0][0]
+
+
+def relation(suite, tag, context, *args):
+    """The evaluator that the (suite, tag) row of RELATIONS builds on a context at one plan point."""
+    (row,) = [r for r in RELATIONS if (r.suite, r.tag) == (suite, tag)]
+    return row.factory(context, *args)

@@ -13,28 +13,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import atdag_component
+from conftest import atdag_component, relation
 from oracles import aux_entries, dense_T_oracle, max_entry_deviation
-from zfcheck.boundary import (
-    BoundaryContext,
-    boundary_relation_evaluators,
-    rho_B_evaluators,
-    rho_evaluator,
-)
+from zfcheck.boundary import BoundaryContext
 from zfcheck.cli import main
-from zfcheck.fock import (
-    FockSpace,
-    SpectralGrid,
-    confluence_residual,
-    zf_relation_evaluators,
-)
+from zfcheck.fock import FockSpace, SpectralGrid, confluence_residual
 from zfcheck.harness import RunConfig, random_state, render_json, run_suites
-from zfcheck.hierarchy import (
-    apply_H,
-    check_symmetry_breaking,
-    flow_commute_evaluator,
-    integral_of_motion_evaluator,
-)
+from zfcheck.hierarchy import apply_H, check_symmetry_breaking
 from zfcheck.rmatrix import (
     RMatrixSpec,
     check_unitarity,
@@ -48,18 +33,14 @@ from zfcheck.rmatrix import (
     rational_r,
     worst_over,
 )
-from zfcheck.vertex import (
-    VertexContext,
-    rtt_evaluator,
-    t_inverse_evaluator,
-    t_relation_evaluators,
-    t_vacuum_evaluator,
-)
+from zfcheck.vertex import VertexContext
 
 LINES: list[str] = []
 
 GRID = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 SEED = 20260816
+SEVEN = ("BNl-1", "BNl-2", "BNl-3", "BNl-4", "BNl-5", "eq:bb", "rbrb")
+SUBSTITUTION = ("rhoB-aa", "rhoB-adad", "rhoB-aad", "rhoB-involution", "coset")
 
 
 def conclude(slot: int, label: str, checks: list[tuple[str, bool]]) -> None:
@@ -140,15 +121,15 @@ def test_bulk_exchange_algebra_extensional(spaces):
     pairs = list(itertools.product(GRID, GRID))
     worst_basis = 0.0
     for k1, k2 in pairs:
-        fns = zf_relation_evaluators(space4, k1, k2)
+        fns = [relation("fock", tag, space4, k1, k2) for tag in ("AN-1", "AN-2", "AN-3")]
         for s in basis:
-            for fn in fns.values():
+            for fn in fns:
                 worst_basis = max(worst_basis, fn(s))
     worst_random = 0.0
     for k1, k2 in pairs:
-        fns = zf_relation_evaluators(space5, k1, k2)
+        fns = [relation("fock", tag, space5, k1, k2) for tag in ("AN-1", "AN-2", "AN-3")]
         for s in randoms:
-            for fn in fns.values():
+            for fn in fns:
                 worst_random = max(worst_random, fn(s))
 
     space3 = spaces[3]
@@ -188,23 +169,23 @@ def test_vertex_operator(spaces):
     rng = np.random.default_rng(SEED + 2)
 
     vac = space.vacuum()
-    vac_worst = max(t_vacuum_evaluator(ctx, k0)(vac) for k0 in (0.5, -2.0, 3.0))
+    vac_worst = max(relation("vertex", "TOmega", ctx, k0)(vac) for k0 in (0.5, -2.0, 3.0))
 
     samples = _samples(space, rng, (1, 2))
     deep = _samples(space, rng, (1, 2, 3))
     inter = 0.0
     for k0, k in ((0.5, 1.0), (2.0, 2.0), (-1.0, 1.0), (3.0, -3.0)):
-        fns = t_relation_evaluators(ctx, k0, k)
+        fns = [relation("vertex", tag, ctx, k0, k) for tag in ("defT-adag", "defT-a")]
         for _, s in samples:
-            inter = max(inter, fns["defT-a"](s), fns["defT-adag"](s))
+            inter = max(inter, *(fn(s) for fn in fns))
     rtt = 0.0
     for k1, k2 in ((0.5, 1.0), (2.0, 2.0), (-1.0, 1.0), (3.0, -3.0)):
-        fn = rtt_evaluator(ctx, k1, k2)
+        fn = relation("vertex", "rtt", ctx, k1, k2)
         for _, s in deep:
             rtt = max(rtt, fn(s))
     roundtrip = 0.0
     for k0 in (0.5, -2.0, 3.0):
-        fn = t_inverse_evaluator(ctx, k0)
+        fn = relation("vertex", "T-inverse", ctx, k0)
         for _, s in deep:
             roundtrip = max(roundtrip, fn(s))
 
@@ -247,19 +228,19 @@ def test_boundary_algebra_two_families(spaces):
         samples = _samples(space4, rng, (1, 2))
         seven = 0.0
         for k1, k2 in pairs:
-            fns = boundary_relation_evaluators(ctx, k1, k2)
+            fns = [relation("boundary", tag, ctx, k1, k2) for tag in SEVEN]
             for _, s in samples:
-                for fn in fns.values():
+                for fn in fns:
                     seven = max(seven, fn(s))
         rho = 0.0
         for k in (1.0, -2.0, 3.0):
-            fn = rho_evaluator(ctx, k)
+            fn = relation("boundary", "rho", ctx, k)
             for _, s in samples:
                 rho = max(rho, fn(s))
         rhob = 0.0
         coset = 0.0
         for k1, k2 in pairs:
-            fns = rho_B_evaluators(ctx, k1, k2)
+            fns = {tag: relation("boundary", tag, ctx, k1, k2) for tag in SUBSTITUTION}
             for _, s in samples:
                 coset = max(coset, fns["coset"](s))
                 for tag in ("rhoB-aa", "rhoB-adad", "rhoB-aad", "rhoB-involution"):
@@ -298,11 +279,11 @@ def test_conserved_charges(spaces):
             odd = max(odd, apply_H(ctx, order, s).maxamp())
 
     flow_samples = [s for _, s in _samples(space, rng, (1, 2))]
-    commute = worst_over(flow_commute_evaluator(ctx, 2, 4), flow_samples).value
+    commute = worst_over(relation("hierarchy", "H-commute", ctx, 2, 4), flow_samples).value
     iom = 0.0
     for order in (2, 4):
         for k in (1.0, -2.0):
-            fn = integral_of_motion_evaluator(ctx, order, k)
+            fn = relation("hierarchy", "H-iom", ctx, order, k)
             iom = max(iom, worst_over(fn, flow_samples).value)
 
     vacuum = 0.0

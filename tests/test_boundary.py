@@ -8,21 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import GRID, at_component, atdag_component, random_state
-from zfcheck.boundary import (
-    BoundaryContext,
-    boundary_relation_evaluators,
-    rho_B_evaluators,
-    rho_evaluator,
-)
+from conftest import GRID, at_component, atdag_component, random_state, relation
+from zfcheck.boundary import BoundaryContext
 from zfcheck.errors import GridDomainError, NotWhitelistedError
 from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal
-from zfcheck.harness import RELATIONS
 from zfcheck.relations import one_hot
 from zfcheck.rmatrix import constant_diagonal_b, eval_b, phase_diagonal_b, rational_r, worst_over
 from zfcheck.vertex import VertexContext
 
 PAIRS = ((1.0, 2.0), (1.0, 1.0), (2.0, -2.0), (-3.0, 1.0))
+SEVEN = ("BNl-1", "BNl-2", "BNl-3", "BNl-4", "BNl-5", "eq:bb", "rbrb")
+SUBSTITUTION = ("rhoB-aa", "rhoB-adad", "rhoB-aad", "rhoB-involution", "coset")
 
 
 def amax(state):
@@ -168,7 +164,7 @@ class TestBatchForm:
         monkeypatch.setattr(
             vctx, "apply_b", lambda k, vecs, **kw: calls.append(k) or apply_b(k, vecs, **kw)
         )
-        fn = boundary_relation_evaluators(BoundaryContext(vctx), 1.0, 2.0)["BNl-3"]
+        fn = relation("boundary", "BNl-3", BoundaryContext(vctx), 1.0, 2.0)
         assert fn(random_state(rng, vctx.space, 2)) < 1e-10
         assert 0 < len(calls) <= 4, calls
 
@@ -202,23 +198,20 @@ class TestAmplitudeType:
 class TestSevenRelations:
     @pytest.mark.parametrize("k1,k2", PAIRS)
     def test_two_particle_samples(self, bctx4, rng, k1, k2):
-        fns = boundary_relation_evaluators(bctx4, k1, k2)
-        assert set(fns) == {
-            "BNl-1", "BNl-2", "BNl-3", "BNl-4", "BNl-5", "eq:bb", "rbrb",
-        }
+        fns = {tag: relation("boundary", tag, bctx4, k1, k2) for tag in SEVEN}
         s = random_state(rng, bctx4.space, 2)
         for tag, fn in fns.items():
             assert fn(s) < 1e-10, tag
 
     @pytest.mark.parametrize("k1,k2", PAIRS)
     def test_one_particle_samples(self, bctx, rng, k1, k2):
-        fns = boundary_relation_evaluators(bctx, k1, k2)
+        fns = {tag: relation("boundary", tag, bctx, k1, k2) for tag in SEVEN}
         s = random_state(rng, bctx.space, 1)
         for tag, fn in fns.items():
             assert fn(s) < 1e-11, tag
 
     def test_vacuum_sample(self, bctx):
-        fns = boundary_relation_evaluators(bctx, 1.0, -1.0)
+        fns = {tag: relation("boundary", tag, bctx, 1.0, -1.0) for tag in SEVEN}
         vac = bctx.space.vacuum()
         for tag, fn in fns.items():
             assert fn(vac) < 1e-13, tag
@@ -237,21 +230,14 @@ class TestSevenRelations:
         naked = identity_residual(
             [(1.0, [at1, atdag2])], [(1.0, [atdag2, r_12, at1])], s, bctx.N
         )
-        full = boundary_relation_evaluators(bctx, k, k)["BNl-3"](s)
+        full = relation("boundary", "BNl-3", bctx, k, k)(s)
         assert full < 1e-11
         assert naked > 0.4
 
-    def test_headroom_table_matches_tags(self, bctx):
-        tags = {r.tag for r in RELATIONS if r.suite == "boundary"}
-        assert tags == (
-            set(boundary_relation_evaluators(bctx, 1.0, 2.0))
-            | {"rho"}
-            | set(rho_B_evaluators(bctx, 1.0, 2.0))
-        )
-
     def test_aggregate_wrapper(self, bctx, rng):
         samples = [random_state(rng, bctx.space, 1)]
-        for tag, fn in boundary_relation_evaluators(bctx, 1.0, 2.0).items():
+        for tag in SEVEN:
+            fn = relation("boundary", tag, bctx, 1.0, 2.0)
             res = worst_over(fn, samples, relation=tag)
             assert res.value < 1e-10, tag
             assert res.context["relation"] == tag
@@ -260,16 +246,16 @@ class TestSevenRelations:
 class TestRhoIdentity:
     @pytest.mark.parametrize("k", [1.0, -2.0, 3.0])
     def test_reflection_twist_acts_as_identity(self, bctx, rng, k):
-        fn = rho_evaluator(bctx, k)
+        fn = relation("boundary", "rho", bctx, k)
         for n in (1, 2):
             assert fn(random_state(rng, bctx.space, n)) < 1e-11
 
     def test_identity_family_too(self, bctx_id, rng):
-        fn = rho_evaluator(bctx_id, 2.0)
+        fn = relation("boundary", "rho", bctx_id, 2.0)
         assert fn(random_state(rng, bctx_id.space, 2)) < 1e-11
 
     def test_wrapper(self, bctx, rng):
-        fn = rho_evaluator(bctx, 1.0)
+        fn = relation("boundary", "rho", bctx, 1.0)
         res = worst_over(fn, [random_state(rng, bctx.space, 1)], momenta=(1.0,))
         assert res.value < 1e-11
         assert res.context["momenta"] == (1.0,)
@@ -278,10 +264,7 @@ class TestRhoIdentity:
 class TestRhoBAutomorphism:
     @pytest.mark.parametrize("k1,k2", PAIRS)
     def test_two_particle_samples(self, bctx4, rng, k1, k2):
-        fns = rho_B_evaluators(bctx4, k1, k2)
-        assert set(fns) == {
-            "rhoB-aa", "rhoB-adad", "rhoB-aad", "rhoB-involution", "coset",
-        }
+        fns = {tag: relation("boundary", tag, bctx4, k1, k2) for tag in SUBSTITUTION}
         s = random_state(rng, bctx4.space, 2)
         for tag, fn in fns.items():
             assert fn(s) < 1e-10, tag
@@ -289,23 +272,24 @@ class TestRhoBAutomorphism:
     def test_coset_is_tight(self, bctx, rng):
         # The average-of-identity-and-image form reproduces the halved
         # generators with nothing but rounding noise.
-        fns = rho_B_evaluators(bctx, 1.0, 2.0)
+        fn = relation("boundary", "coset", bctx, 1.0, 2.0)
         for n in (1, 2):
-            assert fns["coset"](random_state(rng, bctx.space, n)) < 1e-13
+            assert fn(random_state(rng, bctx.space, n)) < 1e-13
 
     def test_involution_restores_plain_annihilator(self, bctx, rng):
-        fns = rho_B_evaluators(bctx, -2.0, 1.0)
-        assert fns["rhoB-involution"](random_state(rng, bctx.space, 2)) < 1e-12
+        fn = relation("boundary", "rhoB-involution", bctx, -2.0, 1.0)
+        assert fn(random_state(rng, bctx.space, 2)) < 1e-12
 
     def test_full_delta_at_equal_momenta(self, bctx, rng):
         # rhoB-aad carries the full (unhalved) delta term; at k1 == k2 the
         # relation only closes because of it.
-        fns = rho_B_evaluators(bctx, 1.0, 1.0)
-        assert fns["rhoB-aad"](random_state(rng, bctx.space, 1)) < 1e-11
+        fn = relation("boundary", "rhoB-aad", bctx, 1.0, 1.0)
+        assert fn(random_state(rng, bctx.space, 1)) < 1e-11
 
     def test_aggregate_wrapper(self, bctx, rng):
         samples = [random_state(rng, bctx.space, 1)]
-        for tag, fn in rho_B_evaluators(bctx, 1.0, 2.0).items():
+        for tag in SUBSTITUTION:
+            fn = relation("boundary", tag, bctx, 1.0, 2.0)
             assert worst_over(fn, samples).value < 1e-10, tag
 
 

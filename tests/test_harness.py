@@ -1,5 +1,6 @@
 """Configuration validation, the suite driver, report rendering, and the CLI."""
 
+import ast
 import hashlib
 import json
 import re
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from zfcheck import vertex
+import zfcheck
 from zfcheck.cli import main
 from zfcheck.errors import ConfigError, GridValidationError
+from zfcheck.fock import FockSpace, SpectralGrid, zf_relation_evaluators
 from zfcheck.harness import (
     _CONTEXT,
     RELATIONS,
@@ -26,6 +28,7 @@ from zfcheck.harness import (
     resolve_suites,
     run_suites,
 )
+from zfcheck.rmatrix import rational_r
 
 SMALL = {
     "grid": [-1.0, 1.0],
@@ -538,14 +541,28 @@ def documented_headroom() -> dict[str, int]:
     return documented
 
 
+def test_readme_library_use_runs(capsys):
+    # The fenced example under "Library use" runs as written, and every
+    # residual it prints is at roundoff.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use")[1].split("```python\n")[1].split("```")[0]
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed[:7]] == [
+        "BNl-1", "BNl-2", "BNl-3", "BNl-4", "BNl-5", "eq:bb", "worst",
+    ]
+    assert max(float(line.split()[1]) for line in printed[:7]) < 1e-10
+    assert namespace["res"].value < 1e-10
+
+
 def row_evaluators(cfg):
     """(row, evaluator) for every row of RELATIONS at every point of its plan."""
     run = _Run(cfg)
     for row in RELATIONS:
         context = getattr(run, _CONTEXT[row.suite])
         for _, args in run.plans[row.plan]:
-            made = row.factory(context, *args)
-            yield row, made[row.tag] if isinstance(made, dict) else made
+            yield row, row.factory(context, *args)
 
 
 # Configs on which every evaluator must carry the documented headroom.
@@ -584,23 +601,25 @@ class TestRelationTable:
             seen.add((row.suite, row.tag))
         assert seen == {(r.suite, r.tag) for r in RELATIONS}
 
-    def test_a_tag_missing_at_one_plan_point_is_not_skipped_silently(self, monkeypatch):
-        # The factory's map lacks eq:bb at the second momentum pair only, so
-        # the suite still emits eq:bb records and a coverage check by tag
-        # alone would pass; the run must stop instead.
-        original, calls = vertex.b_exchange_evaluators, []
+    def test_each_tag_is_written_only_in_the_table(self):
+        # A layer builds a relation's (lhs, rhs) pairs and never names it;
+        # only the reflection gate's own checks name their two relations.
+        tags = {r.tag for r in RELATIONS}
+        allowed = {"harness.py": tags, "rmatrix.py": {"B-unitarity", "RBRB"}}
+        found = set()
+        for path in sorted(Path(zfcheck.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and node.value in tags:
+                    found.add((path.name, node.value))
+        assert {tag for name, tag in found if name == "harness.py"} == tags
+        assert {(name, tag) for name, tag in found if tag not in allowed.get(name, ())} == set()
 
-        def lacking(ctx, k1, k2):
-            made = original(ctx, k1, k2)
-            calls.append((k1, k2))
-            if len(calls) == 2:
-                del made["eq:bb"]
-            return made
-
-        monkeypatch.setattr(vertex, "b_exchange_evaluators", lacking)
-        with pytest.raises(KeyError, match="eq:bb"):
-            run_suites(RunConfig(suites=("vertex",)))
-        assert len(calls) == 2
+    def test_zf_relation_evaluators_keep_their_tags_and_headroom(self):
+        # The exhaustive fock benchmark iterates this map and skips by its own
+        # per-tag headroom, which must match what each evaluator carries.
+        space = FockSpace(SpectralGrid(RunConfig().grid), rational_r(2, 0.7), n_max=5)
+        fns = zf_relation_evaluators(space, 1.0, 2.0)
+        assert {tag: fn.headroom for tag, fn in fns.items()} == {"AN-1": 0, "AN-2": 2, "AN-3": 1}
 
     def test_skip_causes_name_the_table_headroom(self, one_particle_report):
         headroom = {

@@ -3,18 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import GRID, atdag_component, random_state
+from conftest import GRID, atdag_component, random_state, relation
 from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import FockState
 from zfcheck.harness import RELATIONS
-from zfcheck.hierarchy import (
-    apply_H,
-    check_symmetry_breaking,
-    eigenrelation_evaluator,
-    flow_commute_evaluator,
-    integral_of_motion_evaluator,
-    odd_vanishing_evaluator,
-)
+from zfcheck.hierarchy import apply_H, check_symmetry_breaking, odd_vanishing_evaluator
 from zfcheck.rmatrix import table_b, worst_over
 from zfcheck.vertex import VertexContext
 
@@ -80,7 +73,7 @@ class TestApplyH:
         out = apply_H(bctx, 2, s)
         assert out.max_particles() == 2
 
-    def test_headroom_table_covers_all_tags(self):
+    def test_relation_table_lists_the_hierarchy_tags(self):
         assert {r.tag for r in RELATIONS if r.suite == "hierarchy"} == {
             "H-odd", "H-eigen", "H-commute", "H-iom", "ssb",
         }
@@ -120,20 +113,20 @@ class TestEigenrelations:
     @pytest.mark.parametrize("k", [1.0, 3.0])
     def test_even_orders(self, bctx, rng, n, k):
         samples = [bctx.space.vacuum(), random_state(rng, bctx.space, 1)]
-        res = worst_over(eigenrelation_evaluator(bctx, n, k), samples, order=n)
+        res = worst_over(relation("hierarchy", "H-eigen", bctx, n, k), samples, order=n)
         assert res.value < 1e-11
         assert res.context["order"] == n
 
     def test_odd_order_gives_vanishing_commutator(self, bctx, rng):
-        fn = eigenrelation_evaluator(bctx, 3, 2.0)
+        fn = relation("hierarchy", "H-eigen", bctx, 3, 2.0)
         assert fn(random_state(rng, bctx.space, 1)) < 1e-11
 
     def test_two_particle_samples(self, bctx, rng):
-        fn = eigenrelation_evaluator(bctx, 2, 1.0)
+        fn = relation("hierarchy", "H-eigen", bctx, 2, 1.0)
         assert fn(random_state(rng, bctx.space, 2)) < 1e-10
 
     def test_default_sample_is_the_vacuum(self, bctx):
-        fn = eigenrelation_evaluator(bctx, 2, 1.0)
+        fn = relation("hierarchy", "H-eigen", bctx, 2, 1.0)
         assert fn(bctx.space.vacuum()) < 1e-12
 
 
@@ -141,19 +134,19 @@ class TestCommutation:
     @pytest.mark.parametrize("orders", [(2, 4), (0, 2)])
     def test_flows_commute(self, bctx, rng, orders):
         samples = [random_state(rng, bctx.space, n) for n in (1, 2)]
-        res = worst_over(flow_commute_evaluator(bctx, *orders), samples, orders=orders)
+        res = worst_over(relation("hierarchy", "H-commute", bctx, *orders), samples, orders=orders)
         assert res.value < 1e-10
         assert res.context["orders"] == orders
 
     def test_charges_commute_with_reflection_operator(self, bctx, rng):
         samples = [random_state(rng, bctx.space, n) for n in (1, 2)]
         for k in (1.0, -2.0):
-            fn = integral_of_motion_evaluator(bctx, 2, k)
+            fn = relation("hierarchy", "H-iom", bctx, 2, k)
             assert worst_over(fn, samples).value < 1e-10
 
     def test_odd_vanishing_wrapper(self, bctx, rng):
         samples = [random_state(rng, bctx.space, n) for n in (1, 2, 3)]
-        assert worst_over(odd_vanishing_evaluator(bctx, 3), samples).value < 1e-10
+        assert worst_over(relation("hierarchy", "H-odd", bctx, 3), samples).value < 1e-10
         with pytest.raises(ValueError, match="even order"):
             odd_vanishing_evaluator(bctx, 2)
 
@@ -162,6 +155,16 @@ class TestSymmetryBreaking:
     def test_vacuum_values_match_numeric_matrix(self, bctx):
         rep = check_symmetry_breaking(bctx)
         assert rep.residual.value < 1e-12
+
+    def test_one_b_image_per_grid_momentum(self, bctx, monkeypatch):
+        # The residual and the expectations are read from the same image.
+        calls = []
+        apply_b = bctx.vertex.apply_b
+        monkeypatch.setattr(
+            bctx.vertex, "apply_b", lambda k, vecs: calls.append(k) or apply_b(k, vecs)
+        )
+        check_symmetry_breaking(bctx)
+        assert calls == list(bctx.grid)
 
     def test_broken_pairs_follow_the_matrix_support(self, bctx, bctx_id, bctx_flip):
         # Diagonal families leave the color-diagonal components with nonzero
@@ -187,10 +190,8 @@ class TestCrossFamily:
     def test_flip_family_full_stack(self, bctx_flip, rng):
         # One end-to-end pass with the color-twisting family: relations,
         # eigenrelations, commutation.
-        from zfcheck.boundary import boundary_relation_evaluators
-
         s = random_state(rng, bctx_flip.space, 1)
-        for tag, fn in boundary_relation_evaluators(bctx_flip, 1.0, 2.0).items():
-            assert fn(s) < 1e-11, tag
-        assert eigenrelation_evaluator(bctx_flip, 2, 1.0)(s) < 1e-11
-        assert flow_commute_evaluator(bctx_flip, 2, 4)(s) < 1e-11
+        for tag in ("BNl-1", "BNl-2", "BNl-3", "BNl-4", "BNl-5", "eq:bb", "rbrb"):
+            assert relation("boundary", tag, bctx_flip, 1.0, 2.0)(s) < 1e-11, tag
+        assert relation("hierarchy", "H-eigen", bctx_flip, 2, 1.0)(s) < 1e-11
+        assert relation("hierarchy", "H-commute", bctx_flip, 2, 4)(s) < 1e-11

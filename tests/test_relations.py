@@ -558,7 +558,9 @@ class TestZeroStateContract:
         self._check(monkeypatch, ("vertex", "boundary"), kinds)
 
     def test_default_hierarchy_suite(self, monkeypatch):
-        kinds = {"Vec", "CoVec", "OpMat", "NumMat", "StateOp"}
+        # No hierarchy identity holds a scalar matrix: ssb reads b(k) on the
+        # vacuum directly, not as an identity against NumMat(B(k)).
+        kinds = {"Vec", "CoVec", "OpMat", "StateOp"}
         self._check(monkeypatch, ("hierarchy",), kinds)
 
 
@@ -577,10 +579,11 @@ class TestOneSeam:
 
         monkeypatch.setattr(relations, "identity_residual", counted)
         report = run_suites(RunConfig(), suites=[suite])
-        # H-odd is apply_H(...).maxamp(), the one relation that is not an identity.
+        # H-odd is apply_H(...).maxamp() and ssb reads b(k) on the vacuum
+        # directly: the two state-level relations that are not identities.
         measured = [
             r for r in report.records
-            if r.suite == suite and r.relation != "H-odd" and r.status != "skip"
+            if r.suite == suite and r.relation not in ("H-odd", "ssb") and r.status != "skip"
         ]
         assert measured
         assert len(calls) >= len(measured)

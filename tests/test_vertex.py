@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import GRID, exp_reflection, random_state
+from conftest import GRID, exp_reflection, random_state, relation
 from oracles import (
     aux_entries,
     dense_b_oracle,
@@ -35,34 +35,27 @@ from zfcheck.rmatrix import (
     rational_r,
     worst_over,
 )
-from zfcheck.vertex import (
-    VertexContext,
-    b_exchange_evaluators,
-    b_involution_evaluator,
-    b_vacuum_evaluator,
-    rtt_evaluator,
-    t_inverse_evaluator,
-    t_relation_evaluators,
-    t_vacuum_evaluator,
-)
+from zfcheck.vertex import VertexContext
 
 AUX_MOMENTA = (0.5, -2.0, 3.0)
 AUX_BUILD_MOMENTA = (0.37, -1.6, 2.2)
+T_TAGS = ("defT-adag", "defT-a")
+B_EXCHANGE_TAGS = ("eq:ab", "eq:bad", "eq:bb")
 
 
 class TestVacuumAction:
     @pytest.mark.parametrize("k0", AUX_MOMENTA)
     def test_T_fixes_vacuum_exactly(self, vctx, k0):
-        res = t_vacuum_evaluator(vctx, k0)(vctx.space.vacuum())
+        res = relation("vertex", "TOmega", vctx, k0)(vctx.space.vacuum())
         assert res == 0.0
 
     def test_b_vacuum_is_numeric_reflection_matrix(self, vctx):
         for k in vctx.grid:
-            res = b_vacuum_evaluator(vctx, k)(vctx.space.vacuum())
+            res = relation("vertex", "b-vacuum", vctx, k)(vctx.space.vacuum())
             assert res < 1e-13
 
     def test_b_vacuum_identity_family(self, vctx_id):
-        res = b_vacuum_evaluator(vctx_id, 1.0)(vctx_id.space.vacuum())
+        res = relation("vertex", "b-vacuum", vctx_id, 1.0)(vctx_id.space.vacuum())
         assert res < 1e-14
 
 
@@ -268,7 +261,7 @@ class TestSeamCoverage:
 class TestInverse:
     @pytest.mark.parametrize("k0", AUX_MOMENTA)
     def test_roundtrip_is_identity(self, vctx, rng, k0):
-        fn = t_inverse_evaluator(vctx, k0)
+        fn = relation("vertex", "T-inverse", vctx, k0)
         for n in (1, 2, 3):
             assert fn(random_state(rng, vctx.space, n)) < 1e-12
 
@@ -299,7 +292,7 @@ class TestIntertwining:
 
     @pytest.mark.parametrize("k0,k", PAIRS)
     def test_defining_relations(self, vctx, rng, k0, k):
-        fns = t_relation_evaluators(vctx, k0, k)
+        fns = {tag: relation("vertex", tag, vctx, k0, k) for tag in T_TAGS}
         for n in (1, 2):
             s = random_state(rng, vctx.space, n)
             for tag, fn in fns.items():
@@ -308,40 +301,39 @@ class TestIntertwining:
                     assert fn(s) < 1e-11, (tag, n)
 
     def test_defining_relations_three_particles(self, vctx4, rng):
-        fns = t_relation_evaluators(vctx4, 0.9, -2.0)
+        fns = {tag: relation("vertex", tag, vctx4, 0.9, -2.0) for tag in T_TAGS}
         s = random_state(rng, vctx4.space, 3)
         for tag, fn in fns.items():
             assert fn(s) < 1e-11, tag
 
     @pytest.mark.parametrize("k1,k2", PAIRS)
     def test_rtt(self, vctx, rng, k1, k2):
-        fn = rtt_evaluator(vctx, k1, k2)
+        fn = relation("vertex", "rtt", vctx, k1, k2)
         for n in (1, 2, 3):
             assert fn(random_state(rng, vctx.space, n)) < 1e-11
 
     def test_check_wrappers_report_parts(self, vctx, rng):
         samples = [random_state(rng, vctx.space, 1)]
-        fns = t_relation_evaluators(vctx, 0.5, 1.0)
-        assert set(fns) == {"defT-a", "defT-adag"}
-        for tag, fn in fns.items():
+        for tag in T_TAGS:
+            fn = relation("vertex", tag, vctx, 0.5, 1.0)
             assert worst_over(fn, samples).value < 1e-11, tag
-        assert worst_over(t_inverse_evaluator(vctx, 0.5), samples).value < 1e-12
+        assert worst_over(relation("vertex", "T-inverse", vctx, 0.5), samples).value < 1e-12
 
 
 class TestDressedReflection:
     def test_involution_phase_family(self, vctx, rng):
         for k in (1.0, 2.0, -3.0):
-            fn = b_involution_evaluator(vctx, k)
+            fn = relation("vertex", "rbrb", vctx, k)
             for n in (1, 2, 3):
                 assert fn(random_state(rng, vctx.space, n)) < 1e-11
 
     def test_involution_identity_family(self, vctx_id, rng):
-        fn = b_involution_evaluator(vctx_id, 2.0)
+        fn = relation("vertex", "rbrb", vctx_id, 2.0)
         assert fn(random_state(rng, vctx_id.space, 2)) < 1e-11
 
     @pytest.mark.parametrize("k1,k2", [(1.0, 2.0), (1.0, 1.0), (2.0, -2.0), (-3.0, 1.0)])
     def test_exchange_trio(self, vctx, rng, k1, k2):
-        fns = b_exchange_evaluators(vctx, k1, k2)
+        fns = {tag: relation("vertex", tag, vctx, k1, k2) for tag in B_EXCHANGE_TAGS}
         for n in (1, 2):
             s = random_state(rng, vctx.space, n)
             for tag, fn in fns.items():
@@ -350,17 +342,16 @@ class TestDressedReflection:
                     assert fn(s) < 1e-10, (tag, n)
 
     def test_exchange_trio_three_particles(self, vctx4, rng):
-        fns = b_exchange_evaluators(vctx4, 2.0, -1.0)
+        fns = {tag: relation("vertex", tag, vctx4, 2.0, -1.0) for tag in B_EXCHANGE_TAGS}
         s = random_state(rng, vctx4.space, 3)
         for tag, fn in fns.items():
             assert fn(s) < 1e-10, tag
 
     def test_check_wrappers(self, vctx, rng):
         samples = [random_state(rng, vctx.space, 1)]
-        assert worst_over(b_involution_evaluator(vctx, 1.0), samples).value < 1e-11
-        fns = b_exchange_evaluators(vctx, 1.0, 2.0)
-        assert set(fns) == {"eq:ab", "eq:bad", "eq:bb"}
-        for tag, fn in fns.items():
+        assert worst_over(relation("vertex", "rbrb", vctx, 1.0), samples).value < 1e-11
+        for tag in B_EXCHANGE_TAGS:
+            fn = relation("vertex", tag, vctx, 1.0, 2.0)
             assert worst_over(fn, samples).value < 1e-10, tag
 
 
@@ -401,14 +392,14 @@ class TestWhitelistGate:
 
     def test_t_layer_unaffected_by_gate(self, vctx_bad, rng):
         s = random_state(rng, vctx_bad.space, 1)
-        fn = rtt_evaluator(vctx_bad, 0.5, 2.0)
+        fn = relation("vertex", "rtt", vctx_bad, 0.5, 2.0)
         assert fn(s) < 1e-11
 
     def test_failed_gate_blocks_every_b_evaluator(self, vctx_bad, rng):
         # The evaluators build; the first b they apply raises.
         s = random_state(rng, vctx_bad.space, 1)
-        fns = [*b_exchange_evaluators(vctx_bad, 1.0, 2.0).values()]
-        fns += [b_involution_evaluator(vctx_bad, 1.0), b_vacuum_evaluator(vctx_bad, 1.0)]
+        fns = [relation("vertex", tag, vctx_bad, 1.0, 2.0) for tag in B_EXCHANGE_TAGS]
+        fns += [relation("vertex", tag, vctx_bad, 1.0) for tag in ("rbrb", "b-vacuum")]
         for fn in fns:
             with pytest.raises(NotWhitelistedError, match="whitelist"):
                 fn(s)
@@ -422,11 +413,10 @@ class TestWhitelistGate:
         assert vctx_ungated.b_allowed()
         assert vctx_ungated.whitelist.max_residual == 3.0
         s = random_state(rng, vctx_ungated.space, 1)
-        fns = b_exchange_evaluators(vctx_ungated, 1.0, 2.0)
-        assert fns["eq:bb"](s) > 1e-3
+        assert relation("vertex", "eq:bb", vctx_ungated, 1.0, 2.0)(s) > 1e-3
 
     def test_infinite_tolerance_vacuum_value_still_matches_numeric_matrix(self, vctx_ungated):
-        res = b_vacuum_evaluator(vctx_ungated, 1.0)(vctx_ungated.space.vacuum())
+        res = relation("vertex", "b-vacuum", vctx_ungated, 1.0)(vctx_ungated.space.vacuum())
         assert res < 1e-13
 
     def test_off_grid_momentum_rejected(self, vctx):
