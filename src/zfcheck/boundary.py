@@ -26,8 +26,8 @@ Every generator maps a batch of aux vectors, as T and b do, and sends the
 whole batch through b once: alpha(k) = b(k) a(-k) takes 1-vectors [s] to
 b(k) [a_j(-k) s]_j, alpha†(k) = a†(-k) b(-k) takes N-vectors (s_i) to the
 a†(-k) row of b(-k) (s_i), and at and at† are their halves with a(k) and
-a†(k).  On top of the vertex context's cached per-word matrices a small
-memo, keyed by generator, momentum and aux vector, keeps each image.
+a†(k).  On top of the vertex context's matrices, cached per momentum tuple,
+a small memo, keyed by generator, momentum and aux vector, keeps each image.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import partial
 from typing import Sequence
 
 from .errors import NotWhitelistedError
-from .fock import FockState
+from .fock import FockState, Word
 from .relations import AuxVec, CoVec, Pair, Vec, b_exchange_triple, delta_term, exchange_triple
 from .vertex import VertexContext
 
@@ -55,6 +55,10 @@ class BoundaryContext:
         self.N = vertex.N
         self.grid = vertex.grid
         self._memo: dict = {}
+        # What ``hierarchy.apply_H`` applies H(n) from, word by word: per word w
+        # the images at†(k) at(k) w over the grid, and per (n, w) H(n) w.
+        self.pair_images: dict[Word, tuple[FockState, ...]] = {}
+        self.charge_images: dict[tuple[int, Word], FockState] = {}
         # The dressed reflection operator must square to the identity across
         # the grid before anything downstream trusts it; at the matrix level
         # this is exactly B(k) B(-k) = I conjugated by invertible chains, which

@@ -29,10 +29,12 @@ run, since they never touch the reflection matrix.
 
 A sample whose sector leaves less room under the cap than its evaluator's
 ``headroom``, which ``relations.identity`` derives from the compiled factor
-products, is likewise recorded as a skip, never silently narrowed, with one
-exception: ``H-eigen`` samples only the vacuum and the one-particle sector
-(its ``low-sectors`` sample source) and records no skips for the
-configured samples of higher sectors.
+products, is likewise recorded as a skip, and so is a configured sample of a
+sector longer than the grid, which no word of distinct momenta fills.
+Coverage is never silently narrowed, with one exception: ``H-eigen``
+samples only the vacuum and the one-particle sector (its ``low-sectors``
+sample source) and records no skips for the configured samples of higher
+sectors.
 """
 
 from __future__ import annotations
@@ -533,17 +535,24 @@ def random_state(rng: np.random.Generator, space: FockSpace, n: int) -> FockStat
 
 
 @dataclass(frozen=True)
+class Undrawable:
+    """A configured sample its sector cannot hold; each of its records is a skip."""
+
+    cause: str
+
+
+@dataclass(frozen=True)
 class SamplePlan:
     """Named sample states per sector plus shared random momenta draws."""
 
-    by_sector: Mapping[int, tuple[tuple[str, FockState], ...]]
+    by_sector: Mapping[int, tuple[tuple[str, FockState | Undrawable], ...]]
     ybe_triples: tuple[tuple[float, float, float], ...]
     unitarity_pairs: tuple[tuple[float, float], ...]
     shuffles: tuple[tuple[str, dict], ...]
     roundtrips: tuple[tuple[str, Word, int], ...]
 
-    def up_to(self, max_sector: int) -> list[tuple[str, FockState]]:
-        out: list[tuple[str, FockState]] = []
+    def up_to(self, max_sector: int) -> list[tuple[str, FockState | Undrawable]]:
+        out: list[tuple[str, FockState | Undrawable]] = []
         for n in sorted(self.by_sector):
             if n <= max_sector:
                 out.extend(self.by_sector[n])
@@ -555,20 +564,22 @@ def build_sample_plan(cfg: RunConfig, space: FockSpace) -> SamplePlan:
 
     Drawing everything up front keeps reports for a suite subset consistent
     with the full run: selection changes which checks execute, never which
-    random samples exist.
+    random samples exist.  A sample word has pairwise-distinct momenta, so a
+    sector longer than the grid draws nothing: its configured samples are
+    ``Undrawable``, recorded as skips.
     """
     rng = np.random.default_rng(cfg.seed)
-    by_sector: dict[int, tuple[tuple[str, FockState], ...]] = {
+    by_sector: dict[int, tuple[tuple[str, FockState | Undrawable], ...]] = {
         0: (("vac", space.vacuum()),)
     }
+    G = len(space.grid)
     for n in range(1, cfg.n_max + 1):
         count = cfg.samples_per_sector.get(n, 0)
-        if n > len(space.grid):
-            count = 0  # not enough distinct momenta for a word this long
-        sector = []
-        for i in range(count):
-            sector.append((f"{n}p-{i}", random_state(rng, space, n)))
-        by_sector[n] = tuple(sector)
+        if n > G:
+            sample = Undrawable(f"sector {n} needs {n} distinct momenta, the grid has {G}")
+            by_sector[n] = tuple((f"{n}p-{i}", sample) for i in range(count))
+        else:
+            by_sector[n] = tuple((f"{n}p-{i}", random_state(rng, space, n)) for i in range(count))
 
     window = 3.0
     ybe = tuple(
@@ -765,6 +776,8 @@ class _Run:
         self.space = FockSpace(self.grid, self.rspec, n_max=cfg.n_max, prune=cfg.prune)
         self.vertex = VertexContext(self.space, bspec, whitelist_tol=cfg.tolerance)
         self.plan = build_sample_plan(cfg, self.space)
+        # The outcome of each measured (tag, momenta, sample), for reuse.
+        self.outcomes: dict[tuple, tuple] = {}
         self.b_cause = None
         if not self.vertex.b_allowed():
             self.b_cause = (
@@ -834,9 +847,26 @@ class _Run:
         return [(source.format(i=i), None)]
 
 
+def _outcome(fn: Callable, s: object, tol: float, n_max: int) -> tuple:
+    """The residual, status and cause of one evaluator on one sample."""
+    if isinstance(s, Undrawable):
+        return None, "skip", s.cause
+    headroom = getattr(fn, "headroom", 0)  # 0 if it applies no creation row
+    sector = s.max_particles() if isinstance(s, FockState) else 0
+    if sector > n_max - headroom:
+        return None, "skip", f"sector {sector} needs headroom {headroom} over cap n_max={n_max}"
+    got = fn(s)
+    value, cause = (got.value, got.context.get("cause")) if isinstance(got, Residual) else (got, None)
+    return float(value), "pass" if value < tol else "fail", cause
+
+
 def _measure(run: _Run, group: Sequence[Relation]) -> Iterator[CheckRecord]:
     """Records of consecutive rows that share a suite and a plan: by momenta, then
-    tag, then sample.  Each row's factory builds its evaluator at each plan point."""
+    tag, then sample.  Each row's factory builds its evaluator at each plan point.
+
+    A tag names one identity, so a (tag, momenta, sample) that an earlier
+    suite measured takes that outcome and is not evaluated again.
+    """
     head = group[0]
     if head.needs_b and run.b_cause:
         for row in group:
@@ -846,24 +876,14 @@ def _measure(run: _Run, group: Sequence[Relation]) -> Iterator[CheckRecord]:
     tol, n_max = run.cfg.tolerance, run.cfg.n_max
     for i, (momenta, args) in enumerate(run.plans[head.plan]):
         for row in group:
-            fn = row.factory(context, *args)
-            headroom = getattr(fn, "headroom", 0)  # 0 if it applies no creation row
+            fn = None
             for name, s in run.samples(row.samples, i):
-                sector = s.max_particles() if isinstance(s, FockState) else 0
-                if sector > n_max - headroom:
-                    cause = f"sector {sector} needs headroom {headroom} over cap n_max={n_max}"
-                    yield CheckRecord(row.suite, row.tag, momenta, name, None, "skip", cause)
-                    continue
-                got = fn(s)
-                value, cause = (
-                    (got.value, got.context.get("cause"))
-                    if isinstance(got, Residual)
-                    else (got, None)
-                )
-                status = "pass" if value < tol else "fail"
-                yield CheckRecord(
-                    row.suite, row.tag, momenta, name, float(value), status, cause
-                )
+                key = (row.tag, momenta, name)
+                outcome = run.outcomes.get(key)
+                if outcome is None:
+                    fn = fn or row.factory(context, *args)
+                    outcome = run.outcomes[key] = _outcome(fn, s, tol, n_max)
+                yield CheckRecord(row.suite, row.tag, momenta, name, *outcome)
 
 
 def run_suites(cfg: RunConfig, suites: Sequence[str] | None = None) -> Report:

@@ -82,8 +82,10 @@ class VertexContext:
         self._chains: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
         self._chains_inv: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
         self._bmats: dict[tuple[float, tuple[int, ...]], np.ndarray] = {}
-        # Per momentum tuple, its words in base-N color-code order, and back.
-        self._words: dict[tuple[int, ...], tuple[tuple[Word, ...], dict[Word, int]]] = {}
+        # Per word, its momentum tuple and its base-N color code; per momentum
+        # tuple, the (aux row, word) of each row of its matrices.
+        self._codes: dict[Word, tuple[tuple[int, ...], int]] = {}
+        self._rows: dict[tuple[int, ...], tuple[tuple[int, Word], ...]] = {}
 
     # -- cached matrices ------------------------------------------------------
 
@@ -129,12 +131,16 @@ class VertexContext:
 
     # -- closed-form applications ---------------------------------------------
 
-    def _word_table(self, gs: tuple[int, ...]) -> tuple[tuple[Word, ...], dict[Word, int]]:
-        table = self._words.get(gs)
-        if table is None:
-            words = tuple(tuple(zip(gs, cs)) for cs in product(range(self.N), repeat=len(gs)))
-            table = self._words[gs] = (words, {w: code for code, w in enumerate(words)})
-        return table
+    def _code(self, w: Word) -> tuple[tuple[int, ...], int]:
+        """The momentum tuple and color code of a word, filling its tuple's tables."""
+        code = self._codes.get(w)
+        if code is None:
+            gs = tuple(g for g, _ in w)
+            words = [tuple(zip(gs, cs)) for cs in product(range(self.N), repeat=len(gs))]
+            self._rows[gs] = tuple((i, v) for i in range(self.N) for v in words)
+            self._codes.update({v: (gs, c) for c, v in enumerate(words)})
+            code = self._codes[w]
+        return code
 
     def _contract(
         self, matrix_of: Callable[[tuple[int, ...]], np.ndarray], vecs: Sequence[AuxVec]
@@ -143,34 +149,36 @@ class VertexContext:
 
         The words sharing a momentum tuple form one block.  Its amplitudes
         over the whole batch fill X, of shape (aux and colors, batch) in the
-        matrix's layout, and meet it in one product.  Output words come from
-        the block's word table and are pruned at ``space.prune``.
+        matrix's layout, and meet it in one product.  A word's row of X is
+        read off its cached color code, and the (aux row, word) of each row
+        of the product off its tuple's row table; output is pruned at
+        ``space.prune``.
         """
-        N = self.N
-        # Per momentum tuple: its word table, then the row of X, the batch
-        # column and the value of each of its amplitudes.
+        codes = self._codes
+        # Per momentum tuple: its number of color codes, then the row of X,
+        # the batch column and the value of each of its amplitudes.
         blocks: dict[tuple[int, ...], tuple] = {}
         for b, vec in enumerate(vecs):
             for l, s in enumerate(vec):
                 for w, amp in s.amps.items():
-                    gs = tuple(g for g, _ in w)
+                    gs, code = codes.get(w) or self._code(w)
                     block = blocks.get(gs)
                     if block is None:
-                        block = blocks[gs] = (*self._word_table(gs), [], [], [])
-                    block[2].append(l * len(block[0]) + block[1][w])
-                    block[3].append(b)
-                    block[4].append(amp)
-        acc: list[list[dict[Word, complex]]] = [[{} for _ in range(N)] for _ in vecs]
-        for gs, (words, _, rows, cols, amps) in blocks.items():
-            dimc = len(words)
-            x = np.zeros((N * dimc, len(vecs)), dtype=complex)
+                        block = blocks[gs] = (self.N ** len(gs), [], [], [])
+                    block[1].append(l * block[0] + code)
+                    block[2].append(b)
+                    block[3].append(amp)
+        acc: list[list[dict[Word, complex]]] = [[{} for _ in range(self.N)] for _ in vecs]
+        for gs, (_, rows, cols, amps) in blocks.items():
+            table = self._rows[gs]
+            x = np.zeros((len(table), len(vecs)), dtype=complex)
             x[rows, cols] = amps
             out = matrix_of(gs) @ x
             hit_rows, hit_cols = np.nonzero(np.abs(out) > self.space.prune)
             values = out[hit_rows, hit_cols].tolist()
             for row, b, v in zip(hit_rows.tolist(), hit_cols.tolist(), values):
-                i, rem = divmod(row, dimc)
-                acc[b][i][words[rem]] = v
+                i, w = table[row]
+                acc[b][i][w] = v
         return [[FockState.wrap(amps) for amps in image] for image in acc]
 
     def apply_T(self, k0: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:

@@ -278,6 +278,21 @@ def word_matrix_map_oracle(ctx, matrix_of, state: FockState) -> np.ndarray:
     return data
 
 
+def apply_H_oracle(ctx, n: int, state: FockState) -> FockState:
+    """H(n) state as sum over grid k of k^n at†(k) (at(k) state), on the whole state.
+
+    The at column and the at† row are applied to the state itself, one grid
+    momentum at a time, with no per-word image.
+    """
+    terms = []
+    for k in ctx.grid:
+        weight = complex(k**n)
+        if weight != 0:
+            (row,) = ctx.apply_a_tilde_dagger(k, ctx.apply_a_tilde(k, [[state]]))
+            terms.append((weight, row[0]))
+    return FockState.combine(terms).pruned(ctx.space.prune)
+
+
 def aux_entries(op, state: FockState, N: int) -> np.ndarray:
     """The (N, N) object array of an aux-matrix operator on one state.
 

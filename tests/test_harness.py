@@ -4,11 +4,13 @@ import ast
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import zfcheck
+from zfcheck import relations
 from zfcheck.cli import main
 from zfcheck.errors import ConfigError, GridValidationError
 from zfcheck.fock import FockSpace, SpectralGrid, zf_relation_evaluators
@@ -17,6 +19,7 @@ from zfcheck.harness import (
     RELATIONS,
     SUITE_ORDER,
     RunConfig,
+    Undrawable,
     _Run,
     build_reflection,
     build_sample_plan,
@@ -285,6 +288,80 @@ class TestRunSuites:
         for r in small_report.records:
             assert isinstance(r.momenta, tuple)
             assert all(isinstance(k, float) for k in r.momenta)
+
+
+class TestUndrawableSamples:
+    # A sample word has pairwise-distinct momenta: a two-point grid holds no 3-particle sample.
+    CFG = {"grid": [-1.0, 1.0], "n_max": 3, "samples_per_sector": {"1": 1, "2": 2, "3": 2}}
+
+    def test_plan_names_them_and_draws_the_rest_as_before(self):
+        cfg = config_from_dict(self.CFG)
+        space = FockSpace(SpectralGrid(cfg.grid), rational_r(cfg.N, cfg.g), cfg.n_max)
+        plan = build_sample_plan(cfg, space)
+        assert [name for name, _ in plan.up_to(3)] == ["vac", "1p-0", "2p-0", "2p-1", "3p-0", "3p-1"]
+        assert all(isinstance(s, Undrawable) for _, s in plan.by_sector[3])
+        # No draw is spent on them: the drawable samples are those of a config without them.
+        fewer = config_from_dict({**self.CFG, "samples_per_sector": {"1": 1, "2": 2}})
+        drawn = build_sample_plan(fewer, space)
+        assert [s.amps for _, s in plan.up_to(2)] == [s.amps for _, s in drawn.up_to(2)]
+        assert plan.ybe_triples == drawn.ybe_triples
+
+    def test_each_row_records_one_skip_per_undrawable_sample(self):
+        cfg = config_from_dict(self.CFG)
+        report = run_suites(cfg)
+        plans = _Run(cfg).plans
+        want = [
+            (row.suite, row.tag, momenta, name)
+            for row in RELATIONS
+            if row.samples == "sectors"
+            for momenta, _ in plans[row.plan]
+            for name in ("3p-0", "3p-1")
+        ]
+        undrawn = [r for r in report.records if r.sample in ("3p-0", "3p-1")]
+        assert sorted((r.suite, r.relation, r.momenta, r.sample) for r in undrawn) == sorted(want)
+        cause = "sector 3 needs 3 distinct momenta, the grid has 2"
+        assert all(r.status == "skip" and r.cause == cause for r in undrawn)
+        assert not report.failed
+
+
+class TestSharedIdentities:
+    """A tag names one identity: a (tag, momenta, sample) that two suites share is evaluated once."""
+
+    @staticmethod
+    def counted_run(monkeypatch, suites):
+        calls = []
+        original = relations.identity_residual
+        with monkeypatch.context() as mp:
+            mp.setattr(relations, "identity_residual", lambda *a: calls.append(a) or original(*a))
+            report = run_suites(RunConfig(), suites=suites)
+        return report, len(calls)
+
+    @staticmethod
+    def shared(report):
+        """The boundary records whose (tag, momenta, sample) the vertex suite also has."""
+        vertex = {(r.relation, r.momenta, r.sample): r for r in report.records if r.suite == "vertex"}
+        return [
+            (vertex[key], r)
+            for r in report.records
+            if r.suite == "boundary" and (key := (r.relation, r.momenta, r.sample)) in vertex
+        ]
+
+    def test_shared_records_are_measured_once_and_equal(self, monkeypatch):
+        both, calls = self.counted_run(monkeypatch, ["vertex", "boundary"])
+        _, vertex_calls = self.counted_run(monkeypatch, ["vertex"])
+        alone, boundary_calls = self.counted_run(monkeypatch, ["boundary"])
+        pairs = self.shared(both)
+        assert {r.relation for _, r in pairs} == {"eq:bb", "rbrb"}
+        assert all(k2 == -k1 for _, r in pairs if r.relation == "rbrb" for k1, k2 in [r.momenta])
+        for v, b in pairs:
+            assert v == replace(b, suite="vertex")
+        # eq:bb and rbrb are one (lhs, rhs) pair each: one identity_residual call per record.
+        measured = sum(b.status != "skip" for _, b in pairs)
+        assert measured > 0
+        assert calls == vertex_calls + boundary_calls - measured
+        # A boundary-only run measures them itself, to the same records.
+        mine = [r for r in alone.records if r.suite == "boundary"]
+        assert mine == [r for r in both.records if r.suite == "boundary"]
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import GRID, atdag_component, random_state, relation
+from oracles import apply_H_oracle
 from zfcheck.boundary import BoundaryContext
-from zfcheck.fock import FockState
+from zfcheck.fock import FockSpace, FockState, states_equal
 from zfcheck.harness import RELATIONS
 from zfcheck.hierarchy import apply_H, check_symmetry_breaking, odd_vanishing_evaluator
-from zfcheck.rmatrix import table_b, worst_over
+from zfcheck.rmatrix import identity_b, phase_diagonal_b, rational_r, table_b, worst_over
 from zfcheck.vertex import VertexContext
 
 
@@ -77,6 +78,46 @@ class TestApplyH:
         assert {r.tag for r in RELATIONS if r.suite == "hierarchy"} == {
             "H-odd", "H-eigen", "H-commute", "H-iom", "ssb",
         }
+
+
+class TestChargeImages:
+    """apply_H, built from per-word images, against the grid loop on whole states."""
+
+    @pytest.fixture(scope="class", params=["N2-identity", "N3-k-dependent-diagonal"])
+    def charge_ctx(self, request, grid):
+        N, bspec = {
+            "N2-identity": (2, identity_b(2)),
+            "N3-k-dependent-diagonal": (3, phase_diagonal_b(3, 1.0, [1, -1, 1])),
+        }[request.param]
+        return BoundaryContext(VertexContext(FockSpace(grid, rational_r(N, 0.7), n_max=3), bspec))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_the_grid_loop(self, charge_ctx, n):
+        rng = np.random.default_rng(100 + n)
+        space = charge_ctx.space
+        states = [space.vacuum()] + [
+            random_state(rng, space, sector, terms=3) for sector in (1, 2, 3) for _ in range(2)
+        ]
+        # A state mixing sectors, some of whose words earlier states already met.
+        states.append(states[1] + states[3].scaled(0.5j) + states[5])
+        for s in states:
+            _, dev = states_equal(apply_H(charge_ctx, n, s), apply_H_oracle(charge_ctx, n, s), 0.0)
+            assert dev < 1e-12, (n, s)
+
+    def test_one_generator_batch_per_grid_momentum_for_new_words(self, grid, rng, monkeypatch):
+        ctx = BoundaryContext(VertexContext(FockSpace(grid, rational_r(2, 0.7), n_max=3), identity_b(2)))
+        calls = []
+        for name in ("apply_a_tilde", "apply_a_tilde_dagger"):
+            method = getattr(ctx, name)
+            monkeypatch.setattr(
+                ctx, name, lambda k, vecs, m=method, t=name: calls.append((t, k, len(vecs))) or m(k, vecs)
+            )
+        s = random_state(rng, ctx.space, 2, terms=3)
+        apply_H(ctx, 2, s)
+        assert calls == [(t, k, 3) for k in grid for t in ("apply_a_tilde", "apply_a_tilde_dagger")]
+        calls.clear()
+        apply_H(ctx, 4, s)  # every word has its images: no generator call
+        assert calls == []
 
 
 class TestOneParticleSpectrum:
