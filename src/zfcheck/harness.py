@@ -43,7 +43,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -70,14 +70,6 @@ from .vertex import VertexContext
 __version__ = "0.1.0"
 
 SUITE_ORDER = ("rmatrix", "fock", "vertex", "boundary", "hierarchy")
-
-# Per reflection family, the config keys it takes besides "family".
-_REFLECTION_KEYS = {
-    "identity": (),
-    "constant-diagonal": ("entries",),
-    "k-dependent-diagonal": ("c", "signs"),
-    "table": ("path",),
-}
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,7 @@ class RunConfig:
             "g": self.g,
             "grid": list(self.grid),
             "n_max": self.n_max,
-            "reflection": _normalize_reflection(dict(self.reflection)),
+            "reflection": dict(self.reflection),
             "suites": list(self.suites),
             "tolerance": self.tolerance,
             "seed": self.seed,
@@ -157,50 +149,55 @@ def _parse_entry(x: object, where: str) -> complex:
     )
 
 
-def _normalize_reflection(refl: dict) -> dict:
-    out: dict = {"family": refl["family"]}
-    for key in chain.from_iterable(_REFLECTION_KEYS.values()):
-        if key in refl:
-            out[key] = refl[key]
-    if "entries" in out:
-        parsed = (_parse_entry(e, "reflection.entries") for e in out["entries"])
-        out["entries"] = [[z.real, z.imag] for z in parsed]
-    return out
+# Per reflection family: the config keys it takes besides "family", and the
+# builder of its spec from N and the checked reflection object.
+_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[int, dict], ReflectionMatrixSpec]]] = {
+    "identity": ((), lambda N, refl: identity_b(N)),
+    "constant-diagonal": (("entries",), lambda N, refl: constant_diagonal_b([complex(*e) for e in refl["entries"]])),
+    "k-dependent-diagonal": (("c", "signs"), lambda N, refl: phase_diagonal_b(N, float(refl["c"]), refl.get("signs"))),
+    "table": (("path",), lambda N, refl: load_table_b(refl["path"], N)),
+}
 
 
-def _validate_reflection(refl: object, N: int) -> dict:
+def _check_reflection(refl: object, N: int, base_dir: Path | None) -> dict:
+    """The checked reflection object, as the report echoes it: each of
+    ``entries`` is an [re, im] pair, and a relative table ``path`` is anchored
+    at ``base_dir``."""
     _require(isinstance(refl, dict), "reflection must be an object")
     assert isinstance(refl, dict)
     family = refl.get("family")
     _require(
-        isinstance(family, str) and family in _REFLECTION_KEYS,
-        f"reflection.family must be one of {list(_REFLECTION_KEYS)}, "
-        f"got {family!r}",
+        isinstance(family, str) and family in _FAMILIES,
+        f"reflection.family must be one of {list(_FAMILIES)}, got {family!r}",
     )
-    extra = sorted(set(refl) - set(_REFLECTION_KEYS[family]) - {"family"})
+    keys = _FAMILIES[family][0]
+    extra = sorted(set(refl) - set(keys) - {"family"})
     _require(not extra, f"reflection: unknown keys for family {family!r}: {extra}")
-    if family == "constant-diagonal":
+    out = dict(refl)
+    if "entries" in keys:
         entries = refl.get("entries")
         _require(
             isinstance(entries, list) and len(entries) == N,
             f"reflection.entries must be a list of {N} entries",
         )
-        for e in entries:
-            _parse_entry(e, "reflection.entries")
-    elif family == "k-dependent-diagonal":
+        parsed = (_parse_entry(e, "reflection.entries") for e in entries)
+        out["entries"] = [[z.real, z.imag] for z in parsed]
+    if "c" in keys:
         _require(_is_number(refl.get("c")), "reflection.c must be a real number")
-        signs = refl.get("signs", [1] * N)
+    if "signs" in refl:
+        signs = refl["signs"]
         _require(
             isinstance(signs, list)
             and len(signs) == N
             and all(_is_int(s) and s in (-1, 1) for s in signs),
             f"reflection.signs must be a list of {N} values from {{-1, 1}}",
         )
-    elif family == "table":
-        _require(
-            isinstance(refl.get("path"), str), "reflection.path must be a string"
-        )
-    return dict(refl)
+    if "path" in keys:
+        path = refl.get("path")
+        _require(isinstance(path, str), "reflection.path must be a string")
+        if base_dir is not None and not Path(path).is_absolute():
+            out["path"] = str(base_dir / path)
+    return out
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -240,11 +237,7 @@ def config_from_dict(data: object, base_dir: Path | None = None) -> RunConfig:
     _require(
         _is_int(n_max) and n_max >= 1, f"n_max must be an integer >= 1, got {n_max!r}"
     )
-    refl = _validate_reflection(data.get("reflection", dict(base.reflection)), N)
-    if refl.get("family") == "table" and base_dir is not None:
-        p = Path(refl["path"])
-        if not p.is_absolute():
-            refl["path"] = str(base_dir / p)
+    refl = _check_reflection(data.get("reflection", dict(base.reflection)), N, base_dir)
 
     suites_raw = data.get("suites", ["all"])
     _require(
@@ -271,6 +264,7 @@ def config_from_dict(data: object, base_dir: Path | None = None) -> RunConfig:
         isinstance(sps_raw, dict), "samples_per_sector must be an object"
     )
     sps: dict[int, int] = {}
+    key_of: dict[int, str] = {}
     for key, val in sps_raw.items():
         try:
             sector = int(key)
@@ -282,6 +276,12 @@ def config_from_dict(data: object, base_dir: Path | None = None) -> RunConfig:
             1 <= sector <= n_max,
             f"samples_per_sector: sector {sector} outside 1..n_max={n_max}",
         )
+        _require(
+            sector not in key_of,
+            f"samples_per_sector: keys {key_of.get(sector)!r} and {key!r} "
+            f"both name sector {sector}",
+        )
+        key_of[sector] = key
         _require(
             _is_int(val) and val >= 0,
             f"samples_per_sector[{key}] must be a nonnegative integer, got {val!r}",
@@ -347,21 +347,8 @@ def resolve_suites(names: Sequence[str]) -> tuple[str, ...]:
 
 
 def build_reflection(cfg: RunConfig) -> ReflectionMatrixSpec:
-    refl = dict(cfg.reflection)
-    family = refl.get("family")
-    if family == "identity":
-        return identity_b(cfg.N)
-    if family == "constant-diagonal":
-        return constant_diagonal_b(
-            [_parse_entry(e, "reflection.entries") for e in refl["entries"]]
-        )
-    if family == "k-dependent-diagonal":
-        return phase_diagonal_b(
-            cfg.N, float(refl["c"]), refl.get("signs", [1] * cfg.N)
-        )
-    if family == "table":
-        return load_table_b(refl["path"], cfg.N)
-    raise ConfigError(f"unknown reflection family {family!r}")
+    """The reflection matrix spec of a config's checked reflection object."""
+    return _FAMILIES[cfg.reflection["family"]][1](cfg.N, cfg.reflection)
 
 
 # ---------------------------------------------------------------------------

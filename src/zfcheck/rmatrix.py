@@ -247,29 +247,36 @@ def load_table_b(path: str, N: int) -> ReflectionMatrixSpec:
 
     Each non-blank, non-comment line holds a momentum followed by N*N complex
     entries in row-major order.  Complex entries use Python literal syntax,
-    e.g. ``0.6+0.8j`` (no spaces inside a token).
+    e.g. ``0.6+0.8j`` (no spaces inside a token).  A file that cannot be read
+    as UTF-8 text, or that gives one momentum two rows, is rejected.
     """
-    entries: dict[float, Matrix] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            toks = stripped.split()
-            if len(toks) != 1 + N * N:
-                raise ReflectionTableError(
-                    f"{path}:{lineno}: expected momentum + {N * N} entries, "
-                    f"got {len(toks)} tokens"
-                )
-            try:
-                k = float(toks[0])
-                vals = [complex(t) for t in toks[1:]]
-            except ValueError as exc:
-                raise ReflectionTableError(f"{path}:{lineno}: {exc}") from exc
-            entries[k] = np.array(vals, dtype=complex).reshape(N, N)
-    if not entries:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReflectionTableError(f"cannot read reflection table {path}: {exc}") from None
+    rows: dict[float, tuple[int, list[complex]]] = {}  # momentum -> (line, entries)
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        toks = stripped.split()
+        if len(toks) != 1 + N * N:
+            raise ReflectionTableError(
+                f"{path}:{lineno}: expected momentum + {N * N} entries, "
+                f"got {len(toks)} tokens"
+            )
+        try:
+            k = float(toks[0])
+            vals = [complex(t) for t in toks[1:]]
+        except ValueError as exc:
+            raise ReflectionTableError(f"{path}:{lineno}: {exc}") from exc
+        if k in rows:
+            raise ReflectionTableError(f"{path}:{lineno}: momentum {k!r} repeats the row on line {rows[k][0]}")
+        rows[k] = (lineno, vals)
+    if not rows:
         raise ReflectionTableError(f"{path}: no table rows found")
-    return table_b(N, entries)
+    return table_b(N, {k: vals for k, (_, vals) in rows.items()})
 
 
 def eval_b(spec: ReflectionMatrixSpec, k: float) -> Matrix:

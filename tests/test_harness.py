@@ -7,6 +7,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zfcheck
@@ -31,7 +32,7 @@ from zfcheck.harness import (
     resolve_suites,
     run_suites,
 )
-from zfcheck.rmatrix import rational_r
+from zfcheck.rmatrix import eval_b, rational_r
 
 SMALL = {
     "grid": [-1.0, 1.0],
@@ -93,6 +94,9 @@ class TestConfigValidation:
             config_from_dict({"samples_per_sector": {"7": 1}, "n_max": 3})
         with pytest.raises(ConfigError, match="nonnegative"):
             config_from_dict({"samples_per_sector": {"1": -2}})
+        # "01" used to overwrite "1" silently, leaving sector 1 no samples.
+        with pytest.raises(ConfigError, match="keys '1' and '01' both name sector 1"):
+            config_from_dict({"samples_per_sector": {"1": 3, "01": 0}})
 
     def test_prune_band(self):
         with pytest.raises(ConfigError, match="prune"):
@@ -167,6 +171,74 @@ class TestConfigValidation:
         )
         echoed = cfg.to_dict()["reflection"]["entries"]
         assert echoed == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def _phase(c, signs):
+    """B(k) of the k-dependent diagonal family, B_jj(k) = (c + i k s_j) / (c - i k)."""
+    return lambda k: np.diag([(c + 1j * k * s) / (c - 1j * k) for s in signs])
+
+
+# Each accepted reflection form: the config object, its report echo, and B(k).
+REFLECTION_FORMS = {
+    "identity": ({"family": "identity"}, {"family": "identity"}, lambda k: np.eye(2)),
+    "constant-numbers": (
+        {"family": "constant-diagonal", "entries": [2, -1.0]},
+        {"family": "constant-diagonal", "entries": [[2.0, 0.0], [-1.0, 0.0]]},
+        lambda k: np.diag([2.0, -1.0]),
+    ),
+    "constant-strings": (
+        {"family": "constant-diagonal", "entries": ["0.6+0.8j", "1j"]},
+        {"family": "constant-diagonal", "entries": [[0.6, 0.8], [0.0, 1.0]]},
+        lambda k: np.diag([0.6 + 0.8j, 1j]),
+    ),
+    "constant-pairs": (
+        {"family": "constant-diagonal", "entries": [[0.0, 1.0], [0.6, -0.8]]},
+        {"family": "constant-diagonal", "entries": [[0.0, 1.0], [0.6, -0.8]]},
+        lambda k: np.diag([1j, 0.6 - 0.8j]),
+    ),
+    "phase-default-signs": (
+        {"family": "k-dependent-diagonal", "c": 0.5},
+        {"family": "k-dependent-diagonal", "c": 0.5},
+        _phase(0.5, (1, 1)),
+    ),
+    "phase-signs": (
+        {"family": "k-dependent-diagonal", "c": 0.5, "signs": [1, -1]},
+        {"family": "k-dependent-diagonal", "c": 0.5, "signs": [1, -1]},
+        _phase(0.5, (1, -1)),
+    ),
+    "phase-integer-c": (
+        {"family": "k-dependent-diagonal", "c": 1},
+        {"family": "k-dependent-diagonal", "c": 1},
+        _phase(1.0, (1, 1)),
+    ),
+}
+TABLE_B = {1.0: [[0, 1], [1, 0]], -1.0: [[0, 1], [1, 0]], 2.0: [[1j, 0], [0, 1]], -2.0: [[-1j, 0], [0, 1]]}
+
+
+class TestReflectionForms:
+    """The report echo and the built B(k) of every accepted reflection form."""
+
+    @staticmethod
+    def assert_pinned(cfg, echo, b_of):
+        got = cfg.to_dict()["reflection"]
+        assert got == echo
+        # JSON renders an int and a float differently: the echo keeps each type.
+        assert [type(v) for v in got.values()] == [type(echo[key]) for key in got]
+        spec = build_reflection(cfg)
+        for k in (1.0, -1.0, 2.0, -2.0):
+            np.testing.assert_allclose(eval_b(spec, k), b_of(k), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("form", list(REFLECTION_FORMS))
+    def test_inline_form(self, form):
+        refl, echo, b_of = REFLECTION_FORMS[form]
+        self.assert_pinned(config_from_dict({"reflection": refl}), echo, b_of)
+
+    def test_table_with_relative_path(self, tmp_path):
+        rows = (f"{k} " + " ".join(str(complex(v)) for row in m for v in row) for k, m in TABLE_B.items())
+        (tmp_path / "refl.tab").write_text("\n".join(rows) + "\n")
+        cfg = config_from_dict({"reflection": {"family": "table", "path": "refl.tab"}}, base_dir=tmp_path)
+        echo = {"family": "table", "path": str(tmp_path / "refl.tab")}
+        self.assert_pinned(cfg, echo, lambda k: np.array(TABLE_B[k]))
 
 
 class TestLoadConfig:
@@ -577,6 +649,29 @@ class TestCLI:
         cfgfile = self.write_cfg(tmp_path, {"grid": [1.0, 2.0]})
         assert main(["verify", "--config", cfgfile]) == 2
         assert "negation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "table, pattern",
+        [
+            (None, "cannot read reflection table .*refl.tab"),
+            ("dir", "cannot read reflection table .*refl.tab"),
+            (b"\xff1.0 1 0 0 1\n", "cannot read reflection table .*refl.tab"),
+            (b"1.0 1 0 0 1\n-1.0 1 0 0 1\n1.0 -1 0 0 -1\n", r"refl.tab:3: momentum 1.0 repeats the row on line 1"),
+        ],
+        ids=["missing", "directory", "not-utf8", "duplicate-row"],
+    )
+    def test_unusable_reflection_table_exits_2(self, tmp_path, capsys, table, pattern):
+        path = tmp_path / "refl.tab"
+        if table == "dir":
+            path.mkdir()
+        elif table is not None:
+            path.write_bytes(table)
+        cfgfile = self.write_cfg(tmp_path, {"reflection": {"family": "table", "path": "refl.tab"}})
+        assert main(["verify", "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zfcheck: error:")
+        assert re.search(pattern, err)
+        assert "Traceback" not in err
 
 
 # One-particle cap: every relation with headroom skips the sector-1 samples.
