@@ -35,7 +35,7 @@ from .harness import (
     load_config,
     run_suites,
 )
-from .hierarchy import apply_H, check_symmetry_breaking, odd_vanishing_evaluator
+from .hierarchy import apply_H, check_symmetry_breaking
 from .rmatrix import (
     ReflectionMatrixSpec,
     Residual,
@@ -87,7 +87,6 @@ __all__ = [
     "identity_b",
     "load_config",
     "load_table_b",
-    "odd_vanishing_evaluator",
     "phase_diagonal_b",
     "rational_r",
     "run_suites",

@@ -28,6 +28,11 @@ b(k) [a_j(-k) s]_j, alpha†(k) = a†(-k) b(-k) takes N-vectors (s_i) to the
 a†(-k) row of b(-k) (s_i), and at and at† are their halves with a(k) and
 a†(k).  On top of the vertex context's matrices, cached per momentum tuple,
 a small memo, keyed by generator, momentum and aux vector, keeps each image.
+
+B need only be admissible, and the vertex context's whitelist gate, at the
+run's tolerance, is the one judge of that: B(k) B(-k) = I and the
+reflection equation.  When the gate failed, every generator that goes
+through b raises ``NotWhitelistedError`` from ``VertexContext.apply_b``.
 """
 
 from __future__ import annotations
@@ -36,18 +41,18 @@ from dataclasses import replace
 from functools import partial
 from typing import Sequence
 
-from .errors import NotWhitelistedError
 from .fock import FockState, Word
 from .relations import AuxVec, CoVec, Pair, Vec, b_exchange_triple, delta_term, exchange_triple
 from .vertex import VertexContext
 
 _MEMO_LIMIT = 8192
-# The largest |B(k) B(-k) - I| over the grid that a context accepts.
-_INVOLUTION_LIMIT = 1e-11
 
 
 class BoundaryContext:
-    """A vertex context plus the memoized batch maps of at, at†, alpha and alpha†."""
+    """A vertex context plus the memoized batch maps of at, at†, alpha and alpha†.
+
+    It adds no check on B of its own: any vertex context will do.
+    """
 
     def __init__(self, vertex: VertexContext):
         self.vertex = vertex
@@ -59,18 +64,6 @@ class BoundaryContext:
         # the images at†(k) at(k) w over the grid, and per (n, w) H(n) w.
         self.pair_images: dict[Word, tuple[FockState, ...]] = {}
         self.charge_images: dict[tuple[int, Word], FockState] = {}
-        # The dressed reflection operator must square to the identity across
-        # the grid before anything downstream trusts it; at the matrix level
-        # this is exactly B(k) B(-k) = I conjugated by invertible chains, which
-        # the whitelist gate measured at every grid momentum.
-        worst = 0.0
-        if vertex.b_allowed():
-            worst = vertex.whitelist.b_unitarity
-            if worst >= _INVOLUTION_LIMIT:
-                raise NotWhitelistedError(
-                    f"b(k)b(-k)=id fails at matrix level: residual {worst:.3e}"
-                )
-        self.involution_residual = worst
 
     def _memoized(self, tag: str, k: float, build, vecs: Sequence[AuxVec]) -> list[AuxVec]:
         """The images of a batch; ``build`` maps the vectors not seen before in one call."""

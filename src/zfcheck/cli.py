@@ -118,13 +118,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return _verify(args)
-        if args.command == "default-config":
-            return _default_config(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _default_config(args)
     except ZfcheckError as e:
         print(f"zfcheck: error: {e}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main_entry() -> None:

@@ -316,16 +316,25 @@ def config_from_dict(data: object, base_dir: Path | None = None) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Read and validate a JSON config file.
 
-    Parse failures report file, line, and column; semantic failures name the
-    offending key.  Both raise ConfigError.
+    Parse failures report file, line, and column; semantic failures, and a
+    key repeated in one object, name the offending key.  All raise
+    ConfigError.
     """
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config {p}: {e}") from None
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        out: dict = {}
+        for key, value in pairs:
+            _require(key not in out, f"{p}: key {key!r} is given twice in one object")
+            out[key] = value
+        return out
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}:{e.lineno}:{e.colno}: {e.msg}") from None
     return config_from_dict(data, base_dir=p.parent)
@@ -740,7 +749,7 @@ RELATIONS: tuple[Relation, ...] = (
     Relation("boundary", "rhoB-aad", True, "pairs", _identity(boundary.substitution_exchange, 2)),
     Relation("boundary", "rhoB-involution", True, "pairs", _identity(boundary.substitution_involution)),
     Relation("boundary", "coset", True, "pairs", _identity(boundary.coset)),
-    Relation("hierarchy", "H-odd", True, "odd-orders", hierarchy.odd_vanishing_evaluator),
+    Relation("hierarchy", "H-odd", True, "odd-orders", _identity(hierarchy.odd_vanishing)),
     Relation("hierarchy", "H-eigen", True, "eigen", _identity(hierarchy.eigenrelation), "low-sectors"),
     Relation("hierarchy", "H-commute", True, "order-pairs", _identity(hierarchy.flow_commute)),
     Relation("hierarchy", "H-iom", True, "iom", _identity(hierarchy.integral_of_motion)),
@@ -765,12 +774,6 @@ class _Run:
         self.plan = build_sample_plan(cfg, self.space)
         # The outcome of each measured (tag, momenta, sample), for reuse.
         self.outcomes: dict[tuple, tuple] = {}
-        self.b_cause = None
-        if not self.vertex.b_allowed():
-            self.b_cause = (
-                f"reflection family {bspec.family!r} failed the whitelist gate "
-                f"(worst residual {self.vertex.whitelist.max_residual:.3e})"
-            )
 
     @cached_property
     def boundary(self) -> BoundaryContext:
@@ -855,9 +858,10 @@ def _measure(run: _Run, group: Sequence[Relation]) -> Iterator[CheckRecord]:
     suite measured takes that outcome and is not evaluated again.
     """
     head = group[0]
-    if head.needs_b and run.b_cause:
+    cause = run.vertex.gate_cause() if head.needs_b else None
+    if cause:
         for row in group:
-            yield CheckRecord(row.suite, row.tag, (), "-", None, "skip", run.b_cause)
+            yield CheckRecord(row.suite, row.tag, (), "-", None, "skip", cause)
         return
     context = getattr(run, _CONTEXT[head.suite])
     tol, n_max = run.cfg.tolerance, run.cfg.n_max

@@ -6,10 +6,11 @@ telescopes against its -k partner through the reflection-twisted identity),
 the even orders preserve particle number, commute with one another and with
 every reflection generator, and act on the dressed one-particle states
 at†(k) vacuum with eigenvalue k^n.  Every one of those statements is checked
-numerically here; none is assumed.  The commutators are (lhs, rhs) pairs
-of factor products of the charge (a ``StateOp``) with the generators and b,
-which ``harness.RELATIONS`` measures through ``relations.identity``.  The
-odd orders' vanishing and the vacuum test of b(k) are measured directly.
+numerically here; none is assumed.  The odd orders' vanishing and the
+commutators are (lhs, rhs) pairs of factor products of the charge (a
+``StateOp``) with the generators and b, which ``harness.RELATIONS``
+measures through ``relations.identity``.  Only the vacuum test of b(k) is
+measured directly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import partial
 
 from .boundary import BoundaryContext
 from .fock import FockState, Word
-from .relations import Pair, ResidualFn, StateOp, one_hot
+from .relations import Pair, StateOp, one_hot
 from .rmatrix import Residual, eval_b
 
 
@@ -59,15 +60,14 @@ def apply_H(ctx: BoundaryContext, n: int, state: FockState) -> FockState:
 
 
 # ---------------------------------------------------------------------------
-# The relations of the charges: H-odd as a residual function, the rest as
-# their (lhs, rhs) pairs
+# The relations of the charges, each as its (lhs, rhs) pairs
 
 
-def odd_vanishing_evaluator(ctx: BoundaryContext, n: int) -> ResidualFn:
-    """Residual of H(n) s = 0 for odd n."""
+def odd_vanishing(ctx: BoundaryContext, n: int) -> list[Pair]:
+    """H(n) = 0 for odd n: an empty right side."""
     if n % 2 == 0:
         raise ValueError(f"odd-order check called with even order {n}")
-    return lambda s: apply_H(ctx, n, s).maxamp()
+    return [([(1.0, [StateOp(partial(apply_H, ctx, n))])], [])]
 
 
 def eigenrelation(ctx: BoundaryContext, n: int, k: float) -> list[Pair]:

@@ -321,13 +321,13 @@ ResidualFn = Callable[[FockState], float]
 def identity_residual(
     lhs: Sequence[Term], rhs: Sequence[Term], state: FockState, N: int
 ) -> float:
-    """Max amplitude of lhs - rhs on one state.
+    """Max amplitude of lhs - rhs on one state; an empty right side reads as 0.
 
     Every term of both sides, the right side's with its sign flipped, is
     added straight into one amplitude map per leg index.
     """
-    if not lhs or not rhs:
-        raise ValueError("a side needs at least one term")
+    if not lhs:
+        raise ValueError("the left side needs at least one term")
     axes = None
     sums: dict[Index, dict[Word, complex]] = {}
     for sign, side in ((1.0, lhs), (-1.0, rhs)):

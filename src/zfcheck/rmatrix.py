@@ -330,17 +330,6 @@ class WhitelistReport:
     max_residual: float
     checks: tuple[Residual, ...]
 
-    @property
-    def worst(self) -> Residual | None:
-        if not self.checks:
-            return None
-        return max(self.checks, key=lambda r: r.value)
-
-    @property
-    def b_unitarity(self) -> float:
-        """The worst B(k) B(-k) = I residual over the grid."""
-        return max(r.value for r in self.checks if r.context["relation"] == "B-unitarity")
-
 
 def whitelist_reflection(
     rspec: RMatrixSpec,

@@ -191,6 +191,15 @@ class VertexContext:
     def b_allowed(self) -> bool:
         return self.whitelist.ok
 
+    def gate_cause(self) -> str | None:
+        """The whitelist gate's verdict on the reflection family, or None if it passed."""
+        if self.whitelist.ok:
+            return None
+        return (
+            f"reflection family {self.reflection.family!r} failed the whitelist gate "
+            f"(worst residual {self.whitelist.max_residual:.3e})"
+        )
+
     def apply_b(self, k: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
         """b(k) on a batch of aux vectors.  Requires k (hence -k) on the grid.
 
@@ -199,12 +208,7 @@ class VertexContext:
         """
         self.grid.index_of(k)
         if not self.b_allowed():
-            gate = self.whitelist
-            raise NotWhitelistedError(
-                f"reflection family {self.reflection.family!r} failed the whitelist gate "
-                f"(worst residual {gate.max_residual:.3e} at {gate.worst.context}); "
-                "refusing to build b(k)"
-            )
+            raise NotWhitelistedError(f"{self.gate_cause()}; refusing to build b(k)")
         return self._contract(lambda gs: self.b_matrix(k, gs), vecs)
 
     # -- factor builders for the relation evaluator -------------------------------

@@ -2,6 +2,8 @@
 seven-relation algebra, the reflection-twisted identity, and the
 substitution automorphism."""
 
+import json
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import GRID, at_component, atdag_component, random_state, relation
 from zfcheck.boundary import BoundaryContext
+from zfcheck.cli import main
 from zfcheck.errors import GridDomainError, NotWhitelistedError
 from zfcheck.fock import FockSpace, FockState, SpectralGrid, states_equal
+from zfcheck.harness import RELATIONS
 from zfcheck.relations import one_hot
 from zfcheck.rmatrix import constant_diagonal_b, eval_b, phase_diagonal_b, rational_r, worst_over
 from zfcheck.vertex import VertexContext
@@ -297,18 +301,41 @@ class TestGates:
     def test_blocked_family_constructs_but_refuses_generators(self, space):
         vbad = VertexContext(space, constant_diagonal_b([2.0, 1.0]))
         ctx = BoundaryContext(vbad)
-        assert ctx.involution_residual == 0.0
-        with pytest.raises(NotWhitelistedError):
+        with pytest.raises(NotWhitelistedError, match="failed the whitelist gate"):
             ctx.apply_a_tilde(1.0, [[space.vacuum()]])
 
-    def test_matrix_involution_gate(self, space):
-        # A family inside the whitelist tolerance band but outside the
-        # tighter involution tolerance: construction must fail loudly.
-        near = constant_diagonal_b([1.0 + 2.5e-11, 1.0])
-        vnear = VertexContext(space, near)
-        assert vnear.b_allowed()
-        with pytest.raises(NotWhitelistedError, match="matrix level"):
-            BoundaryContext(vnear)
+    def test_matrix_involution_gate(self, space, tmp_path, capsys):
+        # B(k) B(-k) = I misses by 5e-11.  The whitelist gate, at the run's
+        # tolerance, is the one judge: above the defect the family builds
+        # generators, below it the gate refuses b and everything downstream.
+        near = [1.0 + 2.5e-11, 1.0]
+        ctx = BoundaryContext(VertexContext(space, constant_diagonal_b(near)))
+        # at_0(1) a†_0(-1) vac = 1/2 B_00(1) vac
+        got = at_component(ctx, 0, 1.0, space.apply_creation(0, -1.0, space.vacuum()))
+        assert got.amps == {(): pytest.approx(0.5 * near[0], abs=1e-15)}
+        strict = BoundaryContext(VertexContext(space, constant_diagonal_b(near), whitelist_tol=1e-11))
+        with pytest.raises(NotWhitelistedError, match="failed the whitelist gate"):
+            strict.apply_a_tilde(1.0, [[space.vacuum()]])
+
+        cfg = tmp_path / "near.json"
+        cfg.write_text(json.dumps({"reflection": {"family": "constant-diagonal", "entries": near}}))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--tol", "1e-11", "--format", "json",
+                     "--report", str(out)]) == 1
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        overall = doc["summary"]["overall"]
+        assert [overall[k] for k in ("checks", "pass", "fail", "skip")] == [401, 318, 24, 59]
+        fails = Counter(r["relation"] for r in doc["records"] if r["status"] == "fail")
+        assert fails == {"B-unitarity": 6, "RBRB": 18}
+        gated = {(r.suite, r.tag) for r in RELATIONS if r.needs_b}
+        cause = "reflection family 'constant-diagonal' failed the whitelist gate (worst residual 5.000e-11)"
+        dependent = [r for r in doc["records"] if (r["suite"], r["relation"]) in gated]
+        assert len(dependent) == len(gated)
+        assert all(r["status"] == "skip" and r["cause"] == cause for r in dependent)
 
     def test_involution_residual_recorded(self, bctx):
-        assert bctx.involution_residual < 1e-11
+        # The gate measures B(k) B(-k) = I once per grid momentum.
+        unitarity = [r for r in bctx.vertex.whitelist.checks if r.context["relation"] == "B-unitarity"]
+        assert [r.context["momenta"] for r in unitarity] == [(k,) for k in bctx.grid]
+        assert max(r.value for r in unitarity) < 1e-11

@@ -2,13 +2,19 @@
 
 import ast
 import hashlib
+import io
 import json
 import re
+import tempfile
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import zfcheck
 from zfcheck import relations
@@ -672,6 +678,106 @@ class TestCLI:
         assert err.startswith("zfcheck: error:")
         assert re.search(pattern, err)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"seed": 1, "seed": 2}', "seed"),
+            ('{"samples_per_sector": {"1": 1, "1": 2}}', "1"),
+            ('{"reflection": {"family": "identity", "family": "table"}}', "family"),
+        ],
+        ids=["seed", "sector", "family"],
+    )
+    def test_repeated_key_exits_2(self, tmp_path, capsys, text, key):
+        # json keeps the last of two equal keys; the config loader refuses both.
+        p = tmp_path / "dup.json"
+        p.write_text(text)
+        assert main(["verify", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zfcheck: error:")
+        assert f"key {key!r} is given twice" in err
+        assert "Traceback" not in err
+
+    def test_near_involutive_family_reports(self, tmp_path, capsys):
+        # B(k) B(-k) = I misses by 5e-11, inside the default tolerance: the
+        # gate admits the family and the run reports instead of stopping.
+        cfgfile = tmp_path / "near.json"
+        refl = {"family": "constant-diagonal", "entries": [1.000000000025, 1.0]}
+        cfgfile.write_text(json.dumps({"reflection": refl}))
+        out = tmp_path / "report.json"
+        code = main(["verify", "--config", str(cfgfile), "--format", "json", "--report", str(out)])
+        capsys.readouterr()
+        assert code == 1
+        records = json.loads(out.read_text())["records"]
+        unitarity = [r for r in records if r["relation"] == "B-unitarity"]
+        assert len(unitarity) == 6
+        assert all(r["status"] == "pass" and r["residual"] == pytest.approx(5e-11) for r in unitarity)
+        # H(n)'s weights k^n carry the 5e-11 defect past the absolute tolerance.
+        fails = Counter(r["relation"] for r in records if r["status"] == "fail")
+        assert fails == {"H-odd": 11, "H-eigen": 15, "H-commute": 3, "H-iom": 5}
+
+
+@st.composite
+def _entry(draw):
+    """Mostly +-1 + eps, eps 0 or log-uniform up to 1e-4; one time in four any real."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.floats(-3.0, 3.0))
+    eps = draw(st.one_of(st.just(0.0), st.floats(-14.0, -4.0).map(lambda u: 10.0**u)))
+    return draw(st.sampled_from([1.0, -1.0])) + eps
+
+
+@st.composite
+def _reflections(draw):
+    """A reflection object of any family for N = 2, and the text of its table file."""
+    family = draw(st.sampled_from(["table", "constant-diagonal", "k-dependent-diagonal", "identity"]))
+    if family == "constant-diagonal":
+        return {"family": family, "entries": draw(st.lists(_entry(), min_size=2, max_size=2))}, None
+    if family == "k-dependent-diagonal":
+        refl = {"family": family, "c": draw(st.floats(-3.0, 3.0))}
+        if draw(st.booleans()):
+            refl["signs"] = draw(st.lists(st.sampled_from([1, -1]), min_size=2, max_size=2))
+        return refl, None
+    if family == "table":
+        # Each grid momentum may lack its row, which makes the config unusable.
+        rows = [
+            f"{k!r} " + " ".join(repr(x) for x in draw(st.lists(_entry(), min_size=4, max_size=4)))
+            for k in SMALL["grid"]
+            if draw(st.booleans())
+        ]
+        return {"family": family, "path": "refl.tab"}, "\n".join(rows) + "\n"
+    return {"family": family}, None
+
+
+def _forbid(name):
+    raise ValueError(f"report holds {name}")
+
+
+class TestGateDomain:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_reflections(), st.floats(-13.0, -3.0))
+    @example(({"family": "constant-diagonal", "entries": [1.000000000025, 1.0]}, None), -10.0)
+    def test_every_reflection_reports_or_is_refused(self, drawn, log_tol):
+        # The whitelist gate is the one judge of B: whatever family and
+        # tolerance, a run exits 0 or 1 with a finite report, or 2 on an
+        # unusable config, and never stops on a refused b.
+        refl, table = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if table is not None:
+                (tmp / "refl.tab").write_text(table)
+            cfgfile, out = tmp / "cfg.json", tmp / "report.json"
+            cfgfile.write_text(json.dumps({**SMALL, "reflection": refl, "tolerance": 10.0**log_tol}))
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["verify", "--config", str(cfgfile), "--format", "json", "--report", str(out)])
+            assert code in (0, 1, 2)
+            assert out.exists() == (code in (0, 1))
+            if code == 2:
+                # Only a table that lacks a grid momentum's row is unusable.
+                assert refl["family"] == "table"
+                assert re.search(r"refl\.tab: no table rows|table has no entry", err.getvalue())
+            else:
+                json.loads(out.read_text(), parse_constant=_forbid)
 
 
 # One-particle cap: every relation with headroom skips the sector-1 samples.

@@ -8,7 +8,7 @@ from oracles import apply_H_oracle
 from zfcheck.boundary import BoundaryContext
 from zfcheck.fock import FockSpace, FockState, states_equal
 from zfcheck.harness import RELATIONS
-from zfcheck.hierarchy import apply_H, check_symmetry_breaking, odd_vanishing_evaluator
+from zfcheck.hierarchy import apply_H, check_symmetry_breaking, odd_vanishing
 from zfcheck.rmatrix import identity_b, phase_diagonal_b, rational_r, table_b, worst_over
 from zfcheck.vertex import VertexContext
 
@@ -187,9 +187,13 @@ class TestCommutation:
 
     def test_odd_vanishing_wrapper(self, bctx, rng):
         samples = [random_state(rng, bctx.space, n) for n in (1, 2, 3)]
-        assert worst_over(relation("hierarchy", "H-odd", bctx, 3), samples).value < 1e-10
+        fn = relation("hierarchy", "H-odd", bctx, 3)
+        assert worst_over(fn, samples).value < 1e-10
+        # Against an empty right side the residual is the peak of H(n) s.
+        for s in samples:
+            assert fn(s) == apply_H(bctx, 3, s).maxamp()
         with pytest.raises(ValueError, match="even order"):
-            odd_vanishing_evaluator(bctx, 2)
+            odd_vanishing(bctx, 2)
 
 
 class TestSymmetryBreaking:

@@ -371,9 +371,13 @@ class TestSides:
 
     def test_empty_side_rejected(self, space):
         side = [(1.0, [Vec(1, ann(space, 1.0))])]
-        for lhs, rhs in (([], side), (side, [])):
-            with pytest.raises(ValueError, match="at least one term"):
-                identity_residual(lhs, rhs, space.vacuum(), space.N)
+        with pytest.raises(ValueError, match="at least one term"):
+            identity_residual([], side, space.vacuum(), space.N)
+        # An empty right side reads as 0: the residual is the left side's peak.
+        s = FockState({((3, 0),): 1.0 + 0.5j, ((3, 1), (4, 0)): 0.7 + 0j})
+        want = peak(evaluate(side[0][1], s, space.N))
+        assert want > 0.1
+        assert identity_residual(side, [], s, space.N) == want
 
 
 class TestErrorPaths:
@@ -579,11 +583,11 @@ class TestOneSeam:
 
         monkeypatch.setattr(relations, "identity_residual", counted)
         report = run_suites(RunConfig(), suites=[suite])
-        # H-odd is apply_H(...).maxamp() and ssb reads b(k) on the vacuum
-        # directly: the two state-level relations that are not identities.
+        # ssb reads b(k) on the vacuum directly: the one state-level
+        # relation that is not an identity.
         measured = [
             r for r in report.records
-            if r.suite == suite and r.relation not in ("H-odd", "ssb") and r.status != "skip"
+            if r.suite == suite and r.relation != "ssb" and r.status != "skip"
         ]
         assert measured
         assert len(calls) >= len(measured)
