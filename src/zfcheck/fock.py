@@ -488,27 +488,29 @@ def zf_relation_evaluators(space: FockSpace, k1: float, k2: float) -> dict:
     return {r.tag: r.factory(space, k1, k2) for r in rows}
 
 
-def confluence_residual(
-    space: FockSpace, raw: Mapping[Word, complex] | FockState
-) -> float:
-    """Deviation between the two canonicalization schedules on one input."""
-    left = space.canonicalize(raw, schedule="leftmost")
-    right = space.canonicalize(raw, schedule="rightmost")
-    _, dev = states_equal(left, right, tol=0.0)
-    return dev
+def confluence(space: FockSpace) -> list:
+    """The (lhs, rhs) pair of rewrite confluence: the leftmost and rightmost
+    canonicalization schedules agree, as YBE makes them."""
+    from .relations import StateOp
+
+    rightmost = partial(space.canonicalize, schedule="rightmost")
+    return [([(1.0, [StateOp(space.canonicalize)])], [(1.0, [StateOp(rightmost)])])]
 
 
-def transposition_roundtrip_residual(space: FockSpace, word: Word, pos: int) -> float:
-    """Deviation of the double adjacent transposition from the original word.
+def transposition_roundtrip(space: FockSpace) -> list:
+    """The (lhs, rhs) pair of the double transposition t t = 1, t the adjacent
+    transposition at position 0 of every word: the first inserts R(k_b, k_a)
+    weights and the second R(k_a, k_b), so unitarity restores the word.  The
+    right side is the empty product, the identity.  Neither side creates a
+    particle, so no cap skips a two-letter word, n_max = 1 included."""
+    from .relations import StateOp
 
-    One transposition inserts R(k_b, k_a) weights, the second R(k_a, k_b);
-    their contraction is the unitarity product, so the roundtrip must
-    restore the word exactly.
-    """
-    once: dict[Word, complex] = space.transpose_adjacent(word, pos)
-    acc: dict[Word, complex] = {}
-    for w, a in once.items():
-        for nw, c in space.transpose_adjacent(w, pos).items():
-            acc[nw] = acc.get(nw, 0j) + a * c
-    _, dev = states_equal(FockState(acc), space.basis_state(word), tol=0.0)
-    return dev
+    def transpose(state: FockState) -> FockState:
+        acc: dict[Word, complex] = {}
+        for w, a in state.amps.items():
+            for nw, c in space.transpose_adjacent(w, 0).items():
+                acc[nw] = acc.get(nw, 0j) + a * c
+        return FockState.wrap(acc)
+
+    t = StateOp(transpose)
+    return [([(1.0, [t, t])], [(1.0, [])])]

@@ -27,10 +27,11 @@ explanatory cause instead of being silently dropped; the bulk layers
 (exchange matrix checks, Fock algebra, the vertex operator itself) still
 run, since they never touch the reflection matrix.
 
-A sample whose sector leaves less room under the cap than its evaluator's
-``headroom``, which ``relations.identity`` derives from the compiled factor
-products, is likewise recorded as a skip, and so is a configured sample of a
-sector longer than the grid, which no word of distinct momenta fills.
+A sample is likewise recorded as a skip if its evaluator creates particles,
+as many as its ``headroom`` (which ``relations.identity`` derives from the
+compiled factor products), and its sector leaves less room than that under
+the cap, and so is a configured sample of a sector longer than the grid,
+which no word of distinct momenta fills.
 Coverage is never silently narrowed, with one exception: ``H-eigen``
 samples only the vacuum and the one-particle sector (its ``low-sectors``
 sample source) and records no skips for the configured samples of higher
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import groupby
@@ -224,6 +226,11 @@ def config_from_dict(data: object, base_dir: Path | None = None) -> RunConfig:
         "g must be nonzero: the Fock basis keeps equal-momentum color orders "
         "as independent states, which assumes R(k, k) = P, and g = 0 gives R = I",
     )
+    _require(  # False for NaN; an int compares exactly, even past the float range
+        sys.float_info.min <= abs(g) <= sys.float_info.max,
+        f"g must be a normal float, {sys.float_info.min!r} to {sys.float_info.max!r} "
+        f"in magnitude, got {g!r}: R(k, k) = (i g P)/(i g) is not finite otherwise",
+    )
     grid_raw = data.get("grid", list(base.grid))
     _require(
         isinstance(grid_raw, list) and all(_is_number(k) for k in grid_raw),
@@ -258,7 +265,8 @@ def config_from_dict(data: object, base_dir: Path | None = None) -> RunConfig:
         f"seed must be an unsigned 64-bit integer, got {seed!r}",
     )
     sps_raw = data.get(
-        "samples_per_sector", {str(k): v for k, v in base.samples_per_sector.items()}
+        "samples_per_sector",
+        {str(k): v for k, v in base.samples_per_sector.items() if k <= n_max},
     )
     _require(
         isinstance(sps_raw, dict), "samples_per_sector must be an object"
@@ -544,8 +552,8 @@ class SamplePlan:
     by_sector: Mapping[int, tuple[tuple[str, FockState | Undrawable], ...]]
     ybe_triples: tuple[tuple[float, float, float], ...]
     unitarity_pairs: tuple[tuple[float, float], ...]
-    shuffles: tuple[tuple[str, dict], ...]
-    roundtrips: tuple[tuple[str, Word, int], ...]
+    shuffles: tuple[tuple[str, FockState], ...]
+    roundtrips: tuple[tuple[str, FockState], ...]
 
     def up_to(self, max_sector: int) -> list[tuple[str, FockState | Undrawable]]:
         out: list[tuple[str, FockState | Undrawable]] = []
@@ -593,16 +601,13 @@ def build_sample_plan(cfg: RunConfig, space: FockSpace) -> SamplePlan:
     shuffles = []
     for i in range(4):
         w = _random_word(rng, space, shuffle_sector)
-        shuffles.append((f"shuffle-{i}", {w[::-1]: 1.0 + 0j}))
+        shuffles.append((f"shuffle-{i}", FockState({w[::-1]: 1.0 + 0j})))
 
-    # The roundtrip rewrites a word but never applies the particle cap; a
-    # grid always has two momenta, enough for one adjacent pair.
-    rt_sector = min(2, len(space.grid))
+    # Each roundtrip word is one adjacent pair, which every grid (at least
+    # +-k) holds; the roundtrip creates no particles, so no cap skips it.
     roundtrips = []
     for i in range(4):
-        w = _random_word(rng, space, rt_sector)
-        pos = int(rng.integers(0, max(1, len(w) - 1)))
-        roundtrips.append((f"word-{i}", w, pos))
+        roundtrips.append((f"word-{i}", space.basis_state(_random_word(rng, space, 2))))
 
     return SamplePlan(
         by_sector=by_sector,
@@ -647,8 +652,8 @@ class Relation:
     pairs, of one relation or of a family whose i-th pair is the row's, and
     ``relations.identity`` turns them into the evaluator.  An evaluator
     returns the residual, or a Residual whose context may carry the record's
-    cause.  One built by ``relations.identity`` carries its ``headroom``: a
-    sample whose sector leaves less under n_max is skipped.
+    cause.  One built by ``relations.identity`` carries a ``headroom``: if
+    nonzero, a sample whose sector leaves less under n_max is skipped.
 
     ``samples`` names the sample source (see ``_Run.samples``).  When the
     reflection gate fails, rows that ``needs_b`` get one skip record each.
@@ -691,14 +696,6 @@ def _once(check: Callable) -> Callable:
     return lambda context, *args: lambda _: check(context, *args)
 
 
-def _confluence(space: FockSpace) -> Callable:
-    return lambda raw: fock.confluence_residual(space, raw)
-
-
-def _roundtrip(space: FockSpace) -> Callable:
-    return lambda sample: fock.transposition_roundtrip_residual(space, *sample)
-
-
 def _ssb(ctx: BoundaryContext) -> Residual:
     """The vacuum test of b(k); the broken generators become the cause."""
     report = hierarchy.check_symmetry_breaking(ctx)
@@ -724,8 +721,8 @@ RELATIONS: tuple[Relation, ...] = (
     Relation("fock", "AN-1", False, "pairs", _identity(fock.zf_exchange, 0)),
     Relation("fock", "AN-2", False, "pairs", _identity(fock.zf_exchange, 1)),
     Relation("fock", "AN-3", False, "pairs", _identity(fock.zf_exchange, 2)),
-    Relation("fock", "confluence", False, "none", _confluence, "shuffles"),
-    Relation("fock", "roundtrip", False, "none", _roundtrip, "roundtrips"),
+    Relation("fock", "confluence", False, "none", _identity(fock.confluence), "shuffles"),
+    Relation("fock", "roundtrip", False, "none", _identity(fock.transposition_roundtrip), "roundtrips"),
     Relation("vertex", "TOmega", False, "aux", _identity(vertex.t_vacuum), "vac"),
     Relation("vertex", "defT-adag", False, "aux-particle", _identity(vertex.t_push, 0)),
     Relation("vertex", "defT-a", False, "aux-particle", _identity(vertex.t_push, 1)),
@@ -830,10 +827,8 @@ class _Run:
             # Each eigenrelation check applies the charge four times per
             # color, the hot loop of the whole run: stay in low sectors.
             return self.plan.up_to(min(1, n_max - 1))
-        if source == "shuffles":
-            return self.plan.shuffles
-        if source == "roundtrips":
-            return [(name, (word, pos)) for name, word, pos in self.plan.roundtrips]
+        if source in ("shuffles", "roundtrips"):
+            return getattr(self.plan, source)
         return [(source.format(i=i), None)]
 
 
@@ -841,9 +836,8 @@ def _outcome(fn: Callable, s: object, tol: float, n_max: int) -> tuple:
     """The residual, status and cause of one evaluator on one sample."""
     if isinstance(s, Undrawable):
         return None, "skip", s.cause
-    headroom = getattr(fn, "headroom", 0)  # 0 if it applies no creation row
-    sector = s.max_particles() if isinstance(s, FockState) else 0
-    if sector > n_max - headroom:
+    headroom = getattr(fn, "headroom", 0)  # 0 if it creates no particles
+    if headroom and (sector := s.max_particles()) > n_max - headroom:
         return None, "skip", f"sector {sector} needs headroom {headroom} over cap n_max={n_max}"
     got = fn(s)
     value, cause = (got.value, got.context.get("cause")) if isinstance(got, Residual) else (got, None)

@@ -350,7 +350,7 @@ def identity(N: int, *pairs: Pair) -> ResidualFn:
 
     Each side's factor products are compiled once into plans here.  The
     function's ``headroom`` is their worst: a state needs that many particles
-    of room under the cap.
+    of room under the cap, and with 0 any state will do.
     """
     plans = [
         tuple([(coeff, _compile(factors, N)) for coeff, factors in side] for side in pair)

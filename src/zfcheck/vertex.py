@@ -188,9 +188,6 @@ class VertexContext:
     def apply_T_inverse(self, k0: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
         return self._contract(lambda gs: self.chain_inv(k0, gs), vecs)
 
-    def b_allowed(self) -> bool:
-        return self.whitelist.ok
-
     def gate_cause(self) -> str | None:
         """The whitelist gate's verdict on the reflection family, or None if it passed."""
         if self.whitelist.ok:
@@ -207,7 +204,7 @@ class VertexContext:
         the whitelist gate when this context was built.
         """
         self.grid.index_of(k)
-        if not self.b_allowed():
+        if not self.whitelist.ok:
             raise NotWhitelistedError(f"{self.gate_cause()}; refusing to build b(k)")
         return self._contract(lambda gs: self.b_matrix(k, gs), vecs)
 

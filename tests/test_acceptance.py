@@ -17,7 +17,7 @@ from conftest import atdag_component, relation
 from oracles import aux_entries, dense_T_oracle, max_entry_deviation
 from zfcheck.boundary import BoundaryContext
 from zfcheck.cli import main
-from zfcheck.fock import FockSpace, SpectralGrid, confluence_residual
+from zfcheck.fock import FockSpace, FockState, SpectralGrid
 from zfcheck.harness import RunConfig, random_state, render_json, run_suites
 from zfcheck.hierarchy import apply_H, check_symmetry_breaking
 from zfcheck.rmatrix import (
@@ -134,6 +134,7 @@ def test_bulk_exchange_algebra_extensional(spaces):
 
     space3 = spaces[3]
     G = len(GRID)
+    confluence = relation("fock", "confluence", space3)
     worst_conf = 0.0
     for _ in range(10):
         gs = [int(g) for g in rng.integers(0, G, size=3)]  # repeats allowed
@@ -142,7 +143,7 @@ def test_bulk_exchange_algebra_extensional(spaces):
         for perm in itertools.permutations(range(3)):
             shuffled = tuple(word[p] for p in perm)
             worst_conf = max(
-                worst_conf, confluence_residual(space3, {shuffled: 1.0 + 0j})
+                worst_conf, confluence(FockState({shuffled: 1.0 + 0j}))
             )
 
     conclude(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import random_state, relation
 from oracles import (
     annihilation_pair_oracle,
     creation_pair_oracle,
@@ -21,9 +21,7 @@ from zfcheck.fock import (
     FockSpace,
     FockState,
     SpectralGrid,
-    confluence_residual,
     states_equal,
-    transposition_roundtrip_residual,
     zf_relation_evaluators,
 )
 from zfcheck.rmatrix import rational_r, worst_over
@@ -211,11 +209,11 @@ class TestAnnihilation:
 class TestCanonicalization:
     @given(word=words3)
     def test_confluence_of_schedules(self, space, word):
-        assert confluence_residual(space, {word: 1.0 + 0j}) < 1e-12
+        assert relation("fock", "confluence", space)(FockState({word: 1.0 + 0j})) < 1e-12
 
     @given(word=words2)
     def test_double_transposition_restores_word(self, space, word):
-        assert transposition_roundtrip_residual(space, word, 0) < 1e-12
+        assert relation("fock", "roundtrip", space)(space.basis_state(word)) < 1e-12
 
     def test_idempotent_on_canonical_words(self, space):
         for w in space.canonical_words(2):

@@ -5,7 +5,9 @@ import hashlib
 import io
 import json
 import re
+import sys
 import tempfile
+import warnings
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -118,6 +120,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="g must be nonzero"):
             config_from_dict({"g": 0.0})
         assert config_from_dict({"g": -0.7}).g == -0.7
+
+    @pytest.mark.parametrize(
+        "g", [1e-310, -1e-310, 5e-324, float("inf"), -float("inf"), float("nan"), 10**400]
+    )
+    def test_subnormal_or_nonfinite_coupling_rejected(self, g):
+        # R(k, k) = (i g P)/(i g) overflowed in the complex division, and the
+        # run died in R evaluation with non-finite entries; an int past the
+        # float range ended in a traceback.
+        with pytest.raises(ConfigError, match=r"^g must be a normal float, .* is not finite"):
+            config_from_dict({"g": g})
+
+    @pytest.mark.parametrize("g", [sys.float_info.min, -sys.float_info.min, 1e308, -1.797e308])
+    def test_extreme_normal_coupling_accepted(self, g):
+        assert config_from_dict({"g": g}).g == g
+
+    def test_n_max_alone_keeps_the_default_sectors_it_holds(self):
+        # Every key is optional: n_max below 3 used to exit 2 naming
+        # samples_per_sector, which the config never gave.
+        assert config_from_dict({"n_max": 1}).samples_per_sector == {1: 3}
+        assert config_from_dict({"n_max": 2}).samples_per_sector == {1: 3, 2: 3}
+        assert config_from_dict({"n_max": 5}).samples_per_sector == {1: 3, 2: 3, 3: 2}
 
     @pytest.mark.parametrize("k", [1e300, 1e60])
     def test_grid_with_infinite_sixth_power_rejected(self, k):
@@ -317,8 +340,8 @@ class TestSamplePlan:
         space = FockSpace(SpectralGrid(cfg.grid), rational_r(cfg.N, cfg.g), cfg.n_max)
         shuffles = build_sample_plan(cfg, space).shuffles
         assert len(shuffles) == 4
-        for name, raw in shuffles:
-            (word,) = raw
+        for name, state in shuffles:
+            (word,) = state.amps
             left = FockSpace._first_inversion(word, from_right=False)
             right = FockSpace._first_inversion(word, from_right=True)
             assert left is not None and left != right, (name, word)
@@ -627,6 +650,16 @@ class TestCLI:
         assert err.startswith("zfcheck: error:")
         assert "R(k, k) = P" in err
 
+    def test_subnormal_coupling_exits_2_without_warnings(self, tmp_path, capsys):
+        cfgfile = self.write_cfg(tmp_path, {"g": 1e-310})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zfcheck: error: g")
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("k", [1e300, 1e60])
     def test_too_large_grid_exits_2(self, tmp_path, capsys, k):
         cfgfile = self.write_cfg(tmp_path, {"grid": [-k, k]})
@@ -799,6 +832,11 @@ class TestOneParticleCap:
             r for r in one_particle_report.records if r.relation == "roundtrip"
         ]
         assert len(roundtrips) == 4
+
+    def test_n_max_alone_renders_the_same_report(self, one_particle_report):
+        report = run_suites(config_from_dict({"n_max": 1}))
+        assert render_json(report) == render_json(one_particle_report)
+        assert render_text(report) == render_text(one_particle_report)
 
     def test_cli_exits_0(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

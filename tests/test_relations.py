@@ -572,7 +572,7 @@ class TestOneSeam:
     """Every state-level relation calls ``relations.identity_residual`` on that
     module's binding, so one wrapper there sees all of them."""
 
-    @pytest.mark.parametrize("suite", ["vertex", "boundary", "hierarchy"])
+    @pytest.mark.parametrize("suite", ["fock", "vertex", "boundary", "hierarchy"])
     def test_every_measured_record_reaches_the_binding(self, monkeypatch, suite):
         calls = []
         residual_orig = relations.identity_residual

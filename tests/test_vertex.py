@@ -368,7 +368,7 @@ def vctx_ungated(space):
 
 class TestWhitelistGate:
     def test_failed_family_blocks_b(self, vctx_bad):
-        assert not vctx_bad.b_allowed()
+        assert vctx_bad.gate_cause() is not None
         with pytest.raises(NotWhitelistedError, match="whitelist"):
             vctx_bad.apply_b(1.0, one_hot(vctx_bad.space.vacuum(), vctx_bad.N))
 
@@ -388,7 +388,7 @@ class TestWhitelistGate:
         cfg = config_from_dict({"reflection": refl}, base_dir=tmp_path)
         ctx = VertexContext(space, build_reflection(cfg))
         assert ctx.whitelist.ok is ok
-        assert ctx.b_allowed() == ctx.whitelist.ok
+        assert (ctx.gate_cause() is None) == ctx.whitelist.ok
 
     def test_t_layer_unaffected_by_gate(self, vctx_bad, rng):
         s = random_state(rng, vctx_bad.space, 1)
@@ -410,7 +410,7 @@ class TestWhitelistGate:
         # A tolerance of inf admits the failing family: b exists, its worst
         # gate residual is on record, and the pair exchange identity breaks.
         # That breakage is what the gate keeps out of a run.
-        assert vctx_ungated.b_allowed()
+        assert vctx_ungated.gate_cause() is None
         assert vctx_ungated.whitelist.max_residual == 3.0
         s = random_state(rng, vctx_ungated.space, 1)
         assert relation("vertex", "eq:bb", vctx_ungated, 1.0, 2.0)(s) > 1e-3
