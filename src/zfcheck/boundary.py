@@ -26,8 +26,9 @@ Every generator maps a batch of aux vectors, as T and b do, and sends the
 whole batch through b once: alpha(k) = b(k) a(-k) takes 1-vectors [s] to
 b(k) [a_j(-k) s]_j, alpha†(k) = a†(-k) b(-k) takes N-vectors (s_i) to the
 a†(-k) row of b(-k) (s_i), and at and at† are their halves with a(k) and
-a†(k).  On top of the vertex context's matrices, cached per momentum tuple,
-a small memo, keyed by generator, momentum and aux vector, keeps each image.
+a†(k).  The generators keep no images.  On top of the vertex context's
+matrices, cached per momentum tuple, the context keeps one memo: per basis
+word w, the images at†(k) at(k) w over the grid that the charges H(n) sum.
 
 B need only be admissible, and the vertex context's whitelist gate, at the
 run's tolerance, is the one judge of that: B(k) B(-k) = I and the
@@ -45,13 +46,12 @@ from .fock import FockState, Word
 from .relations import AuxVec, CoVec, Pair, Vec, b_exchange_triple, delta_term, exchange_triple
 from .vertex import VertexContext
 
-_MEMO_LIMIT = 8192
-
 
 class BoundaryContext:
-    """A vertex context plus the memoized batch maps of at, at†, alpha and alpha†.
+    """A vertex context plus the batch maps of at, at†, alpha and alpha†.
 
     It adds no check on B of its own: any vertex context will do.
+    ``pair_images`` fills its one cache, ``_memo``.
     """
 
     def __init__(self, vertex: VertexContext):
@@ -59,23 +59,22 @@ class BoundaryContext:
         self.space = vertex.space
         self.N = vertex.N
         self.grid = vertex.grid
-        self._memo: dict = {}
-        # What ``hierarchy.apply_H`` applies H(n) from, word by word: per word w
-        # the images at†(k) at(k) w over the grid, and per (n, w) H(n) w.
-        self.pair_images: dict[Word, tuple[FockState, ...]] = {}
-        self.charge_images: dict[tuple[int, Word], FockState] = {}
+        self._memo: dict[Word, tuple[FockState, ...]] = {}
 
-    def _memoized(self, tag: str, k: float, build, vecs: Sequence[AuxVec]) -> list[AuxVec]:
-        """The images of a batch; ``build`` maps the vectors not seen before in one call."""
+    def pair_images(self, words: Sequence[Word]) -> list[tuple[FockState, ...]]:
+        """Per word w, the images at†(k) at(k) w over the grid, memoized.
+
+        The words not seen before go through the at column and the at† row
+        in one batch per grid k.
+        """
         memo = self._memo
-        keys = [(tag, float(k), tuple(tuple(sorted(s.amps.items())) for s in v)) for v in vecs]
-        todo = {key: v for key, v in zip(keys, vecs) if key not in memo}
-        fresh = dict(zip(todo, map(tuple, build(list(todo.values()))))) if todo else {}
-        out = [fresh[key] if key in fresh else memo[key] for key in keys]
-        if len(memo) + len(fresh) > _MEMO_LIMIT:
-            memo.clear()
-        memo.update(fresh)
-        return out
+        new = [w for w in words if w not in memo]
+        if new:
+            vecs = [[FockState.wrap({w: 1.0 + 0j})] for w in new]
+            rows = [self.apply_a_tilde_dagger(k, self.apply_a_tilde(k, vecs)) for k in self.grid]
+            for j, w in enumerate(new):
+                memo[w] = tuple(row[j][0] for row in rows)
+        return [memo[w] for w in words]
 
     def _alpha(self, k: float, vecs: Sequence[AuxVec]) -> list[list[FockState]]:
         """alpha(k) = b(k) a(-k): [s] -> [sum_j b_ij(k) a_j(-k) s]_i."""
@@ -96,9 +95,7 @@ class BoundaryContext:
     def apply_a_tilde(self, k: float, vecs: Sequence[AuxVec]) -> list[AuxVec]:
         """at(k) = (a(k) + alpha(k)) / 2 on a batch of 1-vectors [s]: [at_i(k) s]_i."""
         self.grid.index_of(k)
-        return self._memoized("at", k, lambda todo: self._halved(
-            self.space.annihilation_column(k, todo), self._alpha(k, todo)
-        ), vecs)
+        return self._halved(self.space.annihilation_column(k, vecs), self._alpha(k, vecs))
 
     def apply_a_tilde_dagger(self, k: float, vecs: Sequence[AuxVec]) -> list[AuxVec]:
         """at†(k) = (a†(k) + alpha†(k)) / 2 on a batch of N-vectors (s_i).
@@ -106,9 +103,7 @@ class BoundaryContext:
         The image of (s_i) is [sum_i at†_i(k) s_i].  Raises past the particle cap.
         """
         self.grid.index_of(k)
-        return self._memoized("atdag", k, lambda todo: self._halved(
-            self.space.creation_row(k, todo), self._alpha_dag(k, todo)
-        ), vecs)
+        return self._halved(self.space.creation_row(k, vecs), self._alpha_dag(k, vecs))
 
     # -- factor builders for the relation evaluator ------------------------------
 
@@ -121,12 +116,10 @@ class BoundaryContext:
     # rho_B images of the bulk generators: alpha = b a', alpha† = a'† b'.
 
     def alpha_vec(self, space_label: int, k: float) -> Vec:
-        return Vec(space_label, partial(self._memoized, "alpha", k, partial(self._alpha, k)))
+        return Vec(space_label, partial(self._alpha, k))
 
     def alpha_dag_covec(self, space_label: int, k: float) -> CoVec:
-        return CoVec(
-            space_label, partial(self._memoized, "alphadag", k, partial(self._alpha_dag, k))
-        )
+        return CoVec(space_label, partial(self._alpha_dag, k))
 
 
 # ---------------------------------------------------------------------------

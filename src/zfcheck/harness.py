@@ -40,6 +40,7 @@ sectors.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
@@ -134,21 +135,32 @@ def _sixth_power_finite(k: float) -> bool:
         return False
 
 
+def _as_float(x: int | float) -> float:
+    """x as a float; an int past the float range gives inf, as only finiteness is read then."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _parse_entry(x: object, where: str) -> complex:
-    """One reflection matrix entry: a real number, an [re, im] pair, or a string."""
+    """One finite reflection matrix entry: a real number, an [re, im] pair, or a string."""
     if _is_number(x):
-        return complex(x)
-    if isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x):
-        return complex(x[0], x[1])
-    if isinstance(x, str):
+        z = complex(_as_float(x))
+    elif isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x):
+        z = complex(_as_float(x[0]), _as_float(x[1]))
+    elif isinstance(x, str):
         try:
-            return complex(x.replace(" ", ""))
+            z = complex(x.replace(" ", ""))
         except ValueError:
             raise ConfigError(f"{where}: cannot parse complex entry {x!r}") from None
-    raise ConfigError(
-        f"{where}: entries must be numbers, [re, im] pairs, or complex strings, "
-        f"got {x!r}"
-    )
+    else:
+        raise ConfigError(
+            f"{where}: entries must be numbers, [re, im] pairs, or complex strings, "
+            f"got {x!r}"
+        )
+    _require(cmath.isfinite(z), f"{where}: entry {x!r} is not a finite complex number")
+    return z
 
 
 # Per reflection family: the config keys it takes besides "family", and the
@@ -185,7 +197,11 @@ def _check_reflection(refl: object, N: int, base_dir: Path | None) -> dict:
         parsed = (_parse_entry(e, "reflection.entries") for e in entries)
         out["entries"] = [[z.real, z.imag] for z in parsed]
     if "c" in keys:
-        _require(_is_number(refl.get("c")), "reflection.c must be a real number")
+        c = refl.get("c")
+        _require(
+            _is_number(c) and math.isfinite(_as_float(c)),
+            f"reflection.c must be a finite real number, got {c!r}",
+        )
     if "signs" in refl:
         signs = refl["signs"]
         _require(

@@ -32,28 +32,17 @@ def apply_H(ctx: BoundaryContext, n: int, state: FockState) -> FockState:
     """Apply sum over grid k, colors i of k^n at†_i(k) at_i(k): the at† row on the at column.
 
     H(n) is linear, so H(n) s = sum_w s_w H(n) w over the words w of s, with
-    H(n) w = sum_k k^n u_k(w) and u_k(w) = at†(k) at(k) w.  The context keeps
-    both images.  The words of s that have none yet get their u_k from one
-    batch through the at column and the at† row per grid k.
+    H(n) w = sum_k k^n u_k(w) and u_k(w) = at†(k) at(k) w, the images that
+    ``BoundaryContext.pair_images`` keeps per word.
     """
     if n < 0:
         raise ValueError(f"hierarchy order must be nonnegative, got {n}")
     if not state.amps:
         return FockState()
-    pair_images, charge_images = ctx.pair_images, ctx.charge_images
-    new = [w for w in state.amps if w not in pair_images]
-    if new:
-        vecs = [[FockState.wrap({w: 1.0 + 0j})] for w in new]
-        rows = [ctx.apply_a_tilde_dagger(k, ctx.apply_a_tilde(k, vecs)) for k in ctx.grid]
-        for j, w in enumerate(new):
-            pair_images[w] = tuple(row[j][0] for row in rows)
     weights = [complex(k**n) for k in ctx.grid]
     acc: dict[Word, complex] = {}
-    for w, a in state.amps.items():
-        image = charge_images.get((n, w))
-        if image is None:
-            image = charge_images[(n, w)] = FockState.combine(zip(weights, pair_images[w]))
-        for v, b in image.amps.items():
+    for a, images in zip(state.amps.values(), ctx.pair_images(list(state.amps))):
+        for v, b in FockState.combine(zip(weights, images)).amps.items():
             acc[v] = acc.get(v, 0j) + a * b
     prune = ctx.space.prune
     return FockState.wrap({w: a for w, a in acc.items() if abs(a) > prune})

@@ -194,6 +194,30 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=pattern):
                 config_from_dict({"reflection": refl})
 
+    @pytest.mark.parametrize(
+        "refl, pattern",
+        [
+            ({"family": "k-dependent-diagonal", "c": 10**400}, "reflection.c must be a finite"),
+            ({"family": "k-dependent-diagonal", "c": float("nan")}, "reflection.c must be a finite"),
+            ({"family": "k-dependent-diagonal", "c": -float("inf")}, "reflection.c must be a finite"),
+            ({"family": "constant-diagonal", "entries": [10**400, 1]}, "reflection.entries: entry"),
+            ({"family": "constant-diagonal", "entries": [[1, 10**400], 1]}, "reflection.entries: entry"),
+            ({"family": "constant-diagonal", "entries": ["1e400", 1]}, "reflection.entries: entry"),
+            ({"family": "constant-diagonal", "entries": [1, float("nan")]}, "reflection.entries: entry"),
+        ],
+        ids=["c-huge-int", "c-nan", "c-inf", "entry-huge-int", "pair-huge-int", "entry-string-inf", "entry-nan"],
+    )
+    def test_nonfinite_reflection_numbers_rejected(self, refl, pattern):
+        # A 401-digit int ended in an OverflowError traceback and exit 1.
+        with pytest.raises(ConfigError, match=f"^{pattern}"):
+            config_from_dict({"reflection": refl})
+
+    def test_largest_finite_reflection_numbers_accepted(self):
+        refl = {"family": "k-dependent-diagonal", "c": 1e308}
+        assert config_from_dict({"reflection": refl}).reflection["c"] == 1e308
+        refl = {"family": "constant-diagonal", "entries": [[1e308, -1e308], 1]}
+        assert config_from_dict({"reflection": refl}).reflection["entries"][0] == [1e308, -1e308]
+
     def test_config_echo_normalizes_complex_entries(self):
         cfg = config_from_dict(
             {"reflection": {"family": "constant-diagonal", "entries": ["1j", 1.0]}}
@@ -660,6 +684,22 @@ class TestCLI:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "refl",
+        [
+            {"family": "k-dependent-diagonal", "c": 10**400},
+            {"family": "constant-diagonal", "entries": [10**400, 1]},
+            {"family": "constant-diagonal", "entries": [[1, 10**400], 1]},
+        ],
+        ids=["c", "entry", "pair"],
+    )
+    def test_huge_reflection_int_exits_2(self, tmp_path, capsys, refl):
+        cfgfile = self.write_cfg(tmp_path, {"reflection": refl})
+        assert main(["verify", "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zfcheck: error: reflection.")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("k", [1e300, 1e60])
     def test_too_large_grid_exits_2(self, tmp_path, capsys, k):
         cfgfile = self.write_cfg(tmp_path, {"grid": [-k, k]})
@@ -870,6 +910,24 @@ def test_readme_library_use_runs(capsys):
     ]
     assert max(float(line.split()[1]) for line in printed[:7]) < 1e-10
     assert namespace["res"].value < 1e-10
+
+
+def test_readme_sample_run_counts_match_the_default_run():
+    # The block under "A passing run ends like:" shows each suite's and the
+    # overall counts of the default run; its residual digits vary with BLAS.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A passing run ends like:")[1].split("```\n")[1]
+    documented = {
+        m[1]: {key: int(v) for key, v in re.findall(r"(checks|pass|fail|skip)=(\d+)", m[2])}
+        for m in re.finditer(r"^(?:suite )?(\w+): (checks=.*)$", block, re.MULTILINE)
+    }
+    summary = run_suites(RunConfig()).summary()
+    want = {
+        name: {key: s[key] for key in ("checks", "pass", "fail", "skip")}
+        for name, s in {**summary["suites"], "overall": summary["overall"]}.items()
+    }
+    assert documented == want
+    assert block.splitlines()[-1] == "result: PASS"
 
 
 def row_evaluators(cfg):
